@@ -23,6 +23,7 @@ from .model import (
     EffectiveCatalog,
     build_network,
     load_scenario,
+    read_scenario,
     scenario_digest,
     effective_catalog,
     task_time,
@@ -37,6 +38,7 @@ from .capacity import (
     solve_characteristic,
     solve_characteristic_full,
     equation_for_node,
+    catalog_capacity,
     node_capacity,
     network_capacity,
     analyze_network,

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Network, ScenarioError, effective_catalog
+from .model import EffectiveCatalog, Network, ScenarioError, effective_catalog
 
 __all__ = [
     "SolverError",
@@ -31,6 +31,7 @@ __all__ = [
     "solve_characteristic",
     "solve_characteristic_full",
     "equation_for_node",
+    "catalog_capacity",
     "node_capacity",
     "network_capacity",
     "analyze_network",
@@ -157,18 +158,21 @@ def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> 
     return solve_characteristic_full(eq, rel_tol).x0
 
 
-def equation_for_node(net: Network, node_id: str) -> CharEquation:
-    """Characteristic equation of a node, one term per reachable class."""
-    catalog = effective_catalog(net, node_id)
-    counts = net.class_counts()
-    terms = tuple(
-        (counts[cid], entry.min_time) for cid, entry in sorted(catalog.entries.items())
-    )
+def _catalog_equation(catalog: EffectiveCatalog, counts: Mapping[str, int]) -> CharEquation:
+    terms = tuple((counts[cid], entry.min_time) for cid, entry in sorted(catalog.entries.items()))
     return CharEquation(terms=terms)
 
 
-def _node_solve(net: Network, node_id: str, rel_tol: float) -> NodeCapacity:
-    solve = solve_characteristic_full(equation_for_node(net, node_id), rel_tol)
+def equation_for_node(net: Network, node_id: str) -> CharEquation:
+    """Characteristic equation of a node, one term per reachable class."""
+    return _catalog_equation(effective_catalog(net, node_id), net.class_counts())
+
+
+def catalog_capacity(
+    catalog: EffectiveCatalog, counts: Mapping[str, int], rel_tol: float = DEFAULT_REL_TOL
+) -> NodeCapacity:
+    """Solve an already-built catalog; ``counts`` maps class id to file count."""
+    solve = solve_characteristic_full(_catalog_equation(catalog, counts), rel_tol)
     capacity = math.log2(solve.x0) if solve.x0 is not None and solve.x0 > 1.0 else 0.0
     return NodeCapacity(
         x0=solve.x0,
@@ -180,17 +184,21 @@ def _node_solve(net: Network, node_id: str, rel_tol: float) -> NodeCapacity:
 
 def node_capacity(net: Network, node_id: str, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Capacity of one node in bits per time unit (0 if nothing is reachable)."""
-    return _node_solve(net, node_id, rel_tol).capacity_bits_per_time
+    catalog = effective_catalog(net, node_id)
+    return catalog_capacity(catalog, net.class_counts(), rel_tol).capacity_bits_per_time
 
 
 def network_capacity(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Sum of node capacities over the whole network."""
-    return sum(node_capacity(net, n.id, rel_tol) for n in net.nodes)
+    return analyze_network(net, rel_tol).network_capacity
 
 
 def analyze_network(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> CapacityResult:
     """Per-node capacities plus the network total, with solver diagnostics."""
-    per_node = {n.id: _node_solve(net, n.id, rel_tol) for n in net.nodes}
+    counts = net.class_counts()
+    per_node = {
+        n.id: catalog_capacity(effective_catalog(net, n.id), counts, rel_tol) for n in net.nodes
+    }
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
     return CapacityResult(per_node=per_node, network_capacity=total, rel_tol=rel_tol)
 
@@ -209,6 +217,11 @@ class OptimalDistribution:
     class_mass: Mapping[str, float]
     file_probability: Mapping[str, float]
 
+    @property
+    def capacity_bits_per_time(self) -> float:
+        """log2(x0): the node capacity, which this distribution attains."""
+        return math.log2(self.x0)
+
 
 def optimal_distribution(
     net: Network, node_id: str, rel_tol: float = DEFAULT_REL_TOL
@@ -219,14 +232,12 @@ def optimal_distribution(
     single reachable file): no nondegenerate optimum exists there.
     """
     catalog = effective_catalog(net, node_id)
-    eq = equation_for_node(net, node_id)
-    solve = solve_characteristic_full(eq, rel_tol)
-    if solve.x0 is None or solve.x0 <= 1.0:
+    counts = net.class_counts()
+    x0 = catalog_capacity(catalog, counts, rel_tol).x0
+    if x0 is None or x0 <= 1.0:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"
         )
-    x0 = solve.x0
-    counts = net.class_counts()
     file_probability = {
         cid: x0 ** -entry.min_time for cid, entry in sorted(catalog.entries.items())
     }

@@ -20,10 +20,8 @@ from .capacity import (
     DEFAULT_REL_TOL,
     SolverError,
     analyze_network,
-    node_capacity,
+    catalog_capacity,
     optimal_distribution,
-    solve_characteristic_full,
-    equation_for_node,
 )
 from .entropy import (
     EmpiricalSource,
@@ -32,8 +30,8 @@ from .entropy import (
     entropy_efficiency,
     stationary_distribution,
 )
-from .model import Network, ScenarioError, effective_catalog, load_scenario, scenario_digest
-from .oracle import convergence_report, quantize_node
+from .model import Network, ScenarioError, effective_catalog, parse_json, read_scenario
+from .oracle import convergence_report, infer_grid, quantize
 from .traces import read_trace, sample_iid, sample_markov, write_trace
 
 __all__ = ["main", "entrypoint"]
@@ -99,19 +97,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _scenario_block(path: str) -> dict:
-    return {"path": path, "digest": scenario_digest(path)}
-
-
-def _load(path: str) -> Network:
-    return load_scenario(path)
+def _load_scenario(path: str) -> tuple[Network, dict]:
+    """The Network and the report's scenario block, from one read of the file."""
+    net, digest = read_scenario(path)
+    return net, {"path": path, "digest": digest}
 
 
 def _load_source_spec(path: str) -> IIDSource | MarkovSource:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON in source spec {path}: {exc}") from exc
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), f"source spec {path}")
     if not isinstance(doc, Mapping) or "type" not in doc:
         raise ScenarioError(f"source spec {path} must be an object with a 'type' field")
     kind = doc["type"]
@@ -134,7 +127,7 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> dict:
-    net = _load(args.scenario)
+    net, scenario = _load_scenario(args.scenario)
     if args.tol <= 0:
         raise ScenarioError(f"--tol must be positive, got {args.tol}")
     result = analyze_network(net, rel_tol=args.tol)
@@ -150,7 +143,7 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
     ]
     return {
         "command": "capacity",
-        "scenario": _scenario_block(args.scenario),
+        "scenario": scenario,
         "rel_tol": args.tol,
         "nodes": nodes,
         "network_capacity_bits_per_time": result.network_capacity,
@@ -172,7 +165,7 @@ def _render_capacity(report: dict) -> str:
 
 
 def _cmd_optimal(args: argparse.Namespace) -> dict:
-    net = _load(args.scenario)
+    net, scenario = _load_scenario(args.scenario)
     dist = optimal_distribution(net, args.node)
     counts = net.class_counts()
     classes = [
@@ -186,10 +179,10 @@ def _cmd_optimal(args: argparse.Namespace) -> dict:
     ]
     return {
         "command": "optimal",
-        "scenario": _scenario_block(args.scenario),
+        "scenario": scenario,
         "node": args.node,
         "x0": dist.x0,
-        "capacity_bits_per_time": node_capacity(net, args.node),
+        "capacity_bits_per_time": dist.capacity_bits_per_time,
         "classes": classes,
     }
 
@@ -210,7 +203,7 @@ def _render_optimal(report: dict) -> str:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> dict:
-    net = _load(args.scenario)
+    net, scenario = _load_scenario(args.scenario)
     if args.optimal:
         dist = optimal_distribution(net, args.node)
         src = IIDSource(class_mass=dist.class_mass)
@@ -229,7 +222,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
     result = entropy_efficiency(net, args.node, src)
     return {
         "command": "efficiency",
-        "scenario": _scenario_block(args.scenario),
+        "scenario": scenario,
         "node": args.node,
         "source": source_echo,
         "entropy_bits_per_file": result.entropy_bits_per_file,
@@ -256,26 +249,25 @@ def _render_efficiency(report: dict) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> dict:
-    net = _load(args.scenario)
+    net, scenario = _load_scenario(args.scenario)
     catalog = effective_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
-    q = quantize_node(net, args.node, args.grid)
-    solve = solve_characteristic_full(equation_for_node(net, args.node))
-    x0 = solve.x0 if solve.x0 is not None else 1.0
+    grid = args.grid if args.grid is not None else infer_grid(catalog.min_times().values())
+    counts = net.class_counts()
+    q = quantize(catalog, grid, counts)
+    x0 = catalog_capacity(catalog, counts).x0
     report = convergence_report(q, args.tmax, x0)
     return {
         "command": "oracle",
-        "scenario": _scenario_block(args.scenario),
+        "scenario": scenario,
         "node": args.node,
         "grid": q.grid,
         "t_max": args.tmax,
         "solver_x0": x0,
         "solver_capacity_bits_per_time": report.solver_capacity,
         "final_gap": report.final_gap,
-        "series": [
-            {"T": p.time_steps, "nu": str(p.count), "rate": p.rate} for p in report.points
-        ],
+        "series": report.to_json_dict()["series"],
     }
 
 
@@ -299,8 +291,8 @@ def _render_oracle(report: dict) -> str:
 
 
 def _cmd_compare(args: argparse.Namespace) -> dict:
-    net_a = _load(args.scenario_a)
-    net_b = _load(args.scenario_b)
+    net_a, scenario_a = _load_scenario(args.scenario_a)
+    net_b, scenario_b = _load_scenario(args.scenario_b)
     caps_a = {nid: nc.capacity_bits_per_time for nid, nc in analyze_network(net_a).per_node.items()}
     caps_b = {nid: nc.capacity_bits_per_time for nid, nc in analyze_network(net_b).per_node.items()}
     rows = []
@@ -317,8 +309,8 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
     total_a, total_b = sum(caps_a.values()), sum(caps_b.values())
     return {
         "command": "compare",
-        "scenario_a": _scenario_block(args.scenario_a),
-        "scenario_b": _scenario_block(args.scenario_b),
+        "scenario_a": scenario_a,
+        "scenario_b": scenario_b,
         "nodes": rows,
         "network": {"capacity_a": total_a, "capacity_b": total_b, "delta": total_b - total_a},
     }
@@ -378,10 +370,10 @@ def _render_gen_trace(report: dict) -> str:
 
 
 def _cmd_validate(args: argparse.Namespace) -> dict:
-    net = _load(args.scenario)
+    net, scenario = _load_scenario(args.scenario)
     return {
         "command": "validate",
-        "scenario": _scenario_block(args.scenario),
+        "scenario": scenario,
         "valid": True,
         "classes": len(net.classes),
         "nodes": len(net.nodes),

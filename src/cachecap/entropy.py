@@ -20,9 +20,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .capacity import DEFAULT_REL_TOL, SolverError, node_capacity
+from .capacity import DEFAULT_REL_TOL, SolverError, catalog_capacity
 from .model import Network, ScenarioError, effective_catalog
-from .traces import Trace, empirical_distribution
+from .traces import Trace, check_distribution, empirical_distribution
 
 __all__ = [
     "IIDSource",
@@ -40,7 +40,6 @@ __all__ = [
     "network_entropy_efficiency",
 ]
 
-_PROB_TOL = 1e-9
 _STATIONARY_TOL = 1e-12
 
 
@@ -54,7 +53,7 @@ class IIDSource:
     class_mass: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        _check_distribution(self.class_mass.values(), "class_mass")
+        check_distribution(self.class_mass.values(), "class_mass")
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,11 @@ class MarkovSource:
         if len(self.transitions) != k or any(len(row) != k for row in self.transitions):
             raise ValueError("transition matrix must be square over the state list")
         for i, row in enumerate(self.transitions):
-            _check_distribution(row, f"transition row {i}")
+            check_distribution(row, f"transition row {i}")
         if self.initial is not None:
             if len(self.initial) != k:
                 raise ValueError("initial distribution length must match the state list")
-            _check_distribution(self.initial, "initial distribution")
+            check_distribution(self.initial, "initial distribution")
 
 
 @dataclass(frozen=True)
@@ -124,16 +123,6 @@ class NetworkEfficiency:
     per_node: Mapping[str, EfficiencyResult]
 
 
-def _check_distribution(values, label: str) -> None:
-    total = 0.0
-    for v in values:
-        if v < 0:
-            raise ValueError(f"{label}: negative probability {v}")
-        total += v
-    if abs(total - 1.0) > _PROB_TOL:
-        raise ValueError(f"{label}: probabilities sum to {total!r}, not 1")
-
-
 def iid_entropy(
     class_mass: Mapping[str, float], class_count: Mapping[str, int] | None = None
 ) -> EntropyEstimate:
@@ -143,7 +132,7 @@ def iid_entropy(
     mass is uniform over the class's files; 0*log(0) is 0. Without counts
     every class is a single file.
     """
-    _check_distribution(class_mass.values(), "class_mass")
+    check_distribution(class_mass.values(), "class_mass")
     h = 0.0
     for cid, mass in class_mass.items():
         if mass <= 0.0:
@@ -311,7 +300,7 @@ def entropy_efficiency(
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 
     efficiency = estimate.value / mean_time
-    capacity = node_capacity(net, node_id, rel_tol)
+    capacity = catalog_capacity(catalog, counts, rel_tol).capacity_bits_per_time
     utilization = efficiency / capacity if capacity > 0 else None
     return EfficiencyResult(
         node=node_id,

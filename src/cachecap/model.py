@@ -30,6 +30,7 @@ __all__ = [
     "EffectiveCatalog",
     "build_network",
     "load_scenario",
+    "read_scenario",
     "scenario_digest",
     "effective_catalog",
     "task_time",
@@ -116,6 +117,12 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _as_id(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _as_count(value: object, what: str) -> int:
     if isinstance(value, bool):
         raise ScenarioError(f"{what}: count must be an integer, got boolean")
@@ -158,7 +165,7 @@ def build_network(doc: Mapping) -> Network:
     seen_classes: set[str] = set()
     for raw in doc.get("classes", []):
         _require(isinstance(raw, Mapping) and "id" in raw, "class entry missing 'id'")
-        cid = str(raw["id"])
+        cid = _as_id(raw["id"], "class id")
         _require(cid not in seen_classes, f"duplicate class id '{cid}'")
         seen_classes.add(cid)
         classes.append(FileClass(id=cid, count=_as_count(raw.get("count", 1), f"class '{cid}'")))
@@ -167,14 +174,15 @@ def build_network(doc: Mapping) -> Network:
     seen_nodes: set[str] = set()
     for raw in doc.get("nodes", []):
         _require(isinstance(raw, Mapping) and "id" in raw, "node entry missing 'id'")
-        nid = str(raw["id"])
+        nid = _as_id(raw["id"], "node id")
         _require(nid not in seen_nodes, f"duplicate node id '{nid}'")
         seen_nodes.add(nid)
         stores = raw.get("stores", [])
         _require(isinstance(stores, list), f"node '{nid}': 'stores' must be an array")
         for cid in stores:
-            _require(str(cid) in seen_classes, f"node '{nid}' stores unknown class '{cid}'")
-        nodes.append(Node(id=nid, stores=frozenset(str(c) for c in stores)))
+            _as_id(cid, f"node '{nid}': stored class id")
+            _require(cid in seen_classes, f"node '{nid}' stores unknown class '{cid}'")
+        nodes.append(Node(id=nid, stores=frozenset(stores)))
 
     stores_by_node = {n.id: n.stores for n in nodes}
     links: list[Link] = []
@@ -182,7 +190,8 @@ def build_network(doc: Mapping) -> Network:
         _require(isinstance(raw, Mapping), "link entry must be an object")
         for key in ("reader", "provider", "time"):
             _require(key in raw, f"link entry missing '{key}'")
-        reader, provider = str(raw["reader"]), str(raw["provider"])
+        reader = _as_id(raw["reader"], "link reader")
+        provider = _as_id(raw["provider"], "link provider")
         label = f"link {reader}->{provider}"
         _require(reader in seen_nodes, f"{label}: unknown reader '{reader}'")
         _require(provider in seen_nodes, f"{label}: unknown provider '{provider}'")
@@ -190,7 +199,7 @@ def build_network(doc: Mapping) -> Network:
         subset: frozenset[str] | None = None
         if raw.get("classes") is not None:
             _require(isinstance(raw["classes"], list), f"{label}: 'classes' must be an array")
-            listed = frozenset(str(c) for c in raw["classes"])
+            listed = frozenset(_as_id(c, f"{label}: class id") for c in raw["classes"])
             for cid in sorted(listed):
                 _require(
                     cid in stores_by_node[provider],
@@ -202,14 +211,40 @@ def build_network(doc: Mapping) -> Network:
     return Network(classes=tuple(classes), nodes=tuple(nodes), links=tuple(links))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            _require(key not in seen, f"duplicate key '{key}'")
+            seen.add(key)
+    return doc
+
+
+def parse_json(text: str, what: str) -> object:
+    """Parse JSON text, rejecting duplicate object keys; errors name ``what``."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, ScenarioError) as exc:
+        raise ScenarioError(f"invalid JSON in {what}: {exc}") from exc
+
+
+def _parse_scenario(data: bytes, path: str | Path) -> Network:
+    return build_network(parse_json(data.decode("utf-8"), str(path)))
+
+
 def load_scenario(path: str | Path) -> Network:
     """Read a UTF-8 scenario JSON file and build the Network."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    return build_network(doc)
+    return _parse_scenario(Path(path).read_bytes(), path)
+
+
+def read_scenario(path: str | Path) -> tuple[Network, str]:
+    """The Network in a scenario file and the SHA-256 hex digest of its bytes.
+
+    The file is read once, so the digest describes exactly the bytes parsed.
+    """
+    data = Path(path).read_bytes()
+    return _parse_scenario(data, path), hashlib.sha256(data).hexdigest()
 
 
 def scenario_digest(path: str | Path) -> str:

@@ -12,10 +12,11 @@ header; lines starting with ``#`` are ignored on read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SplitMix64",
@@ -30,6 +31,7 @@ __all__ = [
 TRACE_HEADER = "#cachecap-trace v1"
 
 _MASK64 = (1 << 64) - 1
+_PROB_TOL = 1e-9
 
 
 class SplitMix64:
@@ -64,30 +66,30 @@ class Trace:
         return len(self.symbols)
 
 
-def _validate_distribution(p: Mapping[str, float]) -> list[tuple[str, float]]:
-    if not p:
-        raise ValueError("distribution is empty")
-    items = sorted(p.items())
+def check_distribution(values: Iterable[float], label: str) -> None:
+    """Raise ValueError unless ``values`` are finite, non-negative and sum to 1 (within 1e-9)."""
     total = 0.0
-    for cid, mass in items:
-        if mass < 0:
-            raise ValueError(f"negative probability for '{cid}'")
-        total += mass
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    return items
+    for v in values:
+        if isinstance(v, bool) or not math.isfinite(v):
+            raise ValueError(f"{label}: probability {v!r} is not a finite number")
+        if v < 0:
+            raise ValueError(f"{label}: negative probability {v}")
+        total += v
+    if abs(total - 1.0) > _PROB_TOL:
+        raise ValueError(f"{label}: probabilities sum to {total!r}, not 1")
 
 
-def _pick(items: Sequence[tuple[str, float]], u: float) -> str:
+def _pick(items: Sequence[tuple[int, float]], u: float) -> int:
+    """Inverse transform: the first index whose running mass sum exceeds ``u``."""
     acc = 0.0
-    last = items[0][0]
-    for cid, mass in items:
+    last = 0
+    for i, mass in items:
         if mass <= 0.0:
             continue
-        last = cid
+        last = i
         acc += mass
         if u < acc:
-            return cid
+            return i
     return last  # u landed in the rounding slack at the top
 
 
@@ -100,9 +102,11 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    items = _validate_distribution(p)
+    check_distribution(p.values(), "distribution")
+    ids, masses = zip(*sorted(p.items()))
+    items = list(enumerate(masses))
     rng = SplitMix64(seed)
-    symbols = tuple(_pick(items, rng.next_float()) for _ in range(n))
+    symbols = tuple(ids[_pick(items, rng.next_float())] for _ in range(n))
     return Trace(symbols=symbols, provenance=f"iid(seed={seed}, n={n})")
 
 
@@ -124,34 +128,20 @@ def sample_markov(
         raise ValueError("transition matrix shape does not match the state list")
     if len(initial) != k:
         raise ValueError("initial distribution length does not match the state list")
-    for label, vec in [("initial", initial), *((f"row {i}", row) for i, row in enumerate(transitions))]:
-        s = sum(vec)
-        if any(x < 0 for x in vec) or abs(s - 1.0) > 1e-9:
-            raise ValueError(f"{label} is not a probability vector (sum {s!r})")
+    check_distribution(initial, "initial distribution")
+    for i, row in enumerate(transitions):
+        check_distribution(row, f"transition row {i}")
 
     rng = SplitMix64(seed)
     symbols: list[str] = []
-    rows = [list(zip(states, row)) for row in transitions]
+    rows = [list(enumerate(row)) for row in transitions]
     if n > 0:
-        state_idx = _pick_indexed(list(zip(states, initial)), rng.next_float())
+        state_idx = _pick(list(enumerate(initial)), rng.next_float())
         symbols.append(states[state_idx])
         for _ in range(n - 1):
-            state_idx = _pick_indexed(rows[state_idx], rng.next_float())
+            state_idx = _pick(rows[state_idx], rng.next_float())
             symbols.append(states[state_idx])
     return Trace(symbols=tuple(symbols), provenance=f"markov(seed={seed}, n={n})")
-
-
-def _pick_indexed(items: Sequence[tuple[str, float]], u: float) -> int:
-    acc = 0.0
-    last = 0
-    for i, (_, mass) in enumerate(items):
-        if mass <= 0.0:
-            continue
-        last = i
-        acc += mass
-        if u < acc:
-            return i
-    return last
 
 
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:

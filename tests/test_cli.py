@@ -1,11 +1,23 @@
+import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cachecap import analyze_network, load_scenario, markov_entropy_rate, MarkovSource
+import cachecap
+import cachecap.cli as cli
+from cachecap import (
+    analyze_network,
+    load_scenario,
+    markov_entropy_rate,
+    MarkovSource,
+    sample_iid,
+    write_trace,
+)
 
 from conftest import FIXTURE_DIR, REPO_ROOT, scenario_path
 
@@ -289,3 +301,103 @@ class TestReports:
         )
         assert all(isinstance(row["nu"], str) for row in report["series"])
         assert report["final_gap"] < 0.05
+
+
+class TestStrictInputs:
+    """Malformed input exits 1; the digest describes the bytes that were parsed."""
+
+    NAN_SPEC = '{"type": "iid", "class_mass": {"own": NaN, "lib": 1.0}}'
+
+    def spec(self, tmp_path, text: str) -> str:
+        path = tmp_path / "src.json"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_nan_mass_efficiency_is_one(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, self.NAN_SPEC)
+        fig1 = str(scenario_path("fig1.json"))
+        assert cli.main(["efficiency", fig1, "w2", "--source", spec, "--json"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_nan_mass_gen_trace_is_one(self, tmp_path):
+        spec, out = self.spec(tmp_path, self.NAN_SPEC), tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"own": 1.0, "own": 1.0}}')
+        fig1 = str(scenario_path("fig1.json"))
+        assert cli.main(["efficiency", fig1, "w2", "--source", spec]) == 1
+        assert "duplicate key 'own'" in capsys.readouterr().err
+
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys):
+        scenario, replacement = tmp_path / "s.json", tmp_path / "next.json"
+        parsed = scenario_path("fig1.json").read_bytes()
+        scenario.write_bytes(parsed)
+        replacement.write_bytes(scenario_path("fig2.json").read_bytes())
+        real_open = Path.open
+
+        def open_then_replace(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            if self == scenario and replacement.exists():
+                os.replace(replacement, scenario)  # the open handle keeps the old bytes
+            return handle
+
+        monkeypatch.setattr(Path, "open", open_then_replace)
+        assert cli.main(["validate", str(scenario), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["nodes"] == 2
+        assert report["scenario"]["digest"] == hashlib.sha256(parsed).hexdigest()
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts catalog builds and characteristic solves at every cachecap reference."""
+    counts = {"catalogs": 0, "solves": 0}
+    modules = [cachecap, cachecap.model, cachecap.capacity, cachecap.oracle, cachecap.entropy, cli]
+    for key, fn in [
+        ("catalogs", cachecap.model.effective_catalog),
+        ("solves", cachecap.capacity.solve_characteristic_full),
+    ]:
+
+        def counted(*args, _key=key, _fn=fn, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
+class TestWorkPerCall:
+    """One effective catalog and one solve per node result."""
+
+    FIG1 = str(scenario_path("fig1.json"))
+    THREE = str(scenario_path("three-file.json"))
+
+    def run(self, work, capsys, *args: str) -> tuple[int, int]:
+        work.update(catalogs=0, solves=0)
+        assert cli.main([*args, "--json"]) == 0
+        capsys.readouterr()
+        return work["catalogs"], work["solves"]
+
+    def test_optimal(self, work, capsys):
+        assert self.run(work, capsys, "optimal", self.FIG1, "w2") == (1, 1)
+
+    def test_efficiency_source_and_trace(self, work, capsys, tmp_path):
+        spec = tmp_path / "src.json"
+        spec.write_text(json.dumps({"type": "iid", "class_mass": {"own": 0.9, "lib": 0.1}}))
+        args = ("efficiency", self.FIG1, "w2", "--source", str(spec))
+        assert self.run(work, capsys, *args) == (1, 1)
+        trace = tmp_path / "t.trace"
+        write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
+        args = ("efficiency", self.THREE, "n", "--trace", str(trace))
+        assert self.run(work, capsys, *args) == (1, 1)
+
+    def test_efficiency_optimal(self, work, capsys):
+        catalogs, solves = self.run(work, capsys, "efficiency", self.FIG1, "w2", "--optimal")
+        assert catalogs <= 2 and solves <= 2
+
+    def test_oracle(self, work, capsys):
+        assert self.run(work, capsys, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)

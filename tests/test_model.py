@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from cachecap import (
     build_network,
     effective_catalog,
     load_scenario,
+    read_scenario,
     task_time,
 )
 from cachecap.model import FileClass, Link, Network, Node
@@ -95,6 +97,51 @@ class TestBuildNetwork:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
+
+    # Every id-valued field of a document that is valid with string ids.
+    ID_FIELDS = [
+        ("classes", 0, "id"),
+        ("nodes", 0, "id"),
+        ("nodes", 0, "stores", 0),
+        ("links", 0, "reader"),
+        ("links", 0, "provider"),
+        ("links", 0, "classes", 0),
+    ]
+
+    @pytest.mark.parametrize("field", ID_FIELDS, ids=["/".join(map(str, f)) for f in ID_FIELDS])
+    def test_non_string_ids_rejected_not_coerced(self, field):
+        good = doc(
+            classes=[{"id": "1", "count": 1}],
+            nodes=[{"id": "1", "stores": ["1"]}],
+            links=[{"reader": "1", "provider": "1", "time": 1, "classes": ["1"]}],
+        )
+        build_network(good)
+        *path, last = field
+        target = good
+        for key in path:
+            target = target[key]
+        target[last] = 1
+        with pytest.raises(ScenarioError, match="must be a string, got 1"):
+            build_network(good)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"classes": [], "classes": [{"id": "a"}]}',
+            '{"classes": [{"id": "a", "count": 1, "count": 2}]}',
+        ],
+    )
+    def test_duplicate_json_keys_rejected(self, tmp_path, text):
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioError, match="duplicate key 'c"):
+            load_scenario(path)
+
+    def test_read_scenario_digest_is_of_the_parsed_file(self):
+        path = scenario_path("fig1.json")
+        net, digest = read_scenario(path)
+        assert net == load_scenario(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestEffectiveCatalog:

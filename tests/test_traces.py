@@ -81,6 +81,13 @@ class TestSampleIid:
         with pytest.raises(ValueError):
             sample_iid({"a": 1.0}, -1, seed=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True])
+    def test_non_finite_or_boolean_mass_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a finite number"):
+            sample_iid({"a": bad, "b": 0.0}, 10, seed=1)
+        with pytest.raises(ValueError, match="not a finite number"):
+            sample_markov(("a", "b"), ((1.0, 0.0), (bad, 0.0)), (1.0, 0.0), 5, seed=1)
+
 
 class TestSampleMarkov:
     CYCLE = (("a", "b"), ((0.0, 1.0), (1.0, 0.0)))

@@ -7,8 +7,9 @@ grows like X0**T, where X0 > 1 is the largest real root of
 
 with tau(f) the minimal read time of f. The node's capacity is log2(X0)
 bits per time unit; the network capacity is the sum over nodes. The root is
-isolated by bisection, which is justified because the left-hand side is
-strictly decreasing in X on [1, inf).
+found by Newton's method in s = log2(X), where the left-hand side minus one
+is convex and decreasing; started below the root, the iterates rise to it
+monotonically, so no bracket is needed.
 
 All logarithms here are base 2.
 """
@@ -42,6 +43,7 @@ __all__ = [
 DEFAULT_REL_TOL = 1e-12
 _MAX_ITERATIONS = 200
 _RESIDUAL_BOUND = 1e-9
+_LN2 = math.log(2.0)
 
 
 class SolverError(RuntimeError):
@@ -106,52 +108,48 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     """Largest real root of the characteristic equation, with diagnostics.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
-    has no solution and capacity is zero by convention). A catalog holding a
-    single file is solved by x0 = 1 exactly; a single class has the closed
-    form count**(1/tau). Everything else is bracketed by doubling the upper
-    bound from 2 until the left-hand side drops below 1, then bisected until
-    the bracket's relative width reaches ``rel_tol``.
+    has no solution and capacity is zero by convention). Otherwise Newton's
+    method solves g(s) = sum(count * 2**(-tau*s)) - 1 = 0 for s = log2(x0).
+    g is convex and decreasing, and one class alone already sums to 1 at
+    s = log2(count)/tau, so the largest of these bounds the root from below.
+    Newton steps from below on a convex decreasing function never pass the
+    root: the iterates rise monotonically and converge quadratically. The
+    bound is the root itself for one class (a single file gives x0 = 1 with
+    no step). Iteration stops once a step moves x0 by at most ``rel_tol``.
+
+    The residual check follows ``rel_tol``: a relative error e in x0 moves
+    the left-hand side by about e * sum(tau * count * x0**-tau), so a loose
+    tolerance is allowed that much more than the fixed bound.
     """
     if not (rel_tol > 0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if not eq.terms:
         return CharSolve(x0=None, iterations=0, residual=0.0)
-    if eq.total_files == 1:
-        return CharSolve(x0=1.0, iterations=0, residual=0.0)
-    if len(eq.terms) == 1:
-        count, tau = eq.terms[0]
-        x0 = count ** (1.0 / tau)
-        return CharSolve(x0=x0, iterations=0, residual=abs(char_eq_value(eq, x0) - 1.0))
 
-    iterations = 0
-    lo, hi = 1.0, 2.0
-    while char_eq_value(eq, hi) >= 1.0:
-        lo, hi = hi, hi * 2.0
-        iterations += 1
-        if not math.isfinite(hi):
-            raise SolverError("root exceeds the representable range")
-
-    for _ in range(_MAX_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * mid:
+    terms = [(math.log2(count), tau) for count, tau in eq.terms]
+    s = max(log2c / tau for log2c, tau in terms)
+    iterations, step = 0, math.inf
+    while True:
+        value = slope = 0.0  # sum(count * x**-tau) and sum(tau * count * x**-tau)
+        for log2c, tau in terms:
+            term = 2.0 ** (log2c - tau * s)
+            value += term
+            slope += tau * term
+        if value <= 1.0 or step * _LN2 <= rel_tol:
             break
+        if iterations == _MAX_ITERATIONS:
+            raise SolverError(f"Newton did not converge in {_MAX_ITERATIONS} steps")
+        step = (value - 1.0) / (_LN2 * slope)
+        s += step
         iterations += 1
-        value = char_eq_value(eq, mid)
-        if value > 1.0:
-            lo = mid
-        elif value < 1.0:
-            hi = mid
-        else:
-            lo = hi = mid
-            break
 
-    x0 = 0.5 * (lo + hi)
-    residual = abs(char_eq_value(eq, x0) - 1.0)
-    if residual > _RESIDUAL_BOUND:
-        raise SolverError(
-            f"bisection stalled: residual {residual:.3e} exceeds {_RESIDUAL_BOUND:.0e}"
-        )
-    return CharSolve(x0=x0, iterations=iterations, residual=residual)
+    if s >= 1024.0:
+        raise SolverError("root exceeds the representable range")
+    residual = abs(value - 1.0)
+    bound = _RESIDUAL_BOUND if rel_tol <= DEFAULT_REL_TOL else max(_RESIDUAL_BOUND, rel_tol * slope)
+    if residual > bound:
+        raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {bound:.3g}")
+    return CharSolve(x0=2.0**s, iterations=iterations, residual=residual)
 
 
 def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> float | None:

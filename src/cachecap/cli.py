@@ -112,6 +112,8 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
         if kind == "iid":
             return IIDSource(class_mass=dict(doc["class_mass"]))
         if kind == "markov":
+            if not isinstance(doc["states"], list):
+                raise ValueError("'states' must be an array")
             initial = doc.get("initial")
             return MarkovSource(
                 states=tuple(doc["states"]),

@@ -74,6 +74,9 @@ class MarkovSource:
         k = len(self.states)
         if k == 0:
             raise ValueError("Markov source needs at least one state")
+        for state in self.states:
+            if not isinstance(state, str):
+                raise ValueError(f"Markov 'states' must be strings, got {state!r}")
         if len(set(self.states)) != k:
             raise ValueError("Markov states must be unique")
         if len(self.transitions) != k or any(len(row) != k for row in self.transitions):

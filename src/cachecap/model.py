@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -72,21 +73,39 @@ class Link:
 
 @dataclass(frozen=True)
 class Network:
+    """Classes, nodes and links; lookup indexes are built once, on first use."""
+
     classes: tuple[FileClass, ...]
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
 
-    def class_counts(self) -> dict[str, int]:
+    @cached_property
+    def _counts(self) -> dict[str, int]:
         return {fc.id: fc.count for fc in self.classes}
+
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, Node]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _links_by_reader(self) -> dict[str, list[Link]]:
+        grouped: dict[str, list[Link]] = {}
+        for link in self.links:
+            grouped.setdefault(link.reader, []).append(link)
+        return grouped
+
+    def class_counts(self) -> dict[str, int]:
+        """Class id to file count; a fresh dict the caller may change."""
+        return dict(self._counts)
 
     def node_ids(self) -> list[str]:
         return [n.id for n in self.nodes]
 
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ScenarioError(f"unknown node '{node_id}'")
+        try:
+            return self._nodes_by_id[node_id]
+        except KeyError:
+            raise ScenarioError(f"unknown node '{node_id}'") from None
 
 
 @dataclass(frozen=True)
@@ -259,12 +278,9 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
     On equal times the lexicographically smallest provider id is reported.
     """
     net.node(node_id)  # raises on unknown id
-    stores_by_node = {n.id: n.stores for n in net.nodes}
     best: dict[str, CatalogEntry] = {}
-    for link in net.links:
-        if link.reader != node_id:
-            continue
-        covered = link.classes if link.classes is not None else stores_by_node[link.provider]
+    for link in net._links_by_reader.get(node_id, ()):
+        covered = link.classes if link.classes is not None else net.node(link.provider).stores
         for cid in covered:
             cur = best.get(cid)
             if (

@@ -3,12 +3,34 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from cachecap import FileClass, Link, Network, Node, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
+
+
+# Shipped CLI JSON reports and the arguments that produce them (run from the
+# repo root). Regenerate a fixture with ``python3 -m cachecap <args>``.
+CLI_FIXTURES = [
+    ("fig1.capacity.json", ["capacity", "scenarios/fig1.json", "--json"]),
+    ("fig2.capacity.json", ["capacity", "scenarios/fig2.json", "--json"]),
+    ("fig2-shared.capacity.json", ["capacity", "scenarios/fig2-shared.json", "--json"]),
+    ("three-file.capacity.json", ["capacity", "scenarios/three-file.json", "--json"]),
+    ("empty.capacity.json", ["capacity", "scenarios/empty.json", "--json"]),
+    ("fig1.optimal-w2.json", ["optimal", "scenarios/fig1.json", "w2", "--json"]),
+    (
+        "fig1.efficiency-optimal-w2.json",
+        ["efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json"],
+    ),
+    ("three-file.oracle-n.json", ["oracle", "scenarios/three-file.json", "n", "--tmax", "60", "--json"]),
+    (
+        "fig2-vs-shared.compare.json",
+        ["compare", "scenarios/fig2.json", "scenarios/fig2-shared.json", "--json"],
+    ),
+]
 
 
 def scenario_path(name: str) -> Path:
@@ -77,3 +99,32 @@ def random_terms(
     else:
         times = [rng.uniform(lo, hi) for _ in range(n_classes)]
     return list(zip(counts, times))
+
+
+@st.composite
+def link_networks(draw) -> Network:
+    """Random networks with duplicate links, equal-time ties between providers,
+    class-restricted links and nodes that read over no link."""
+    class_ids = sorted(draw(st.sets(st.sampled_from("abcde"), min_size=1)))
+    node_ids = sorted(draw(st.sets(st.sampled_from(["n1", "n2", "n3", "n4"]), min_size=1)))
+    classes = tuple(FileClass(id=c, count=draw(st.integers(1, 10**7))) for c in class_ids)
+    nodes = tuple(
+        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(class_ids))))) for n in node_ids
+    )
+    links = []
+    for _ in range(draw(st.integers(0, 12))):
+        provider = draw(st.sampled_from(nodes))
+        subset = None
+        if provider.stores and draw(st.booleans()):
+            subset = frozenset(draw(st.sets(st.sampled_from(sorted(provider.stores)), min_size=1)))
+        links.append(
+            Link(
+                reader=draw(st.sampled_from(node_ids)),
+                provider=provider.id,
+                time=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0])),  # few values: many ties
+                classes=subset,
+            )
+        )
+    if links and draw(st.booleans()):
+        links.insert(draw(st.integers(0, len(links))), draw(st.sampled_from(links)))
+    return Network(classes=classes, nodes=nodes, links=tuple(links))

@@ -30,7 +30,14 @@ from cachecap import (
 )
 from cachecap.oracle import QuantizedCatalog, count_series
 
-from conftest import FIXTURE_DIR, REPO_ROOT, scenario_path, scale_times, single_node_network
+from conftest import (
+    CLI_FIXTURES,
+    FIXTURE_DIR,
+    REPO_ROOT,
+    scale_times,
+    scenario_path,
+    single_node_network,
+)
 
 
 def verdict(num: int, description: str, started: float) -> None:
@@ -174,19 +181,6 @@ def test_criterion_6_entropy_estimators():
 
 _DIGEST_RE = re.compile(r'"digest": "[0-9a-f]{64}"')
 
-_FIXTURE_RUNS = [
-    ("fig1.capacity.json", ["capacity", "scenarios/fig1.json", "--json"]),
-    ("fig2.capacity.json", ["capacity", "scenarios/fig2.json", "--json"]),
-    ("fig2-shared.capacity.json", ["capacity", "scenarios/fig2-shared.json", "--json"]),
-    ("three-file.capacity.json", ["capacity", "scenarios/three-file.json", "--json"]),
-    ("fig1.optimal-w2.json", ["optimal", "scenarios/fig1.json", "w2", "--json"]),
-    (
-        "fig1.efficiency-optimal-w2.json",
-        ["efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json"],
-    ),
-    ("three-file.oracle-n.json", ["oracle", "scenarios/three-file.json", "n", "--tmax", "60", "--json"]),
-]
-
 _ERROR_RUNS = [
     (["capacity", "scenarios/bad-time.json"], 1),
     (["optimal", "scenarios/fig1.json", "w1"], 1),
@@ -196,7 +190,7 @@ _ERROR_RUNS = [
 
 def test_criterion_7_cli_fixtures():
     started = time.perf_counter()
-    for fixture, args in _FIXTURE_RUNS:
+    for fixture, args in CLI_FIXTURES:
         expected = (FIXTURE_DIR / fixture).read_text(encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "cachecap", *args],

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cachecap import (
     CharEquation,
     ScenarioError,
+    SolverError,
     analyze_network,
+    catalog_capacity,
     char_eq_value,
     effective_catalog,
     equation_for_node,
@@ -20,7 +22,7 @@ from cachecap import (
 )
 from cachecap.model import FileClass, Link, Network, Node
 
-from conftest import random_terms, scale_times, single_node_network
+from conftest import link_networks, random_terms, scale_times, single_node_network
 
 FIG1_TERMS = ((10, 1.0), (10**7, 10.0))
 FIG2_TERMS = ((10, 1.0), (10, 2.0), (10**7, 10.0))
@@ -86,6 +88,71 @@ class TestSolveCharacteristic:
                 assert solve.residual <= 1e-9
 
 
+def bisect_root(terms) -> float:
+    """Reference root: bisection on s = log2(x) until no float lies between the ends.
+
+    g(0) = files - 1 >= 0, and at s = log2(files)/min(tau) every term is at
+    most count/files, so the sum is at most 1: the root lies in between.
+    """
+
+    def g(s: float) -> float:
+        return math.fsum(count * 2.0 ** (-tau * s) for count, tau in terms) - 1.0
+
+    lo, hi = 0.0, math.log2(sum(c for c, _ in terms)) / min(t for _, t in terms)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return 2.0**lo
+
+
+# Read times down to 0.05 keep every root below 2**1024 (50 classes of 10**7
+# files: log2(5e8)/0.05 = 578); larger roots raise SolverError, tested below.
+_times = st.one_of(st.integers(1, 20).map(float), st.floats(0.05, 20.0))
+_terms = st.lists(st.tuples(st.integers(1, 10**7), _times), min_size=1, max_size=50)
+
+
+class TestNewtonSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(_terms)
+    def test_agrees_with_bisection(self, terms):
+        solve = solve_characteristic_full(CharEquation(terms=tuple(terms)))
+        reference = bisect_root(terms)
+        assert abs(solve.x0 - reference) <= 1e-12 * reference
+        assert solve.residual <= 1e-9
+        assert solve.iterations <= 15
+
+    @pytest.mark.parametrize("tau", [0.05, 1.0, 7.3, 20.0])
+    def test_single_file_is_one_without_a_step(self, tau):
+        solve = solve_characteristic_full(CharEquation(terms=((1, tau),)))
+        assert (solve.x0, solve.iterations, solve.residual) == (1.0, 0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10**7), _times)
+    def test_single_class_is_the_closed_form(self, count, tau):
+        solve = solve_characteristic_full(CharEquation(terms=((count, tau),)))
+        assert solve.x0 == pytest.approx(count ** (1.0 / tau), rel=1e-12)
+        assert solve.iterations <= 1
+
+    def test_no_overflow_at_ten_million_files(self):
+        for terms in [((10**7, 20.0),), ((10**7, 20.0),) * 50, ((10**7, 20.0), (1, 0.05))]:
+            solve = solve_characteristic_full(CharEquation(terms=terms))
+            assert math.isfinite(solve.x0) and solve.residual <= 1e-9
+            assert solve.x0 == pytest.approx(bisect_root(terms), rel=1e-12)
+
+    @pytest.mark.parametrize("terms", [((10**7, 1e-3),), ((2, 1e-3), (3, 1e-3)), ((2, 5e-324),)])
+    def test_root_beyond_float_range_raises(self, terms):
+        with pytest.raises(SolverError, match="representable range"):
+            solve_characteristic_full(CharEquation(terms=terms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_terms, st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
+    def test_loose_tolerance_stays_within_it(self, terms, tol):
+        eq = CharEquation(terms=tuple(terms))
+        loose = solve_characteristic_full(eq, rel_tol=tol)
+        exact = solve_characteristic_full(eq)
+        assert abs(loose.x0 - exact.x0) <= tol * exact.x0
+        assert loose.iterations <= exact.iterations
+
+
 class TestNodeCapacity:
     def test_fig1_reader(self, fig1):
         assert node_capacity(fig1, "w2") == pytest.approx(3.324, abs=1e-3)
@@ -122,6 +189,16 @@ class TestNetworkCapacity:
                 assert nc.residual <= 1e-9
             else:
                 assert nc.capacity_bits_per_time == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_analyze_network_equals_the_per_node_calls(net):
+    result = analyze_network(net)
+    assert list(result.per_node) == [n.id for n in net.nodes]
+    for node in net.nodes:
+        expected = catalog_capacity(effective_catalog(net, node.id), net.class_counts())
+        assert result.per_node[node.id] == expected
 
 
 class TestOptimalDistribution:

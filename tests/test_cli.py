@@ -19,7 +19,7 @@ from cachecap import (
     write_trace,
 )
 
-from conftest import FIXTURE_DIR, REPO_ROOT, scenario_path
+from conftest import CLI_FIXTURES, FIXTURE_DIR, REPO_ROOT, scenario_path
 
 DIGEST_RE = re.compile(r'"digest": "[0-9a-f]{64}"')
 
@@ -37,26 +37,7 @@ def mask_digests(text: str) -> str:
     return DIGEST_RE.sub('"digest": "<digest>"', text)
 
 
-FIXTURES = [
-    ("fig1.capacity.json", ["capacity", "scenarios/fig1.json", "--json"]),
-    ("fig2.capacity.json", ["capacity", "scenarios/fig2.json", "--json"]),
-    ("fig2-shared.capacity.json", ["capacity", "scenarios/fig2-shared.json", "--json"]),
-    ("three-file.capacity.json", ["capacity", "scenarios/three-file.json", "--json"]),
-    ("empty.capacity.json", ["capacity", "scenarios/empty.json", "--json"]),
-    ("fig1.optimal-w2.json", ["optimal", "scenarios/fig1.json", "w2", "--json"]),
-    (
-        "fig1.efficiency-optimal-w2.json",
-        ["efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json"],
-    ),
-    ("three-file.oracle-n.json", ["oracle", "scenarios/three-file.json", "n", "--tmax", "60", "--json"]),
-    (
-        "fig2-vs-shared.compare.json",
-        ["compare", "scenarios/fig2.json", "scenarios/fig2-shared.json", "--json"],
-    ),
-]
-
-
-@pytest.mark.parametrize("fixture,args", FIXTURES, ids=[f for f, _ in FIXTURES])
+@pytest.mark.parametrize("fixture,args", CLI_FIXTURES, ids=[f for f, _ in CLI_FIXTURES])
 def test_json_reports_match_shipped_fixtures(fixture, args):
     expected = (FIXTURE_DIR / fixture).read_text(encoding="utf-8")
     proc = run_cli(*args)
@@ -92,6 +73,21 @@ class TestCapacityCommand:
         for row in report["nodes"]:
             assert row["x0"] == result.per_node[row["node"]].x0
             assert row["capacity_bits_per_time"] == result.per_node[row["node"]].capacity_bits_per_time
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("name", ["three-file.json", "fig2.json"])
+    def test_loose_tolerance_succeeds_within_it(self, name, tol, capsys):
+        def x0s(*extra: str) -> dict:
+            assert cli.main(["capacity", str(scenario_path(name)), "--json", *extra]) == 0
+            return {row["node"]: row["x0"] for row in json.loads(capsys.readouterr().out)["nodes"]}
+
+        exact, loose = x0s(), x0s("--tol", str(tol))
+        assert loose.keys() == exact.keys()
+        for node, x0 in exact.items():
+            if x0 is None:
+                assert loose[node] is None
+            else:
+                assert abs(loose[node] - x0) <= tol * x0
 
     def test_human_output_mentions_every_node(self):
         out = run_cli("capacity", "scenarios/fig2.json").stdout
@@ -322,6 +318,17 @@ class TestStrictInputs:
     def test_nan_mass_gen_trace_is_one(self, tmp_path):
         spec, out = self.spec(tmp_path, self.NAN_SPEC), tmp_path / "t.trace"
         assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("states", ["[1, 2]", '"ab"'])
+    def test_markov_states_must_be_a_list_of_strings(self, tmp_path, capsys, states):
+        spec = self.spec(
+            tmp_path,
+            f'{{"type": "markov", "states": {states}, "transitions": [[0.5, 0.5], [0.5, 0.5]]}}',
+        )
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        assert "'states'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):

@@ -76,6 +76,10 @@ class TestMarkovEntropyRate:
         with pytest.raises(ValueError, match="row"):
             MarkovSource(states=("a", "b"), transitions=((0.5, 0.6), (0.5, 0.5)))
 
+    def test_non_string_states_rejected(self):
+        with pytest.raises(ValueError, match="'states' must be strings, got 1"):
+            MarkovSource(states=(1, 2), transitions=((0.5, 0.5), (0.5, 0.5)))
+
     def test_stationary_distribution_solves_pi_p_equals_pi(self):
         chain = MarkovSource(
             states=("a", "b", "c"),

@@ -15,7 +15,7 @@ from cachecap import (
 )
 from cachecap.model import FileClass, Link, Network, Node
 
-from conftest import scenario_path
+from conftest import link_networks, scenario_path
 
 
 def doc(classes=(), nodes=(), links=()):
@@ -27,6 +27,14 @@ class TestBuildNetwork:
         assert [n.id for n in fig1.nodes] == ["w1", "w2"]
         assert fig1.class_counts() == {"lib": 10**7, "own": 10}
         assert len(fig1.links) == 2
+
+    def test_class_counts_is_a_copy_the_caller_may_change(self):
+        net = load_scenario(scenario_path("fig1.json"))
+        counts = net.class_counts()
+        counts["own"] = 0
+        counts["new"] = 1
+        assert net.class_counts() == {"lib": 10**7, "own": 10}
+        assert effective_catalog(net, "w2").min_times() == {"own": 1.0, "lib": 10.0}
 
     def test_empty_document_is_valid(self):
         net = build_network(doc())
@@ -201,56 +209,31 @@ class TestTaskTime:
 
 # --- randomized invariants ----------------------------------------------------
 
-_ids = st.sampled_from(["a", "b", "c", "d"])
-
-
-@st.composite
-def networks(draw):
-    class_ids = draw(st.sets(_ids, min_size=1, max_size=4))
-    node_ids = draw(st.sets(st.sampled_from(["n1", "n2", "n3"]), min_size=1, max_size=3))
-    classes = [FileClass(id=c, count=draw(st.integers(1, 5))) for c in sorted(class_ids)]
-    nodes = [
-        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(sorted(class_ids))))))
-        for n in sorted(node_ids)
-    ]
-    links = []
-    for _ in range(draw(st.integers(0, 6))):
-        provider = draw(st.sampled_from(nodes))
-        if not provider.stores:
-            continue
-        links.append(
-            Link(
-                reader=draw(st.sampled_from(sorted(node_ids))),
-                provider=provider.id,
-                time=draw(st.floats(0.1, 10.0, allow_nan=False)),
-                classes=None,
-            )
-        )
-    return Network(classes=tuple(classes), nodes=tuple(nodes), links=tuple(links))
-
-
-def exhaustive_min_times(net: Network, node_id: str) -> dict[str, float]:
-    """Independent recomputation: scan every (provider, class) pair."""
-    best: dict[str, float] = {}
+def exhaustive_catalog(net: Network, node_id: str) -> dict[str, tuple[float, str]]:
+    """Independent recomputation: scan every (provider, class, link) triple of the
+    network; per class the least (time, provider), so ties go to the smaller id."""
+    best: dict[str, tuple[float, str]] = {}
     for provider in net.nodes:
         for cid in provider.stores:
             for link in net.links:
                 covers = link.classes is None or cid in link.classes
                 if link.reader == node_id and link.provider == provider.id and covers:
-                    if cid not in best or link.time < best[cid]:
-                        best[cid] = link.time
+                    offer = (link.time, provider.id)
+                    best[cid] = min(best.get(cid, offer), offer)
     return best
 
 
-@settings(max_examples=50, deadline=None)
-@given(networks())
+@settings(max_examples=150, deadline=None)
+@given(link_networks())
 def test_catalog_matches_exhaustive_pair_scan(net):
     for node in net.nodes:
-        assert effective_catalog(net, node.id).min_times() == exhaustive_min_times(net, node.id)
+        entries = effective_catalog(net, node.id).entries
+        got = {cid: (e.min_time, e.provider) for cid, e in entries.items()}
+        assert got == exhaustive_catalog(net, node.id)
 
 
 @settings(max_examples=50, deadline=None)
-@given(networks(), st.floats(0.1, 10.0, allow_nan=False), st.data())
+@given(link_networks(), st.floats(0.1, 10.0, allow_nan=False), st.data())
 def test_adding_a_link_never_increases_read_times(net, time, data):
     providers = [n for n in net.nodes if n.stores]
     if not providers:

@@ -31,7 +31,6 @@ from .model import (
 from .capacity import (
     SolverError,
     CharEquation,
-    CharSolve,
     NodeCapacity,
     CapacityResult,
     char_eq_value,

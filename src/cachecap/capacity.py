@@ -17,15 +17,14 @@ All logarithms here are base 2.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .model import EffectiveCatalog, Network, ScenarioError, effective_catalog
 
 __all__ = [
     "SolverError",
     "CharEquation",
-    "CharSolve",
     "NodeCapacity",
     "CapacityResult",
     "char_eq_value",
@@ -69,14 +68,9 @@ class CharEquation:
 
 
 @dataclass(frozen=True)
-class CharSolve:
-    x0: float | None
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class NodeCapacity:
+    """A solved characteristic equation: capacity is log2(x0), or 0 if x0 is None or 1."""
+
     x0: float | None
     capacity_bits_per_time: float
     iterations: int
@@ -87,7 +81,6 @@ class NodeCapacity:
 class CapacityResult:
     per_node: Mapping[str, NodeCapacity]
     network_capacity: float
-    rel_tol: float
 
 
 def char_eq_value(eq: CharEquation, x: float) -> float:
@@ -104,8 +97,8 @@ def char_eq_value(eq: CharEquation, x: float) -> float:
     return sum(2.0 ** (math.log2(count) - tau * log2x) for count, tau in eq.terms)
 
 
-def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> CharSolve:
-    """Largest real root of the characteristic equation, with diagnostics.
+def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
+    """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
     has no solution and capacity is zero by convention). Otherwise Newton's
@@ -124,7 +117,7 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     if not (rel_tol > 0 and math.isfinite(rel_tol)):
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     if not eq.terms:
-        return CharSolve(x0=None, iterations=0, residual=0.0)
+        return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)
 
     terms = [(math.log2(count), tau) for count, tau in eq.terms]
     s = max(log2c / tau for log2c, tau in terms)
@@ -149,7 +142,11 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     bound = _RESIDUAL_BOUND if rel_tol <= DEFAULT_REL_TOL else max(_RESIDUAL_BOUND, rel_tol * slope)
     if residual > bound:
         raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {bound:.3g}")
-    return CharSolve(x0=2.0**s, iterations=iterations, residual=residual)
+    x0 = 2.0**s
+    capacity = math.log2(x0) if x0 > 1.0 else 0.0
+    return NodeCapacity(
+        x0=x0, capacity_bits_per_time=capacity, iterations=iterations, residual=residual
+    )
 
 
 def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> float | None:
@@ -170,25 +167,18 @@ def catalog_capacity(
     catalog: EffectiveCatalog, counts: Mapping[str, int], rel_tol: float = DEFAULT_REL_TOL
 ) -> NodeCapacity:
     """Solve an already-built catalog; ``counts`` maps class id to file count."""
-    solve = solve_characteristic_full(_catalog_equation(catalog, counts), rel_tol)
-    capacity = math.log2(solve.x0) if solve.x0 is not None and solve.x0 > 1.0 else 0.0
-    return NodeCapacity(
-        x0=solve.x0,
-        capacity_bits_per_time=capacity,
-        iterations=solve.iterations,
-        residual=solve.residual,
-    )
+    return solve_characteristic_full(_catalog_equation(catalog, counts), rel_tol)
 
 
-def node_capacity(net: Network, node_id: str, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def node_capacity(net: Network, node_id: str) -> float:
     """Capacity of one node in bits per time unit (0 if nothing is reachable)."""
     catalog = effective_catalog(net, node_id)
-    return catalog_capacity(catalog, net.class_counts(), rel_tol).capacity_bits_per_time
+    return catalog_capacity(catalog, net.class_counts()).capacity_bits_per_time
 
 
-def network_capacity(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def network_capacity(net: Network) -> float:
     """Sum of node capacities over the whole network."""
-    return analyze_network(net, rel_tol).network_capacity
+    return analyze_network(net).network_capacity
 
 
 def analyze_network(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> CapacityResult:
@@ -198,7 +188,7 @@ def analyze_network(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> CapacityR
         n.id: catalog_capacity(effective_catalog(net, n.id), counts, rel_tol) for n in net.nodes
     }
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
-    return CapacityResult(per_node=per_node, network_capacity=total, rel_tol=rel_tol)
+    return CapacityResult(per_node=per_node, network_capacity=total)
 
 
 @dataclass(frozen=True)
@@ -221,9 +211,7 @@ class OptimalDistribution:
         return math.log2(self.x0)
 
 
-def optimal_distribution(
-    net: Network, node_id: str, rel_tol: float = DEFAULT_REL_TOL
-) -> OptimalDistribution:
+def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     """Access distribution at which entropy efficiency equals the capacity.
 
     Raises ScenarioError for a zero-capacity node (no reachable class, or a
@@ -231,7 +219,7 @@ def optimal_distribution(
     """
     catalog = effective_catalog(net, node_id)
     counts = net.class_counts()
-    x0 = catalog_capacity(catalog, counts, rel_tol).x0
+    x0 = catalog_capacity(catalog, counts).x0
     if x0 is None or x0 <= 1.0:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"

@@ -13,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping, Sequence
+from dataclasses import asdict
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .capacity import (
     DEFAULT_REL_TOL,
@@ -23,16 +24,10 @@ from .capacity import (
     catalog_capacity,
     optimal_distribution,
 )
-from .entropy import (
-    EmpiricalSource,
-    IIDSource,
-    MarkovSource,
-    entropy_efficiency,
-    stationary_distribution,
-)
+from .entropy import EmpiricalSource, IIDSource, MarkovSource, entropy_efficiency
 from .model import Network, ScenarioError, effective_catalog, parse_json, read_scenario
-from .oracle import convergence_report, infer_grid, quantize
-from .traces import read_trace, sample_iid, sample_markov, write_trace
+from .oracle import convergence_report, quantize
+from .traces import read_trace, write_trace
 
 __all__ = ["main", "entrypoint"]
 
@@ -50,50 +45,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cachecap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", help="per-node and network capacity of a scenario")
-    p.add_argument("scenario")
+    def verb(name: str, text: str, *positionals: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        for positional in positionals:
+            p.add_argument(positional)
+        return p
+
+    p = verb("capacity", "per-node and network capacity of a scenario", "scenario")
     p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="solver relative tolerance")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("optimal", help="capacity-achieving access distribution of a node")
-    p.add_argument("scenario")
-    p.add_argument("node")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("efficiency", help="entropy efficiency of a node under a source")
-    p.add_argument("scenario")
-    p.add_argument("node")
+    verb("optimal", "capacity-achieving access distribution of a node", "scenario", "node")
+    p = verb("efficiency", "entropy efficiency of a node under a source", "scenario", "node")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--source", help="source spec JSON (iid or markov)")
     src.add_argument("--optimal", action="store_true", help="use the node's optimal distribution")
     src.add_argument("--trace", help="trace file; estimates entropy at --order")
     p.add_argument("--order", type=int, default=0, help="block order for --trace")
     p.add_argument("--force", action="store_true", help="accept traces too short for --order")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("oracle", help="exact task-count growth rate vs. the solver")
-    p.add_argument("scenario")
-    p.add_argument("node")
+    p = verb("oracle", "exact task-count growth rate vs. the solver", "scenario", "node")
     p.add_argument("--grid", type=float, default=None, help="time grid (default: inferred)")
     p.add_argument("--tmax", type=int, default=200, help="horizon in grid units")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("compare", help="capacity deltas between two scenarios")
-    p.add_argument("scenario_a")
-    p.add_argument("scenario_b")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("gen-trace", help="generate a synthetic access trace")
+    verb("compare", "capacity deltas between two scenarios", "scenario_a", "scenario_b")
+    p = verb("gen-trace", "generate a synthetic access trace")
     p.add_argument("source", help="source spec JSON (iid or markov)")
     p.add_argument("--n", type=int, required=True, help="trace length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output trace file")
-    p.add_argument("--json", action="store_true")
+    verb("validate", "check a scenario file against the schema", "scenario")
 
-    p = sub.add_parser("validate", help="check a scenario file against the schema")
-    p.add_argument("scenario")
-    p.add_argument("--json", action="store_true")
-
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -110,7 +90,9 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
     kind = doc["type"]
     try:
         if kind == "iid":
-            return IIDSource(class_mass=dict(doc["class_mass"]))
+            if not isinstance(doc["class_mass"], Mapping):
+                raise ValueError("'class_mass' must be an object")
+            return IIDSource(class_mass=doc["class_mass"])
         if kind == "markov":
             if not isinstance(doc["states"], list):
                 raise ValueError("'states' must be an array")
@@ -133,21 +115,11 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
     if args.tol <= 0:
         raise ScenarioError(f"--tol must be positive, got {args.tol}")
     result = analyze_network(net, rel_tol=args.tol)
-    nodes = [
-        {
-            "node": node_id,
-            "x0": nc.x0,
-            "capacity_bits_per_time": nc.capacity_bits_per_time,
-            "iterations": nc.iterations,
-            "residual": nc.residual,
-        }
-        for node_id, nc in sorted(result.per_node.items())
-    ]
     return {
         "command": "capacity",
         "scenario": scenario,
         "rel_tol": args.tol,
-        "nodes": nodes,
+        "nodes": [{"node": nid, **asdict(nc)} for nid, nc in sorted(result.per_node.items())],
         "network_capacity_bits_per_time": result.network_capacity,
     }
 
@@ -209,30 +181,18 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
     if args.optimal:
         dist = optimal_distribution(net, args.node)
         src = IIDSource(class_mass=dist.class_mass)
-        source_echo: dict = {"kind": "optimal"}
+        echo: dict = {"kind": "optimal"}
     elif args.source:
         src = _load_source_spec(args.source)
-        source_echo = {
-            "kind": "iid" if isinstance(src, IIDSource) else "markov",
-            "path": args.source,
-        }
+        echo = {"kind": src.kind, "path": args.source}
     else:
         trace = read_trace(args.trace)
         src = EmpiricalSource(trace=trace, order=args.order, force=args.force)
-        source_echo = {"kind": "trace", "path": args.trace, "order": args.order}
+        echo = {"kind": src.kind, "path": args.trace, "order": args.order}
 
     result = entropy_efficiency(net, args.node, src)
-    return {
-        "command": "efficiency",
-        "scenario": scenario,
-        "node": args.node,
-        "source": source_echo,
-        "entropy_bits_per_file": result.entropy_bits_per_file,
-        "mean_read_time": result.mean_read_time,
-        "efficiency_bits_per_time": result.efficiency_bits_per_time,
-        "capacity_bits_per_time": result.capacity_bits_per_time,
-        "utilization_ratio": result.utilization_ratio,
-    }
+    report = {"command": "efficiency", "scenario": scenario, "node": args.node, "source": echo}
+    return report | asdict(result)
 
 
 def _render_efficiency(report: dict) -> str:
@@ -255,9 +215,8 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     catalog = effective_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
-    grid = args.grid if args.grid is not None else infer_grid(catalog.min_times().values())
     counts = net.class_counts()
-    q = quantize(catalog, grid, counts)
+    q = quantize(catalog, args.grid, counts)
     x0 = catalog_capacity(catalog, counts).x0
     report = convergence_report(q, args.tmax, x0)
     return {
@@ -295,20 +254,15 @@ def _render_oracle(report: dict) -> str:
 def _cmd_compare(args: argparse.Namespace) -> dict:
     net_a, scenario_a = _load_scenario(args.scenario_a)
     net_b, scenario_b = _load_scenario(args.scenario_b)
-    caps_a = {nid: nc.capacity_bits_per_time for nid, nc in analyze_network(net_a).per_node.items()}
-    caps_b = {nid: nc.capacity_bits_per_time for nid, nc in analyze_network(net_b).per_node.items()}
+    result_a, result_b = analyze_network(net_a), analyze_network(net_b)
+    caps_a = {nid: nc.capacity_bits_per_time for nid, nc in result_a.per_node.items()}
+    caps_b = {nid: nc.capacity_bits_per_time for nid, nc in result_b.per_node.items()}
     rows = []
-    for nid in sorted(set(caps_a) | set(caps_b)):
+    for nid in sorted(caps_a.keys() | caps_b.keys()):
         a, b = caps_a.get(nid), caps_b.get(nid)
-        rows.append(
-            {
-                "node": nid,
-                "capacity_a": a,
-                "capacity_b": b,
-                "delta": (b - a) if a is not None and b is not None else None,
-            }
-        )
-    total_a, total_b = sum(caps_a.values()), sum(caps_b.values())
+        delta = b - a if a is not None and b is not None else None
+        rows.append({"node": nid, "capacity_a": a, "capacity_b": b, "delta": delta})
+    total_a, total_b = result_a.network_capacity, result_b.network_capacity
     return {
         "command": "compare",
         "scenario_a": scenario_a,
@@ -343,20 +297,11 @@ def _cmd_gen_trace(args: argparse.Namespace) -> dict:
     src = _load_source_spec(args.source)
     if args.n < 0:
         raise ScenarioError(f"--n must be >= 0, got {args.n}")
-    if isinstance(src, IIDSource):
-        trace = sample_iid(src.class_mass, args.n, args.seed)
-        kind = "iid"
-    else:
-        initial = src.initial
-        if initial is None:
-            pi = stationary_distribution(src)
-            initial = tuple(pi[s] for s in src.states)
-        trace = sample_markov(src.states, src.transitions, initial, args.n, args.seed)
-        kind = "markov"
+    trace = src.sample(args.n, args.seed)
     write_trace(trace, args.out)
     return {
         "command": "gen-trace",
-        "source": {"kind": kind, "path": args.source},
+        "source": {"kind": src.kind, "path": args.source},
         "n": args.n,
         "seed": args.seed,
         "out": args.out,

@@ -8,21 +8,20 @@ capacity exactly at the optimal i.i.d. access distribution.
 
 Supported access models: i.i.d. over class ids (mass spread uniformly over
 the files inside a class), first-order Markov chains over class ids, and
-empirical traces with a plug-in estimator.
+empirical traces with a plug-in estimator. Each source type carries its own
+``kind`` and computes its own class marginal and per-file entropy.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
 
-import numpy as np
-
-from .capacity import DEFAULT_REL_TOL, SolverError, catalog_capacity
+from .capacity import SolverError, catalog_capacity
 from .model import Network, ScenarioError, effective_catalog
-from .traces import Trace, check_distribution, empirical_distribution
+from .traces import Trace, check_distribution, empirical_distribution, sample_iid, sample_markov
 
 __all__ = [
     "IIDSource",
@@ -51,9 +50,19 @@ class IIDSource:
     """
 
     class_mass: Mapping[str, float]
+    kind = "iid"
 
     def __post_init__(self) -> None:
         check_distribution(self.class_mass.values(), "class_mass")
+
+    def marginal(self) -> dict[str, float]:
+        return dict(self.class_mass)
+
+    def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
+        return iid_entropy(self.class_mass, counts)
+
+    def sample(self, n: int, seed: int) -> Trace:
+        return sample_iid(self.class_mass, n, seed)
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,7 @@ class MarkovSource:
     states: tuple[str, ...]
     transitions: tuple[tuple[float, ...], ...]
     initial: tuple[float, ...] | None = None
+    kind = "markov"
 
     def __post_init__(self) -> None:
         k = len(self.states)
@@ -88,6 +98,19 @@ class MarkovSource:
                 raise ValueError("initial distribution length must match the state list")
             check_distribution(self.initial, "initial distribution")
 
+    def marginal(self) -> dict[str, float]:
+        return stationary_distribution(self)
+
+    def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
+        return markov_entropy_rate(self)
+
+    def sample(self, n: int, seed: int) -> Trace:
+        initial = self.initial
+        if initial is None:
+            pi = stationary_distribution(self)
+            initial = tuple(pi[s] for s in self.states)
+        return sample_markov(self.states, self.transitions, initial, n, seed)
+
 
 @dataclass(frozen=True)
 class EmpiricalSource:
@@ -96,9 +119,16 @@ class EmpiricalSource:
     trace: Trace
     order: int = 0
     force: bool = False
+    kind = "trace"
+
+    def marginal(self) -> dict[str, float]:
+        return empirical_distribution(self.trace)
+
+    def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
+        return block_entropy_estimate(self.trace, self.order, force=self.force)
 
 
-AccessSource = Union[IIDSource, MarkovSource, EmpiricalSource]
+AccessSource = IIDSource | MarkovSource | EmpiricalSource
 
 
 @dataclass(frozen=True)
@@ -171,6 +201,8 @@ def _strongly_connected(adj: list[list[int]]) -> bool:
 
 def stationary_distribution(src: MarkovSource) -> dict[str, float]:
     """Unique stationary distribution of an irreducible chain (to 1e-12)."""
+    import numpy as np  # only this solve needs numpy; a module-level import slows every CLI start
+
     if not _strongly_connected(_positive_adjacency(src.transitions)):
         raise ValueError("Markov chain is reducible; the stationary distribution is not unique")
     p = np.asarray(src.transitions, dtype=float)
@@ -254,33 +286,19 @@ def block_entropy_estimate(
     return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound), method="plug-in")
 
 
-def entropy_efficiency(
-    net: Network,
-    node_id: str,
-    src: AccessSource,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> EfficiencyResult:
+def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> EfficiencyResult:
     """Entropy efficiency of one node under an access process.
 
-    The per-file entropy depends on the source variant (analytic for i.i.d.
-    and Markov, plug-in at the chosen order for traces); the mean read time
-    weights the node's minimal times by the source's first-symbol class
-    probabilities. For i.i.d. sources the entropy additionally counts the
-    uniform choice among the files inside each class.
+    The source supplies its per-file entropy (analytic for i.i.d. and
+    Markov, plug-in at the chosen order for traces) and its class marginal;
+    the mean read time weights the node's minimal times by that marginal.
+    For i.i.d. sources the entropy additionally counts the uniform choice
+    among the files inside each class.
     """
     catalog = effective_catalog(net, node_id)
     times = catalog.min_times()
     counts = net.class_counts()
-
-    if isinstance(src, IIDSource):
-        marginal = dict(src.class_mass)
-    elif isinstance(src, MarkovSource):
-        marginal = stationary_distribution(src)
-    elif isinstance(src, EmpiricalSource):
-        marginal = empirical_distribution(src.trace)
-    else:
-        raise TypeError(f"unsupported access source {type(src).__name__}")
-
+    marginal = src.marginal()
     for cid, mass in sorted(marginal.items()):
         if mass <= 0.0:
             continue
@@ -291,19 +309,13 @@ def entropy_efficiency(
                 f"source assigns mass to class '{cid}', unreachable at node '{node_id}'"
             )
 
-    if isinstance(src, IIDSource):
-        estimate = iid_entropy(src.class_mass, counts)
-    elif isinstance(src, MarkovSource):
-        estimate = markov_entropy_rate(src)
-    else:
-        estimate = block_entropy_estimate(src.trace, src.order, force=src.force)
-
+    estimate = src.entropy(counts)
     mean_time = sum(mass * times[cid] for cid, mass in marginal.items() if mass > 0.0)
     if mean_time <= 0.0:
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 
     efficiency = estimate.value / mean_time
-    capacity = catalog_capacity(catalog, counts, rel_tol).capacity_bits_per_time
+    capacity = catalog_capacity(catalog, counts).capacity_bits_per_time
     utilization = efficiency / capacity if capacity > 0 else None
     return EfficiencyResult(
         node=node_id,
@@ -316,14 +328,11 @@ def entropy_efficiency(
 
 
 def network_entropy_efficiency(
-    net: Network,
-    sources: Mapping[str, AccessSource],
-    rel_tol: float = DEFAULT_REL_TOL,
+    net: Network, sources: Mapping[str, AccessSource]
 ) -> NetworkEfficiency:
     """Sum of per-node entropy efficiencies; nodes without a source contribute 0."""
     per_node = {
-        node_id: entropy_efficiency(net, node_id, src, rel_tol)
-        for node_id, src in sorted(sources.items())
+        node_id: entropy_efficiency(net, node_id, src) for node_id, src in sorted(sources.items())
     }
     total = sum(r.efficiency_bits_per_time for r in per_node.values())
     return NetworkEfficiency(total_bits_per_time=total, per_node=per_node)

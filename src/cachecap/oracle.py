@@ -14,9 +14,9 @@ cross-check of the root-finding solver.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .model import EffectiveCatalog, Network, effective_catalog
 
@@ -47,10 +47,6 @@ class QuantizedCatalog:
     int_times: tuple[tuple[int, int], ...]  # (count, tau_int)
     grid: float
     time_gcd: int
-
-    @property
-    def total_files(self) -> int:
-        return sum(count for count, _ in self.int_times)
 
     @property
     def max_time(self) -> int:
@@ -84,14 +80,17 @@ class OracleReport:
 
 
 def quantize(
-    catalog: EffectiveCatalog, grid: float, counts: Mapping[str, int]
+    catalog: EffectiveCatalog, grid: float | None, counts: Mapping[str, int]
 ) -> QuantizedCatalog:
     """Snap a catalog's read times onto integer multiples of ``grid``.
 
-    Every time must be an exact multiple of the grid (to within double
-    rounding, 1e-9 relative); an off-grid time is rejected with the class
-    named, never silently rounded.
+    ``grid=None`` infers the largest grid that fits every time. Every time
+    must be an exact multiple of the grid (to within double rounding, 1e-9
+    relative); an off-grid time is rejected with the class named, never
+    silently rounded.
     """
+    if grid is None:
+        grid = infer_grid(catalog.min_times().values())
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive and finite, got {grid}")
     int_times: list[tuple[int, int]] = []
@@ -130,10 +129,7 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def quantize_node(net: Network, node_id: str, grid: float | None = None) -> QuantizedCatalog:
     """Quantized catalog for a node; infers the grid when none is given."""
-    catalog = effective_catalog(net, node_id)
-    if grid is None:
-        grid = infer_grid(entry.min_time for entry in catalog.entries.values())
-    return quantize(catalog, grid, net.class_counts())
+    return quantize(effective_catalog(net, node_id), grid, net.class_counts())
 
 
 def count_tasks(q: QuantizedCatalog, T: int) -> int:

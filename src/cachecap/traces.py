@@ -13,10 +13,10 @@ header; lines starting with ``#`` are ignored on read.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "SplitMix64",
@@ -145,15 +145,12 @@ def sample_markov(
 
 
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
-    """Normalized symbol frequencies; exact rational counts, floats last."""
+    """Normalized symbol frequencies, by id; each is a correctly rounded count / length."""
     symbols = trace.symbols if isinstance(trace, Trace) else tuple(trace)
     if not symbols:
         raise ValueError("cannot take the empirical distribution of an empty trace")
-    counts: dict[str, int] = {}
-    for s in symbols:
-        counts[s] = counts.get(s, 0) + 1
     total = len(symbols)
-    return {cid: float(Fraction(c, total)) for cid, c in sorted(counts.items())}
+    return {cid: c / total for cid, c in sorted(Counter(symbols).items())}
 
 
 def read_trace(path: str | Path) -> Trace:

@@ -331,6 +331,17 @@ class TestStrictInputs:
         assert "'states'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mass", ['[["own", 0.9], ["lib", 0.1]]', '[[1, 0.5], ["a", 0.5]]'])
+    def test_class_mass_must_be_an_object(self, tmp_path, capsys, mass):
+        spec = self.spec(tmp_path, f'{{"type": "iid", "class_mass": {mass}}}')
+        fig1, out = str(scenario_path("fig1.json")), tmp_path / "t.trace"
+        assert cli.main(["efficiency", fig1, "w2", "--source", spec, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'class_mass'" in captured.err
+        assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        assert "'class_mass'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"own": 1.0, "own": 1.0}}')
         fig1 = str(scenario_path("fig1.json"))
@@ -408,3 +419,9 @@ class TestWorkPerCall:
 
     def test_oracle(self, work, capsys):
         assert self.run(work, capsys, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, cachecap.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from cachecap import (
     CharEquation,
+    analyze_network,
     convergence_report,
     count_series,
     count_tasks,
@@ -17,7 +19,7 @@ from cachecap import (
 )
 from cachecap.oracle import QuantizedCatalog
 
-from conftest import random_terms, single_node_network
+from conftest import link_networks, random_terms, single_node_network
 
 PELL = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0, time_gcd=1)
 PELL_RATE = math.log2(1 + math.sqrt(2))
@@ -201,3 +203,16 @@ def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, requ
         x0 = solve_characteristic(equation_for_node(net, node))
         report = convergence_report(quantize_node(net, node, grid=1.0), 200, x0)
         assert report.final_gap < 0.02
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_oracle_rates_never_exceed_the_solver_capacity(net):
+    """nu(T) <= X0**T by induction on the recurrence, since sum(count * X0**-tau) = 1."""
+    for node, nc in analyze_network(net).per_node.items():
+        if equation_for_node(net, node).total_files < 2:
+            continue
+        report = convergence_report(quantize_node(net, node), 200, nc.x0)
+        assert report.points
+        for point in report.points:
+            assert point.rate <= nc.capacity_bits_per_time + 1e-12

@@ -13,71 +13,10 @@ other with per-link transfer times, then ask how much the network can do:
   on grid-valued read times.
 """
 
-from .model import (
-    ScenarioError,
-    FileClass,
-    Node,
-    Link,
-    Network,
-    CatalogEntry,
-    EffectiveCatalog,
-    build_network,
-    load_scenario,
-    read_scenario,
-    scenario_digest,
-    effective_catalog,
-    task_time,
-)
-from .capacity import (
-    SolverError,
-    CharEquation,
-    NodeCapacity,
-    CapacityResult,
-    char_eq_value,
-    solve_characteristic,
-    solve_characteristic_full,
-    equation_for_node,
-    catalog_capacity,
-    node_capacity,
-    network_capacity,
-    analyze_network,
-    OptimalDistribution,
-    optimal_distribution,
-)
-from .oracle import (
-    QuantizedCatalog,
-    OraclePoint,
-    OracleReport,
-    quantize,
-    quantize_node,
-    infer_grid,
-    count_tasks,
-    count_series,
-    convergence_report,
-)
-from .entropy import (
-    IIDSource,
-    MarkovSource,
-    EmpiricalSource,
-    AccessSource,
-    EntropyEstimate,
-    EfficiencyResult,
-    NetworkEfficiency,
-    iid_entropy,
-    stationary_distribution,
-    markov_entropy_rate,
-    block_entropy_estimate,
-    entropy_efficiency,
-    network_entropy_efficiency,
-)
-from .traces import (
-    SplitMix64,
-    Trace,
-    sample_iid,
-    sample_markov,
-    empirical_distribution,
-    read_trace,
-    write_trace,
-)
+from .model import *
+from .capacity import *
+from .oracle import *
+from .entropy import *
+from .traces import *
 
 __version__ = "0.1.0"

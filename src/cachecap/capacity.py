@@ -97,6 +97,11 @@ def char_eq_value(eq: CharEquation, x: float) -> float:
     return sum(2.0 ** (math.log2(count) - tau * log2x) for count, tau in eq.terms)
 
 
+def _check_rel_tol(rel_tol: float) -> None:
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+
+
 def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
@@ -114,8 +119,7 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     the left-hand side by about e * sum(tau * count * x0**-tau), so a loose
     tolerance is allowed that much more than the fixed bound.
     """
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    _check_rel_tol(rel_tol)
     if not eq.terms:
         return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)
 
@@ -153,27 +157,25 @@ def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> 
     return solve_characteristic_full(eq, rel_tol).x0
 
 
-def _catalog_equation(catalog: EffectiveCatalog, counts: Mapping[str, int]) -> CharEquation:
+def _catalog_equation(catalog: EffectiveCatalog) -> CharEquation:
+    counts = catalog.counts
     terms = tuple((counts[cid], entry.min_time) for cid, entry in sorted(catalog.entries.items()))
     return CharEquation(terms=terms)
 
 
 def equation_for_node(net: Network, node_id: str) -> CharEquation:
     """Characteristic equation of a node, one term per reachable class."""
-    return _catalog_equation(effective_catalog(net, node_id), net.class_counts())
+    return _catalog_equation(effective_catalog(net, node_id))
 
 
-def catalog_capacity(
-    catalog: EffectiveCatalog, counts: Mapping[str, int], rel_tol: float = DEFAULT_REL_TOL
-) -> NodeCapacity:
-    """Solve an already-built catalog; ``counts`` maps class id to file count."""
-    return solve_characteristic_full(_catalog_equation(catalog, counts), rel_tol)
+def catalog_capacity(catalog: EffectiveCatalog, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
+    """Solve an already-built catalog."""
+    return solve_characteristic_full(_catalog_equation(catalog), rel_tol)
 
 
 def node_capacity(net: Network, node_id: str) -> float:
     """Capacity of one node in bits per time unit (0 if nothing is reachable)."""
-    catalog = effective_catalog(net, node_id)
-    return catalog_capacity(catalog, net.class_counts()).capacity_bits_per_time
+    return catalog_capacity(effective_catalog(net, node_id)).capacity_bits_per_time
 
 
 def network_capacity(net: Network) -> float:
@@ -182,11 +184,12 @@ def network_capacity(net: Network) -> float:
 
 
 def analyze_network(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> CapacityResult:
-    """Per-node capacities plus the network total, with solver diagnostics."""
-    counts = net.class_counts()
-    per_node = {
-        n.id: catalog_capacity(effective_catalog(net, n.id), counts, rel_tol) for n in net.nodes
-    }
+    """Per-node capacities plus the network total, with solver diagnostics.
+
+    ``rel_tol`` is checked first, so a network with no node rejects a bad one too.
+    """
+    _check_rel_tol(rel_tol)
+    per_node = {n.id: catalog_capacity(effective_catalog(net, n.id), rel_tol) for n in net.nodes}
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
     return CapacityResult(per_node=per_node, network_capacity=total)
 
@@ -218,8 +221,7 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     single reachable file): no nondegenerate optimum exists there.
     """
     catalog = effective_catalog(net, node_id)
-    counts = net.class_counts()
-    x0 = catalog_capacity(catalog, counts).x0
+    x0 = catalog_capacity(catalog).x0
     if x0 is None or x0 <= 1.0:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"
@@ -227,7 +229,7 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     file_probability = {
         cid: x0 ** -entry.min_time for cid, entry in sorted(catalog.entries.items())
     }
-    class_mass = {cid: counts[cid] * p for cid, p in file_probability.items()}
+    class_mass = {cid: catalog.counts[cid] * p for cid, p in file_probability.items()}
     return OptimalDistribution(
         node=node_id, x0=x0, class_mass=class_mass, file_probability=file_probability
     )

@@ -112,8 +112,6 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
 
 def _cmd_capacity(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
-    if args.tol <= 0:
-        raise ScenarioError(f"--tol must be positive, got {args.tol}")
     result = analyze_network(net, rel_tol=args.tol)
     return {
         "command": "capacity",
@@ -215,9 +213,8 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     catalog = effective_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
-    counts = net.class_counts()
-    q = quantize(catalog, args.grid, counts)
-    x0 = catalog_capacity(catalog, counts).x0
+    q = quantize(catalog, args.grid)
+    x0 = catalog_capacity(catalog).x0
     report = convergence_report(q, args.tmax, x0)
     return {
         "command": "oracle",

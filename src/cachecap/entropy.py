@@ -18,10 +18,18 @@ import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .capacity import SolverError, catalog_capacity
 from .model import Network, ScenarioError, effective_catalog
-from .traces import Trace, check_distribution, empirical_distribution, sample_iid, sample_markov
+from .traces import (
+    Trace,
+    check_chain,
+    check_distribution,
+    empirical_distribution,
+    sample_iid,
+    sample_markov,
+)
 
 __all__ = [
     "IIDSource",
@@ -72,7 +80,8 @@ class MarkovSource:
     The chain models the class-level access sequence; one transition is one
     file read. ``initial`` is only used for trace generation (``None`` means
     start from the stationary distribution); entropy and efficiency always
-    treat the chain as stationary.
+    treat the chain as stationary. The stationary distribution is solved once
+    per source, on first use.
     """
 
     states: tuple[str, ...]
@@ -81,25 +90,14 @@ class MarkovSource:
     kind = "markov"
 
     def __post_init__(self) -> None:
-        k = len(self.states)
-        if k == 0:
-            raise ValueError("Markov source needs at least one state")
-        for state in self.states:
-            if not isinstance(state, str):
-                raise ValueError(f"Markov 'states' must be strings, got {state!r}")
-        if len(set(self.states)) != k:
-            raise ValueError("Markov states must be unique")
-        if len(self.transitions) != k or any(len(row) != k for row in self.transitions):
-            raise ValueError("transition matrix must be square over the state list")
-        for i, row in enumerate(self.transitions):
-            check_distribution(row, f"transition row {i}")
-        if self.initial is not None:
-            if len(self.initial) != k:
-                raise ValueError("initial distribution length must match the state list")
-            check_distribution(self.initial, "initial distribution")
+        check_chain(self.states, self.transitions, self.initial)
+
+    @cached_property
+    def _stationary(self) -> dict[str, float]:
+        return stationary_distribution(self)
 
     def marginal(self) -> dict[str, float]:
-        return stationary_distribution(self)
+        return dict(self._stationary)
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
         return markov_entropy_rate(self)
@@ -107,8 +105,7 @@ class MarkovSource:
     def sample(self, n: int, seed: int) -> Trace:
         initial = self.initial
         if initial is None:
-            pi = stationary_distribution(self)
-            initial = tuple(pi[s] for s in self.states)
+            initial = tuple(self._stationary[s] for s in self.states)
         return sample_markov(self.states, self.transitions, initial, n, seed)
 
 
@@ -228,7 +225,7 @@ def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:
     The stationary-weighted conditional entropy of the next class given the
     current one; equals the i.i.d. entropy when all rows are identical.
     """
-    pi = stationary_distribution(src)
+    pi = src._stationary
     h = 0.0
     for i, state in enumerate(src.states):
         for p in src.transitions[i]:
@@ -297,7 +294,7 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
     """
     catalog = effective_catalog(net, node_id)
     times = catalog.min_times()
-    counts = net.class_counts()
+    counts = catalog.counts
     marginal = src.marginal()
     for cid, mass in sorted(marginal.items()):
         if mass <= 0.0:
@@ -315,7 +312,7 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 
     efficiency = estimate.value / mean_time
-    capacity = catalog_capacity(catalog, counts).capacity_bits_per_time
+    capacity = catalog_capacity(catalog).capacity_bits_per_time
     utilization = efficiency / capacity if capacity > 0 else None
     return EfficiencyResult(
         node=node_id,

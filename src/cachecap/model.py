@@ -17,9 +17,10 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 __all__ = [
     "ScenarioError",
@@ -80,8 +81,9 @@ class Network:
     links: tuple[Link, ...]
 
     @cached_property
-    def _counts(self) -> dict[str, int]:
-        return {fc.id: fc.count for fc in self.classes}
+    def _counts(self) -> Mapping[str, int]:
+        """Class id to file count, read-only so catalogs can share it."""
+        return MappingProxyType({fc.id: fc.count for fc in self.classes})
 
     @cached_property
     def _nodes_by_id(self) -> dict[str, Node]:
@@ -122,10 +124,13 @@ class EffectiveCatalog:
 
     Classes with no finite-time provider are omitted entirely; the provider
     field is diagnostic (ties go to the lexicographically smallest provider).
+    ``counts`` is the network's read-only class-id-to-file-count map, which
+    every formula over the catalog needs next to the times.
     """
 
     node: str
-    entries: Mapping[str, CatalogEntry] = field(default_factory=dict)
+    entries: Mapping[str, CatalogEntry]
+    counts: Mapping[str, int]
 
     def min_times(self) -> dict[str, float]:
         return {cid: e.min_time for cid, e in self.entries.items()}
@@ -289,7 +294,7 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
                 or (link.time == cur.min_time and link.provider < cur.provider)
             ):
                 best[cid] = CatalogEntry(min_time=link.time, provider=link.provider)
-    return EffectiveCatalog(node=node_id, entries=best)
+    return EffectiveCatalog(node=node_id, entries=best, counts=net._counts)
 
 
 def task_time(catalog: EffectiveCatalog, task: Sequence[str] | Iterable[str]) -> float:

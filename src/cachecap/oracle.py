@@ -14,7 +14,7 @@ cross-check of the root-finding solver.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,9 +79,7 @@ class OracleReport:
         }
 
 
-def quantize(
-    catalog: EffectiveCatalog, grid: float | None, counts: Mapping[str, int]
-) -> QuantizedCatalog:
+def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
     """Snap a catalog's read times onto integer multiples of ``grid``.
 
     ``grid=None`` infers the largest grid that fits every time. Every time
@@ -101,7 +99,7 @@ def quantize(
             raise ValueError(
                 f"class '{cid}': time {entry.min_time} is not a multiple of grid {grid}"
             )
-        int_times.append((counts[cid], tau_int))
+        int_times.append((catalog.counts[cid], tau_int))
     time_gcd = math.gcd(*(tau for _, tau in int_times)) if int_times else 0
     return QuantizedCatalog(int_times=tuple(int_times), grid=grid, time_gcd=time_gcd)
 
@@ -129,7 +127,7 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def quantize_node(net: Network, node_id: str, grid: float | None = None) -> QuantizedCatalog:
     """Quantized catalog for a node; infers the grid when none is given."""
-    return quantize(effective_catalog(net, node_id), grid, net.class_counts())
+    return quantize(effective_catalog(net, node_id), grid)
 
 
 def count_tasks(q: QuantizedCatalog, T: int) -> int:

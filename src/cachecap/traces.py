@@ -7,7 +7,9 @@ four lines long, fast, and bit-for-bit reproducible on any platform; the
 known-answer test pins its output. One draw is consumed per symbol.
 
 Trace file format: UTF-8, one id per line, optional ``#cachecap-trace v1``
-header; lines starting with ``#`` are ignored on read.
+header; lines starting with ``#`` are ignored on read, and so are blank lines
+and the whitespace around an id. So only ids that are one non-empty line,
+carry no surrounding whitespace and do not start with ``#`` can be written.
 """
 
 from __future__ import annotations
@@ -79,6 +81,32 @@ def check_distribution(values: Iterable[float], label: str) -> None:
         raise ValueError(f"{label}: probabilities sum to {total!r}, not 1")
 
 
+def check_chain(
+    states: Sequence[str],
+    transitions: Sequence[Sequence[float]],
+    initial: Sequence[float] | None = None,
+) -> None:
+    """Raise ValueError unless ``states`` are unique strings, ``transitions`` is a
+    square matrix over them whose rows are distributions, and ``initial``, when
+    given, is a distribution over them."""
+    k = len(states)
+    if k == 0:
+        raise ValueError("Markov source needs at least one state")
+    for state in states:
+        if not isinstance(state, str):
+            raise ValueError(f"Markov 'states' must be strings, got {state!r}")
+    if len(set(states)) != k:
+        raise ValueError("Markov states must be unique")
+    if len(transitions) != k or any(len(row) != k for row in transitions):
+        raise ValueError("transition matrix shape does not match the state list")
+    for i, row in enumerate(transitions):
+        check_distribution(row, f"transition row {i}")
+    if initial is not None:
+        if len(initial) != k:
+            raise ValueError("initial distribution length does not match the state list")
+        check_distribution(initial, "initial distribution")
+
+
 def _pick(items: Sequence[tuple[int, float]], u: float) -> int:
     """Inverse transform: the first index whose running mass sum exceeds ``u``."""
     acc = 0.0
@@ -93,20 +121,38 @@ def _pick(items: Sequence[tuple[int, float]], u: float) -> int:
     return last  # u landed in the rounding slack at the top
 
 
+def _walk(
+    states: Sequence[str],
+    first: Sequence[tuple[int, float]],
+    rows: Sequence[Sequence[tuple[int, float]]],
+    n: int,
+    seed: int,
+) -> tuple[str, ...]:
+    """n states: the first picked from ``first``, each later one from the row
+    of the state before it, one SplitMix64 draw each."""
+    rng = SplitMix64(seed)
+    symbols: list[str] = []
+    row = first
+    for _ in range(n):
+        i = _pick(row, rng.next_float())
+        symbols.append(states[i])
+        row = rows[i]
+    return tuple(symbols)
+
+
 def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     """Length-n i.i.d. trace over class ids, deterministic in the seed.
 
     Symbols are drawn by inverse transform over ids in sorted order, one
     SplitMix64 draw each; this ordering is part of the reproducibility
-    contract.
+    contract. It is the Markov walk with every row equal to ``p``.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_distribution(p.values(), "distribution")
     ids, masses = zip(*sorted(p.items()))
     items = list(enumerate(masses))
-    rng = SplitMix64(seed)
-    symbols = tuple(ids[_pick(items, rng.next_float())] for _ in range(n))
+    symbols = _walk(ids, items, [items] * len(ids), n, seed)
     return Trace(symbols=symbols, provenance=f"iid(seed={seed}, n={n})")
 
 
@@ -123,25 +169,10 @@ def sample_markov(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    k = len(states)
-    if len(transitions) != k or any(len(row) != k for row in transitions):
-        raise ValueError("transition matrix shape does not match the state list")
-    if len(initial) != k:
-        raise ValueError("initial distribution length does not match the state list")
-    check_distribution(initial, "initial distribution")
-    for i, row in enumerate(transitions):
-        check_distribution(row, f"transition row {i}")
-
-    rng = SplitMix64(seed)
-    symbols: list[str] = []
+    check_chain(states, transitions, initial)
     rows = [list(enumerate(row)) for row in transitions]
-    if n > 0:
-        state_idx = _pick(list(enumerate(initial)), rng.next_float())
-        symbols.append(states[state_idx])
-        for _ in range(n - 1):
-            state_idx = _pick(rows[state_idx], rng.next_float())
-            symbols.append(states[state_idx])
-    return Trace(symbols=tuple(symbols), provenance=f"markov(seed={seed}, n={n})")
+    symbols = _walk(states, list(enumerate(initial)), rows, n, seed)
+    return Trace(symbols=symbols, provenance=f"markov(seed={seed}, n={n})")
 
 
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
@@ -164,5 +195,13 @@ def read_trace(path: str | Path) -> Trace:
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
+    """Write ``trace`` with the header; an id that would not read back as
+    itself raises ValueError before the file is opened."""
+    for s in sorted(set(trace.symbols)):
+        if s.splitlines() != [s] or s != s.strip() or s.startswith("#"):
+            raise ValueError(
+                f"trace id {s!r} cannot be written: ids must be one non-empty line "
+                "without surrounding whitespace, not starting with '#'"
+            )
     lines = [TRACE_HEADER, *trace.symbols]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

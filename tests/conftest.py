@@ -13,7 +13,9 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 
 
 # Shipped CLI JSON reports and the arguments that produce them (run from the
-# repo root). Regenerate a fixture with ``python3 -m cachecap <args>``.
+# repo root). Regenerate a fixture with ``python3 -m cachecap <args>``. Each
+# entry also has a text fixture, ``<name>.txt``: the default stdout of the same
+# arguments without ``--json`` (see ``text_fixture``).
 CLI_FIXTURES = [
     ("fig1.capacity.json", ["capacity", "scenarios/fig1.json", "--json"]),
     ("fig2.capacity.json", ["capacity", "scenarios/fig2.json", "--json"]),
@@ -31,6 +33,11 @@ CLI_FIXTURES = [
         ["compare", "scenarios/fig2.json", "scenarios/fig2-shared.json", "--json"],
     ),
 ]
+
+
+def text_fixture(fixture: str, args: list[str]) -> tuple[str, list[str]]:
+    """The text fixture's file name and arguments for a ``CLI_FIXTURES`` entry."""
+    return Path(fixture).with_suffix(".txt").name, [a for a in args if a != "--json"]
 
 
 def scenario_path(name: str) -> Path:

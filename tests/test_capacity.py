@@ -179,6 +179,11 @@ class TestNetworkCapacity:
     def test_empty_network(self):
         assert network_capacity(Network(classes=(), nodes=(), links=())) == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_bad_tolerance_rejected_even_without_nodes(self, tol):
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            analyze_network(Network(classes=(), nodes=(), links=()), rel_tol=tol)
+
     def test_analyze_network_sums_per_node(self, fig2):
         result = analyze_network(fig2)
         total = sum(nc.capacity_bits_per_time for nc in result.per_node.values())
@@ -197,7 +202,7 @@ def test_analyze_network_equals_the_per_node_calls(net):
     result = analyze_network(net)
     assert list(result.per_node) == [n.id for n in net.nodes]
     for node in net.nodes:
-        expected = catalog_capacity(effective_catalog(net, node.id), net.class_counts())
+        expected = catalog_capacity(effective_catalog(net, node.id))
         assert result.per_node[node.id] == expected
 
 

@@ -19,7 +19,7 @@ from cachecap import (
     write_trace,
 )
 
-from conftest import CLI_FIXTURES, FIXTURE_DIR, REPO_ROOT, scenario_path
+from conftest import CLI_FIXTURES, FIXTURE_DIR, REPO_ROOT, scenario_path, text_fixture
 
 DIGEST_RE = re.compile(r'"digest": "[0-9a-f]{64}"')
 
@@ -43,6 +43,11 @@ def test_json_reports_match_shipped_fixtures(fixture, args):
     proc = run_cli(*args)
     assert proc.returncode == 0, proc.stderr
     assert mask_digests(proc.stdout) == mask_digests(expected)
+
+    text_name, text_args = text_fixture(fixture, args)
+    proc = run_cli(*text_args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (FIXTURE_DIR / text_name).read_text(encoding="utf-8")
 
 
 class TestCapacityCommand:
@@ -340,6 +345,22 @@ class TestStrictInputs:
         assert captured.out == "" and "'class_mass'" in captured.err
         assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
         assert "'class_mass'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_one_even_without_nodes(self, capsys, tol):
+        for scenario in ("empty.json", "fig1.json"):
+            path = str(scenario_path(scenario))
+            assert cli.main(["capacity", path, "--tol", tol, "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "rel_tol must be positive" in captured.err
+
+    def test_ids_that_would_not_read_back_are_not_written(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"#a": 0.5, " b": 0.25, "": 0.25}}')
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "8", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot be written" in captured.err
         assert not out.exists()
 
     def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):

@@ -177,6 +177,22 @@ class TestEntropyEfficiency:
         assert result.entropy_bits_per_file == pytest.approx(0.811278, abs=1e-6)
         assert result.mean_read_time == pytest.approx(1.5, abs=1e-9)
 
+    def test_markov_stationary_distribution_is_solved_once(self, three_file, monkeypatch):
+        import cachecap.entropy as entropy_module
+
+        calls = []
+
+        def counted(src):
+            calls.append(src)
+            return stationary_distribution(src)
+
+        monkeypatch.setattr(entropy_module, "stationary_distribution", counted)
+        chain = MarkovSource(states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75)))
+        entropy_efficiency(three_file, "n", chain)
+        assert len(calls) == 1
+        chain.sample(10, seed=1)
+        assert len(calls) == 1
+
     def test_empirical_source(self, three_file):
         # traces record class ids, so the estimate is class-level:
         # H(2/3, 1/3) / E[tau] without the within-class file spread

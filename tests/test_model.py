@@ -190,6 +190,15 @@ class TestEffectiveCatalog:
         with pytest.raises(ScenarioError, match="unknown node 'nope'"):
             effective_catalog(fig1, "nope")
 
+    def test_catalogs_share_one_read_only_count_map(self):
+        net = load_scenario(scenario_path("fig1.json"))
+        w1, w2 = effective_catalog(net, "w1"), effective_catalog(net, "w2")
+        assert w2.counts == {"lib": 10**7, "own": 10}
+        assert w1.counts is w2.counts
+        with pytest.raises(TypeError):
+            w2.counts["own"] = 0
+        assert net.class_counts() == {"lib": 10**7, "own": 10}
+
 
 class TestTaskTime:
     def test_fig1_task(self, fig1):
@@ -270,3 +279,22 @@ def test_task_time_is_additive(fragment_a, fragment_b):
     assert math.isclose(
         combined, task_time(catalog, fragment_a) + task_time(catalog, fragment_b), rel_tol=1e-12
     )
+
+
+def test_package_exposes_exactly_the_layer_exports():
+    import inspect
+
+    import cachecap
+    from cachecap import capacity, entropy, model, oracle, traces
+
+    layers = (model, capacity, oracle, entropy, traces)
+    exported = {name for layer in layers for name in layer.__all__}
+    public = {
+        name
+        for name, obj in vars(cachecap).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert public == exported
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(cachecap, name) is getattr(layer, name)

@@ -35,7 +35,7 @@ def enumerate_count(file_times: list[int], total: int) -> int:
 class TestQuantize:
     def test_exact_half_grid(self, three_file):
         catalog = effective_catalog(three_file, "n")
-        q = quantize(catalog, 0.5, three_file.class_counts())
+        q = quantize(catalog, 0.5)
         assert q.int_times == ((2, 2), (1, 4))
         assert q.grid == 0.5
 
@@ -62,7 +62,7 @@ class TestQuantize:
     def test_invalid_grid_rejected(self, three_file):
         catalog = effective_catalog(three_file, "n")
         with pytest.raises(ValueError, match="grid"):
-            quantize(catalog, 0.0, three_file.class_counts())
+            quantize(catalog, 0.0)
 
     def test_capacity_is_preserved_across_grids(self):
         # capacity in grid units must equal (capacity per time unit) * grid

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecap import (
     SplitMix64,
@@ -89,6 +94,20 @@ class TestSampleIid:
             sample_markov(("a", "b"), ((1.0, 0.0), (bad, 0.0)), (1.0, 0.0), 5, seed=1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 1000), min_size=1, max_size=8).filter(any),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_iid_sampling_is_the_walk_with_identical_rows(weights, n, seed):
+    total = sum(weights)
+    masses = [w / total for w in weights]
+    ids = [f"c{i}" for i in range(len(masses))]  # already in sorted order
+    expected = sample_markov(ids, [masses] * len(ids), masses, n, seed).symbols
+    assert sample_iid(dict(zip(ids, masses)), n, seed).symbols == expected
+
+
 class TestSampleMarkov:
     CYCLE = (("a", "b"), ((0.0, 1.0), (1.0, 0.0)))
 
@@ -130,6 +149,13 @@ class TestSampleMarkov:
         with pytest.raises(ValueError, match="initial"):
             sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0,), 5, seed=1)
 
+    def test_states_must_be_unique_strings(self):
+        rows = ((0.5, 0.5), (0.5, 0.5))
+        with pytest.raises(ValueError, match="unique"):
+            sample_markov(("a", "a"), rows, (1.0, 0.0), 5, seed=1)
+        with pytest.raises(ValueError, match="'states' must be strings, got 1"):
+            sample_markov((1, 2), rows, (1.0, 0.0), 5, seed=1)
+
 
 class TestEmpiricalDistribution:
     def test_direct_count(self):
@@ -163,6 +189,32 @@ class TestTraceFiles:
         path = tmp_path / "t.trace"
         path.write_text("# anything\n\na\n b \n#x\nb\n", encoding="utf-8")
         assert read_trace(path).symbols == ("a", "b", "b")
+
+    @pytest.mark.parametrize("bad", ["#a", " b", "b ", "", "a\nb", "a\rb", "a\u2028b"])
+    def test_ids_that_would_not_read_back_are_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match="cannot be written"):
+            write_trace(Trace(symbols=("ok", bad, "ok"), provenance="test"), path)
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(st.sampled_from("a #\t\n\r\x0b\x85\u2028") | st.characters(), max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_every_trace_written_reads_back_unchanged(self, symbols):
+        trace = Trace(symbols=tuple(symbols), provenance="test")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.trace"
+            try:
+                write_trace(trace, path)
+            except ValueError:
+                assert not path.exists()
+                return
+            assert read_trace(path).symbols == trace.symbols
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         trace = sample_iid({"a": 0.5, "b": 0.5}, 1000, seed=11)

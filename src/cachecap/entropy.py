@@ -19,6 +19,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .capacity import SolverError, catalog_capacity
 from .model import Network, ScenarioError, effective_catalog
@@ -235,9 +236,14 @@ def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:
 
 
 def _block_entropy(symbols: Sequence[str], m: int) -> float:
-    """Plug-in entropy of overlapping m-blocks, in bits per block."""
+    """Plug-in entropy of overlapping m-blocks, in bits per block.
+
+    Blocks are counted in trace order, so ``Counter`` holds them in
+    first-occurrence order. The float sum below depends on that order in
+    its last bits, and the ``efficiency --trace`` outputs pin those bits.
+    """
     n_blocks = len(symbols) - m + 1
-    counts = Counter(tuple(symbols[i : i + m]) for i in range(n_blocks))
+    counts = Counter(zip(*(islice(symbols, j, None) for j in range(m))))
     h = 0.0
     for c in counts.values():
         p = c / n_blocks

@@ -8,13 +8,15 @@ known-answer test pins its output. One draw is consumed per symbol.
 
 Trace file format: UTF-8, one id per line, optional ``#cachecap-trace v1``
 header; lines starting with ``#`` are ignored on read, and so are blank lines
-and the whitespace around an id. So only ids that are one non-empty line,
-carry no surrounding whitespace and do not start with ``#`` can be written.
+and the whitespace around an id. So only ids that are one non-empty line of
+UTF-8 text, carry no surrounding whitespace and do not start with ``#`` can be
+written.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -107,36 +109,55 @@ def check_chain(
         check_distribution(initial, "initial distribution")
 
 
-def _pick(items: Sequence[tuple[int, float]], u: float) -> int:
-    """Inverse transform: the first index whose running mass sum exceeds ``u``."""
+def _inverse_cdf(masses: Sequence[float]) -> tuple[list[float], list[int]]:
+    """Running sums over the positive masses, in order, and their indices.
+
+    ``idx[bisect_right(cum, u)]`` is the first index whose running sum
+    exceeds ``u``; a zero mass is skipped, and a mass too small to move the
+    sum is never picked. The index list repeats its last entry once, so a
+    ``u`` in the rounding slack at the top picks the last positive mass.
+    """
+    cum: list[float] = []
+    idx: list[int] = []
     acc = 0.0
-    last = 0
-    for i, mass in items:
+    for i, mass in enumerate(masses):
         if mass <= 0.0:
             continue
-        last = i
         acc += mass
-        if u < acc:
-            return i
-    return last  # u landed in the rounding slack at the top
+        cum.append(acc)
+        idx.append(i)
+    idx.append(idx[-1])
+    return cum, idx
 
 
 def _walk(
     states: Sequence[str],
-    first: Sequence[tuple[int, float]],
-    rows: Sequence[Sequence[tuple[int, float]]],
+    first: tuple[list[float], list[int]],
+    rows: Sequence[tuple[list[float], list[int]]],
     n: int,
     seed: int,
 ) -> tuple[str, ...]:
     """n states: the first picked from ``first``, each later one from the row
-    of the state before it, one SplitMix64 draw each."""
-    rng = SplitMix64(seed)
+    of the state before it, one SplitMix64 draw each.
+
+    ``first`` and ``rows`` are ``_inverse_cdf`` tables. The loop is
+    ``SplitMix64(seed).next_float()`` written out with literal constants;
+    the known-answer tests pin the class, and the walk tests pin the two
+    to each other.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     symbols: list[str] = []
-    row = first
+    append = symbols.append
+    cum, idx = first
+    x = seed
     for _ in range(n):
-        i = _pick(row, rng.next_float())
-        symbols.append(states[i])
-        row = rows[i]
+        x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = ((x ^ (x >> 30)) * 0xBF58476D1F4EE2B5) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        i = idx[bisect_right(cum, ((z ^ (z >> 31)) >> 11) * 2.0**-53)]
+        append(states[i])
+        cum, idx = rows[i]
     return tuple(symbols)
 
 
@@ -145,14 +166,15 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
 
     Symbols are drawn by inverse transform over ids in sorted order, one
     SplitMix64 draw each; this ordering is part of the reproducibility
-    contract. It is the Markov walk with every row equal to ``p``.
+    contract. It is the Markov walk with every row equal to ``p``. The seed
+    must be an integer in ``[0, 2**64)``.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_distribution(p.values(), "distribution")
     ids, masses = zip(*sorted(p.items()))
-    items = list(enumerate(masses))
-    symbols = _walk(ids, items, [items] * len(ids), n, seed)
+    row = _inverse_cdf(masses)
+    symbols = _walk(ids, row, [row] * len(ids), n, seed)
     return Trace(symbols=symbols, provenance=f"iid(seed={seed}, n={n})")
 
 
@@ -166,12 +188,13 @@ def sample_markov(
     """Length-n Markov-chain trace; first symbol from ``initial``, then rows.
 
     States keep their given order; each step consumes one SplitMix64 draw.
+    The seed must be an integer in ``[0, 2**64)``.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_chain(states, transitions, initial)
-    rows = [list(enumerate(row)) for row in transitions]
-    symbols = _walk(states, list(enumerate(initial)), rows, n, seed)
+    rows = [_inverse_cdf(row) for row in transitions]
+    symbols = _walk(states, _inverse_cdf(initial), rows, n, seed)
     return Trace(symbols=symbols, provenance=f"markov(seed={seed}, n={n})")
 
 
@@ -194,14 +217,22 @@ def read_trace(path: str | Path) -> Trace:
     return Trace(symbols=tuple(symbols), provenance=f"file:{path}")
 
 
+def _writable(s: str) -> bool:
+    try:
+        s.encode("utf-8")  # a lone surrogate has no UTF-8 form
+    except UnicodeEncodeError:
+        return False
+    return s.splitlines() == [s] and s == s.strip() and not s.startswith("#")
+
+
 def write_trace(trace: Trace, path: str | Path) -> None:
     """Write ``trace`` with the header; an id that would not read back as
     itself raises ValueError before the file is opened."""
     for s in sorted(set(trace.symbols)):
-        if s.splitlines() != [s] or s != s.strip() or s.startswith("#"):
+        if not _writable(s):
             raise ValueError(
-                f"trace id {s!r} cannot be written: ids must be one non-empty line "
-                "without surrounding whitespace, not starting with '#'"
+                f"trace id {s!r} cannot be written: ids must be one non-empty line of "
+                "UTF-8 text without surrounding whitespace, not starting with '#'"
             )
     lines = [TRACE_HEADER, *trace.symbols]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

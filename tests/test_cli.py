@@ -218,6 +218,33 @@ class TestGenTrace:
         proc = run_cli("gen-trace", str(spec), "--n", "3", "--out", str(tmp_path / "t"))
         assert proc.returncode == 1
 
+    # SHA-256 of the trace file, computed before the sampling loop was
+    # rewritten around bisect; the walk must keep every byte.
+    PINNED = {
+        "iid": (
+            {"type": "iid", "class_mass": {"own": 0.55, "lib": 0.3, "web": 0.1, "tmp": 0.0, "x": 0.05}},
+            "2024",
+            "aa07105902a5dcaa577fae3f3e307474ac2f7bf11821b2538ed3e0dc07bf1142",
+        ),
+        "markov-initial": (
+            {
+                "type": "markov",
+                "states": ["a", "b", "c"],
+                "transitions": [[0.7, 0.2, 0.1], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]],
+                "initial": [0.0, 0.25, 0.75],
+            },
+            "31",
+            "882c9ef6b4f41176f835832d80df36883c6186c4cbe6f370695030c5960e0bca",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_trace_bytes_are_pinned(self, tmp_path, capsys, name):
+        body, seed, digest = self.PINNED[name]
+        spec, out = self.make_spec(tmp_path, body), tmp_path / "t.trace"
+        assert cli.main(["gen-trace", str(spec), "--n", "10000", "--seed", seed, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestEfficiencyCommand:
     def test_optimal_source_reports_full_utilization(self):
@@ -355,6 +382,15 @@ class TestStrictInputs:
             captured = capsys.readouterr()
             assert captured.out == "" and "rel_tol must be positive" in captured.err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "99999999999999999999999"])
+    def test_seed_outside_64_bits_is_one(self, tmp_path, capsys, seed):
+        spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"a": 0.5, "b": 0.5}}')
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "5", "--seed", seed, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "seed must be an integer in [0, 2**64)" in captured.err
+        assert not out.exists()
+
     def test_ids_that_would_not_read_back_are_not_written(self, tmp_path, capsys):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"#a": 0.5, " b": 0.25, "": 0.25}}')
         out = tmp_path / "t.trace"
@@ -446,3 +482,20 @@ def test_cli_import_does_not_load_numpy():
     code = "import sys, cachecap.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_trace_verbs_do_not_load_numpy(tmp_path):
+    # `import numpy` alone costs more than sampling a 10^5-symbol trace in a
+    # fresh interpreter, so neither trace verb may pull it in.
+    spec, trace = tmp_path / "src.json", tmp_path / "t.trace"
+    spec.write_text('{"type": "iid", "class_mass": {"fast": 0.6, "slow": 0.4}}', encoding="utf-8")
+    three = scenario_path("three-file.json")
+    code = (
+        "import sys, cachecap.cli as cli\n"
+        f"assert cli.main(['gen-trace', {str(spec)!r}, '--n', '500', '--out', {str(trace)!r}]) == 0\n"
+        f"assert cli.main(['efficiency', {str(three)!r}, 'n', '--trace', {str(trace)!r}, '--order', '1']) == 0\n"
+        "sys.exit(3 if 'numpy' in sys.modules else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,36 @@ from cachecap import (
 from conftest import random_terms, single_node_network
 
 FLIP = MarkovSource(states=("a", "b"), transitions=((0.75, 0.25), (0.25, 0.75)))
+
+
+def reference_block_estimate(symbols, n):
+    """Test-only reference for ``block_entropy_estimate(..., force=True)``:
+    one ``tuple(symbols[i:i+m])`` slice per position, counted by ``Counter``,
+    as the plug-in estimate was first written."""
+
+    def block_entropy(m):
+        n_blocks = len(symbols) - m + 1
+        counts = Counter(tuple(symbols[i : i + m]) for i in range(n_blocks))
+        h = 0.0
+        for c in counts.values():
+            p = c / n_blocks
+            h -= p * math.log2(p)
+        return h
+
+    raw = block_entropy(1) if n == 0 else block_entropy(n + 1) - block_entropy(n)
+    alphabet = len(set(symbols))
+    bound = math.log2(alphabet) if alphabet > 1 else 0.0
+    return min(max(raw, 0.0), bound)
+
+
+@st.composite
+def traces_with_order(draw):
+    """A trace over 1-40 ids drawn from short strings over "ab1", so many ids
+    are prefixes of others, and an order 0-3 it is long enough for."""
+    ids = draw(st.lists(st.text("ab1", min_size=1, max_size=3), min_size=1, max_size=40, unique=True))
+    order = draw(st.integers(0, 3))
+    symbols = draw(st.lists(st.sampled_from(ids), min_size=order + 1, max_size=2000))
+    return tuple(symbols), order
 
 
 class TestIidEntropy:
@@ -133,6 +164,13 @@ class TestBlockEntropyEstimate:
             return
         est = block_entropy_estimate(symbols, order, force=True)
         assert 0.0 <= est.value <= math.log2(len(set(symbols))) + 1e-12 or est.value == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(traces_with_order())
+    def test_estimate_is_bit_identical_to_the_slice_counter(self, trace_and_order):
+        symbols, order = trace_and_order
+        value = block_entropy_estimate(symbols, order, force=True).value
+        assert value == reference_block_estimate(symbols, order)
 
 
 class TestEntropyEfficiency:

@@ -16,6 +16,74 @@ from cachecap import (
 )
 from cachecap.traces import TRACE_HEADER
 
+MASK64 = (1 << 64) - 1
+
+
+def reference_walk(states, first, rows, n, seed):
+    """Test-only reference for the sampling walk: ``SplitMix64.next_float``
+    and a linear inverse-transform scan per draw, as the walk was first
+    written. ``first`` and ``rows`` are plain mass lists."""
+
+    def pick(masses, u):
+        acc = 0.0
+        last = 0
+        for i, mass in enumerate(masses):
+            if mass <= 0.0:
+                continue
+            last = i
+            acc += mass
+            if u < acc:
+                return i
+        return last  # u landed in the rounding slack at the top
+
+    rng = SplitMix64(seed)
+    symbols = []
+    row = first
+    for _ in range(n):
+        i = pick(row, rng.next_float())
+        symbols.append(states[i])
+        row = rows[i]
+    return tuple(symbols)
+
+
+def _unshift_xor(z, k):
+    x = z
+    for _ in range(64 // k + 1):
+        x = z ^ (x >> k)
+    return x
+
+
+def seed_whose_first_draw_is(out):
+    """The seed whose first ``SplitMix64.next_u64()`` is ``out``: the output
+    mix is a bijection on 64-bit words, so it can be run backwards."""
+    z = _unshift_xor(out, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = _unshift_xor(z, 27)
+    z = (z * pow(0xBF58476D1F4EE2B5, -1, 1 << 64)) & MASK64
+    z = _unshift_xor(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & MASK64
+
+
+@st.composite
+def mass_rows(draw, k):
+    """A distribution over k slots: about 20 % zeros, some of them turned
+    into 1e-300 masses that do not move a running sum, and sometimes every
+    mass scaled so the row sums to about 1 - 1e-10."""
+    flags = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    weights = [draw(st.integers(1, 1000)) if flag else 0 for flag in flags]
+    total = sum(weights)
+    masses = [w / total if w else draw(st.sampled_from([0.0, 1e-300])) for w in weights]
+    if draw(st.booleans()):
+        masses = [m * (1 - 1e-10) for m in masses]
+    return masses
+
+
+# Seeds anywhere in the 64-bit range, or seeds whose first draw lies within
+# 2**-36 of 1, above a row total of 1 - 1e-10, so it falls in the top slack.
+WALK_SEEDS = st.integers(0, MASK64) | st.integers(MASK64 - 2**28, MASK64).map(
+    seed_whose_first_draw_is
+)
+
 
 class TestSplitMix64:
     def test_known_answers_seed_zero(self):
@@ -45,6 +113,10 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(2**64).next_u64() == SplitMix64(0).next_u64()
+
+    @pytest.mark.parametrize("out", [0, 1, 2**63, MASK64 - 2**28, MASK64])
+    def test_first_draw_can_be_chosen_by_running_the_mix_backwards(self, out):
+        assert SplitMix64(seed_whose_first_draw_is(out)).next_u64() == out
 
 
 class TestSampleIid:
@@ -93,6 +165,28 @@ class TestSampleIid:
         with pytest.raises(ValueError, match="not a finite number"):
             sample_markov(("a", "b"), ((1.0, 0.0), (bad, 0.0)), (1.0, 0.0), 5, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999, True, 1.0, "3"])
+    def test_seed_outside_64_bits_or_not_an_int_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_iid({"a": 0.5, "b": 0.5}, 5, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), 0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_both_ends_of_the_range_accepted(self, seed):
+        expected = reference_walk(("a", "b"), [0.5, 0.5], [[0.5, 0.5]] * 2, 50, seed)
+        assert sample_iid({"a": 0.5, "b": 0.5}, 50, seed=seed).symbols == expected
+
+    def test_a_draw_in_the_top_slack_picks_the_last_positive_mass(self):
+        p = {"a": 0.5, "b": 0.5 - 1e-10, "c": 0.0}
+        seed = seed_whose_first_draw_is(MASK64)  # first draw 1 - 2**-53
+        assert sample_iid(p, 1, seed=seed).symbols == ("b",)
+
+    def test_a_draw_equal_to_a_running_sum_picks_the_next_positive_mass(self):
+        p = {"a": 0.5, "b": 1e-300, "c": 0.5}
+        seed = seed_whose_first_draw_is(2**63)  # first draw exactly 0.5
+        assert sample_iid(p, 1, seed=seed).symbols == ("c",)
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -106,6 +200,35 @@ def test_iid_sampling_is_the_walk_with_identical_rows(weights, n, seed):
     ids = [f"c{i}" for i in range(len(masses))]  # already in sorted order
     expected = sample_markov(ids, [masses] * len(ids), masses, n, seed).symbols
     assert sample_iid(dict(zip(ids, masses)), n, seed).symbols == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 10),
+    n=st.integers(0, 3000),
+    seed=WALK_SEEDS,
+)
+def test_iid_sampling_equals_the_reference_walk(data, k, n, seed):
+    masses = data.draw(mass_rows(k))
+    ids = [f"c{i:02d}" for i in range(k)]  # already in sorted order
+    expected = reference_walk(ids, masses, [masses] * k, n, seed)
+    assert sample_iid(dict(zip(ids, masses)), n, seed).symbols == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 8),
+    n=st.integers(0, 3000),
+    seed=WALK_SEEDS,
+)
+def test_markov_sampling_equals_the_reference_walk(data, k, n, seed):
+    states = [f"s{i}" for i in range(k)]
+    rows = [data.draw(mass_rows(k)) for _ in range(k)]
+    initial = data.draw(mass_rows(k))
+    expected = reference_walk(states, initial, rows, n, seed)
+    assert sample_markov(states, rows, initial, n, seed).symbols == expected
 
 
 class TestSampleMarkov:
@@ -190,7 +313,7 @@ class TestTraceFiles:
         path.write_text("# anything\n\na\n b \n#x\nb\n", encoding="utf-8")
         assert read_trace(path).symbols == ("a", "b", "b")
 
-    @pytest.mark.parametrize("bad", ["#a", " b", "b ", "", "a\nb", "a\rb", "a\u2028b"])
+    @pytest.mark.parametrize("bad", ["#a", " b", "b ", "", "a\nb", "a\rb", "a\u2028b", "a\ud800"])
     def test_ids_that_would_not_read_back_are_rejected_before_writing(self, tmp_path, bad):
         path = tmp_path / "t.trace"
         with pytest.raises(ValueError, match="cannot be written"):

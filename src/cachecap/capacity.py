@@ -27,7 +27,6 @@ __all__ = [
     "CharEquation",
     "NodeCapacity",
     "CapacityResult",
-    "char_eq_value",
     "solve_characteristic",
     "solve_characteristic_full",
     "equation_for_node",
@@ -62,10 +61,6 @@ class CharEquation:
             if not (tau > 0 and math.isfinite(tau)):
                 raise ValueError(f"term time must be positive and finite, got {tau}")
 
-    @property
-    def total_files(self) -> int:
-        return sum(count for count, _ in self.terms)
-
 
 @dataclass(frozen=True)
 class NodeCapacity:
@@ -81,20 +76,6 @@ class NodeCapacity:
 class CapacityResult:
     per_node: Mapping[str, NodeCapacity]
     network_capacity: float
-
-
-def char_eq_value(eq: CharEquation, x: float) -> float:
-    """Evaluate ``sum(count * x**-tau)`` at ``x >= 1``.
-
-    Terms are computed as ``exp2(log2(count) - tau*log2(x))`` so that huge
-    class counts (e.g. 10**7 files) and large x never overflow.
-    """
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x == 1.0:
-        return float(eq.total_files)
-    log2x = math.log2(x)
-    return sum(2.0 ** (math.log2(count) - tau * log2x) for count, tau in eq.terms)
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -159,7 +140,7 @@ def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> 
 
 def _catalog_equation(catalog: EffectiveCatalog) -> CharEquation:
     counts = catalog.counts
-    terms = tuple((counts[cid], entry.min_time) for cid, entry in sorted(catalog.entries.items()))
+    terms = tuple((counts[cid], time) for cid, time in sorted(catalog.entries.items()))
     return CharEquation(terms=terms)
 
 
@@ -226,9 +207,7 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"
         )
-    file_probability = {
-        cid: x0 ** -entry.min_time for cid, entry in sorted(catalog.entries.items())
-    }
+    file_probability = {cid: x0**-time for cid, time in sorted(catalog.entries.items())}
     class_mass = {cid: catalog.counts[cid] * p for cid, p in file_probability.items()}
     return OptimalDistribution(
         node=node_id, x0=x0, class_mass=class_mass, file_probability=file_probability

@@ -135,7 +135,6 @@ class EntropyEstimate:
 
     order: int | None
     value: float
-    method: str  # "analytic" | "plug-in"
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def iid_entropy(
             continue
         count = 1 if class_count is None else class_count[cid]
         h -= mass * (math.log2(mass) - math.log2(count))
-    return EntropyEstimate(order=0, value=h + 0.0, method="analytic")
+    return EntropyEstimate(order=0, value=h + 0.0)
 
 
 def _positive_adjacency(transitions: Sequence[Sequence[float]]) -> list[list[int]]:
@@ -232,7 +231,7 @@ def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:
         for p in src.transitions[i]:
             if p > 0.0:
                 h -= pi[state] * p * math.log2(p)
-    return EntropyEstimate(order=None, value=h + 0.0, method="analytic")
+    return EntropyEstimate(order=None, value=h + 0.0)
 
 
 def _block_entropy(symbols: Sequence[str], m: int) -> float:
@@ -286,7 +285,7 @@ def block_entropy_estimate(
     else:
         raw = _block_entropy(symbols, n + 1) - _block_entropy(symbols, n)
     bound = math.log2(alphabet) if alphabet > 1 else 0.0
-    return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound), method="plug-in")
+    return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
 
 
 def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> EfficiencyResult:
@@ -299,7 +298,7 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
     among the files inside each class.
     """
     catalog = effective_catalog(net, node_id)
-    times = catalog.min_times()
+    times = catalog.entries
     counts = catalog.counts
     marginal = src.marginal()
     for cid, mass in sorted(marginal.items()):

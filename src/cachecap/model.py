@@ -28,7 +28,6 @@ __all__ = [
     "Node",
     "Link",
     "Network",
-    "CatalogEntry",
     "EffectiveCatalog",
     "build_network",
     "load_scenario",
@@ -100,9 +99,6 @@ class Network:
         """Class id to file count; a fresh dict the caller may change."""
         return dict(self._counts)
 
-    def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
-
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes_by_id[node_id]
@@ -111,29 +107,17 @@ class Network:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    """Cheapest way to read one class: minimal time and the provider achieving it."""
-
-    min_time: float
-    provider: str
-
-
-@dataclass(frozen=True)
 class EffectiveCatalog:
     """Per-node map from reachable class id to its minimal read time.
 
-    Classes with no finite-time provider are omitted entirely; the provider
-    field is diagnostic (ties go to the lexicographically smallest provider).
-    ``counts`` is the network's read-only class-id-to-file-count map, which
-    every formula over the catalog needs next to the times.
+    Classes with no finite-time provider are omitted entirely. ``counts`` is
+    the network's read-only class-id-to-file-count map, which every formula
+    over the catalog needs next to the times.
     """
 
     node: str
-    entries: Mapping[str, CatalogEntry]
+    entries: Mapping[str, float]
     counts: Mapping[str, int]
-
-    def min_times(self) -> dict[str, float]:
-        return {cid: e.min_time for cid, e in self.entries.items()}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -164,7 +148,10 @@ def _as_count(value: object, what: str) -> int:
 def _as_time(value: object, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{what}: time must be a number")
-    t = float(value)
+    try:
+        t = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{what}: time is too large for a float") from None
     if not math.isfinite(t):
         raise ScenarioError(f"{what}: non-finite time {value}")
     if t <= 0:
@@ -280,20 +267,14 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
     """Minimal read time per class for ``node_id``, minimized over all providers.
 
     A class appears iff at least one link makes it reachable in finite time.
-    On equal times the lexicographically smallest provider id is reported.
     """
     net.node(node_id)  # raises on unknown id
-    best: dict[str, CatalogEntry] = {}
+    best: dict[str, float] = {}
     for link in net._links_by_reader.get(node_id, ()):
         covered = link.classes if link.classes is not None else net.node(link.provider).stores
         for cid in covered:
-            cur = best.get(cid)
-            if (
-                cur is None
-                or link.time < cur.min_time
-                or (link.time == cur.min_time and link.provider < cur.provider)
-            ):
-                best[cid] = CatalogEntry(min_time=link.time, provider=link.provider)
+            if link.time < best.get(cid, math.inf):
+                best[cid] = link.time
     return EffectiveCatalog(node=node_id, entries=best, counts=net._counts)
 
 
@@ -301,8 +282,8 @@ def task_time(catalog: EffectiveCatalog, task: Sequence[str] | Iterable[str]) ->
     """Execution time of a task: sum of the minimal read times of its files."""
     total = 0.0
     for cid in task:
-        entry = catalog.entries.get(cid)
-        if entry is None:
+        time = catalog.entries.get(cid)
+        if time is None:
             raise ScenarioError(f"class '{cid}' is unreachable at node '{catalog.node}'")
-        total += entry.min_time
+        total += time
     return total

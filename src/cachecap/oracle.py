@@ -40,13 +40,11 @@ _MAX_DENOMINATOR = 10**6
 class QuantizedCatalog:
     """Catalog with read times as exact positive integers on a common grid.
 
-    ``original tau = tau_int * grid``. ``time_gcd`` is the gcd of all
-    tau_int; nu(T) can be nonzero only at multiples of it.
+    ``original tau = tau_int * grid``.
     """
 
     int_times: tuple[tuple[int, int], ...]  # (count, tau_int)
     grid: float
-    time_gcd: int
 
     @property
     def max_time(self) -> int:
@@ -88,31 +86,33 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
     silently rounded.
     """
     if grid is None:
-        grid = infer_grid(catalog.min_times().values())
+        grid = infer_grid(catalog.entries.values())
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive and finite, got {grid}")
     int_times: list[tuple[int, int]] = []
-    for cid, entry in sorted(catalog.entries.items()):
-        steps = entry.min_time / grid
+    for cid, time in sorted(catalog.entries.items()):
+        steps = time / grid
         tau_int = round(steps)
         if tau_int < 1 or abs(steps - tau_int) > _GRID_REL_TOL * max(1.0, abs(steps)):
-            raise ValueError(
-                f"class '{cid}': time {entry.min_time} is not a multiple of grid {grid}"
-            )
+            raise ValueError(f"class '{cid}': time {time} is not a multiple of grid {grid}")
         int_times.append((catalog.counts[cid], tau_int))
-    time_gcd = math.gcd(*(tau for _, tau in int_times)) if int_times else 0
-    return QuantizedCatalog(int_times=tuple(int_times), grid=grid, time_gcd=time_gcd)
+    return QuantizedCatalog(int_times=tuple(int_times), grid=grid)
 
 
 def infer_grid(times: Iterable[float]) -> float:
     """Largest grid making all times integer multiples of it.
 
     Times are interpreted as rationals with denominator up to 10**6; the
-    grid is their rational gcd.
+    grid is their rational gcd. A time that rounds to 0 there has no such grid.
     """
     gcd = Fraction(0)
     for t in times:
-        gcd = _fraction_gcd(gcd, Fraction(t).limit_denominator(_MAX_DENOMINATOR))
+        r = Fraction(t).limit_denominator(_MAX_DENOMINATOR)
+        if r == 0:
+            raise ValueError(
+                f"time {t} has no grid with denominator <= {_MAX_DENOMINATOR}; pass --grid"
+            )
+        gcd = _fraction_gcd(gcd, r)
     if gcd == 0:
         raise ValueError("cannot infer a grid from an empty catalog")
     return float(gcd)
@@ -171,7 +171,7 @@ def convergence_report(
     """Growth-rate series log2(nu(T))/(T*grid) against the solver's log2(x0).
 
     Points appear only at achievable T (nu(T) > 0, which restricts them to
-    multiples of the catalog's time gcd). ``final_gap`` is the distance
+    multiples of the gcd of the quantized times). ``final_gap`` is the distance
     between the last point's rate and the solver capacity; it shrinks like
     1/T as the horizon grows.
     """

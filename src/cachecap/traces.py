@@ -63,7 +63,6 @@ class SplitMix64:
 @dataclass(frozen=True)
 class Trace:
     symbols: tuple[str, ...]
-    provenance: str
 
     @property
     def length(self) -> int:
@@ -74,7 +73,11 @@ def check_distribution(values: Iterable[float], label: str) -> None:
     """Raise ValueError unless ``values`` are finite, non-negative and sum to 1 (within 1e-9)."""
     total = 0.0
     for v in values:
-        if isinstance(v, bool) or not math.isfinite(v):
+        try:
+            finite = not isinstance(v, bool) and math.isfinite(v)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"{label}: probability {v!r} is not a finite number")
         if v < 0:
             raise ValueError(f"{label}: negative probability {v}")
@@ -175,7 +178,7 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     ids, masses = zip(*sorted(p.items()))
     row = _inverse_cdf(masses)
     symbols = _walk(ids, row, [row] * len(ids), n, seed)
-    return Trace(symbols=symbols, provenance=f"iid(seed={seed}, n={n})")
+    return Trace(symbols=symbols)
 
 
 def sample_markov(
@@ -195,7 +198,7 @@ def sample_markov(
     check_chain(states, transitions, initial)
     rows = [_inverse_cdf(row) for row in transitions]
     symbols = _walk(states, _inverse_cdf(initial), rows, n, seed)
-    return Trace(symbols=symbols, provenance=f"markov(seed={seed}, n={n})")
+    return Trace(symbols=symbols)
 
 
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
@@ -214,7 +217,7 @@ def read_trace(path: str | Path) -> Trace:
         if not line or line.startswith("#"):
             continue
         symbols.append(line)
-    return Trace(symbols=tuple(symbols), provenance=f"file:{path}")
+    return Trace(symbols=tuple(symbols))
 
 
 def _writable(s: str) -> bool:

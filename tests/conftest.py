@@ -113,10 +113,10 @@ def link_networks(draw) -> Network:
     """Random networks with duplicate links, equal-time ties between providers,
     class-restricted links and nodes that read over no link."""
     class_ids = sorted(draw(st.sets(st.sampled_from("abcde"), min_size=1)))
-    node_ids = sorted(draw(st.sets(st.sampled_from(["n1", "n2", "n3", "n4"]), min_size=1)))
+    ids = sorted(draw(st.sets(st.sampled_from(["n1", "n2", "n3", "n4"]), min_size=1)))
     classes = tuple(FileClass(id=c, count=draw(st.integers(1, 10**7))) for c in class_ids)
     nodes = tuple(
-        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(class_ids))))) for n in node_ids
+        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(class_ids))))) for n in ids
     )
     links = []
     for _ in range(draw(st.integers(0, 12))):
@@ -126,7 +126,7 @@ def link_networks(draw) -> Network:
             subset = frozenset(draw(st.sets(st.sampled_from(sorted(provider.stores)), min_size=1)))
         links.append(
             Link(
-                reader=draw(st.sampled_from(node_ids)),
+                reader=draw(st.sampled_from(ids)),
                 provider=provider.id,
                 time=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0])),  # few values: many ties
                 classes=subset,

@@ -79,7 +79,7 @@ def _enumerate_count(file_times: list[int], total: int) -> int:
 
 def test_criterion_3_oracle_consistency():
     started = time.perf_counter()
-    q = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0, time_gcd=1)
+    q = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
     nu = count_series(q, 200)
     for total in range(0, 9):
         assert nu[total] == _enumerate_count([1, 1, 2], total)

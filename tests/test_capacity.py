@@ -11,7 +11,6 @@ from cachecap import (
     SolverError,
     analyze_network,
     catalog_capacity,
-    char_eq_value,
     effective_catalog,
     equation_for_node,
     network_capacity,
@@ -30,28 +29,23 @@ QUAD_TERMS = ((2, 1.0), (1, 2.0))
 SQRT2P1 = 1 + math.sqrt(2)
 
 
+def residual(terms, x: float) -> float:
+    """``sum(count * x**-tau) - 1``, summed exactly by fsum."""
+    return math.fsum([*(count * x**-tau for count, tau in terms), -1.0])
+
+
 class TestCharEqValue:
     def test_fig1_equation_near_one_at_published_root(self):
-        value = char_eq_value(CharEquation(terms=FIG1_TERMS), 10.01)
-        assert abs(value - 1.0) < 1e-3
-
-    def test_at_one_equals_total_file_count(self):
-        assert char_eq_value(CharEquation(terms=FIG1_TERMS), 1.0) == 10000010.0
+        x0 = solve_characteristic(CharEquation(terms=FIG1_TERMS))
+        assert abs(x0 - 10.01) < 0.01
+        assert abs(residual(FIG1_TERMS, 10.01)) < 1e-3
+        assert abs(residual(FIG1_TERMS, x0)) < 1e-12
 
     def test_quadratic_root_hits_one(self):
-        value = char_eq_value(CharEquation(terms=QUAD_TERMS), SQRT2P1)
-        assert abs(value - 1.0) < 1e-12
-
-    def test_below_one_rejected(self):
-        with pytest.raises(ValueError, match="x must be >= 1"):
-            char_eq_value(CharEquation(terms=QUAD_TERMS), 0.5)
-
-    def test_empty_equation_evaluates_to_zero(self):
-        assert char_eq_value(CharEquation(terms=()), 3.0) == 0.0
-
-    def test_huge_argument_does_not_overflow(self):
-        value = char_eq_value(CharEquation(terms=FIG1_TERMS), 1e300)
-        assert math.isfinite(value) and 0.0 <= value < 1e-200
+        x0 = solve_characteristic(CharEquation(terms=QUAD_TERMS))
+        assert x0 == pytest.approx(SQRT2P1, rel=1e-12)
+        assert abs(residual(QUAD_TERMS, SQRT2P1)) < 1e-12
+        assert abs(residual(QUAD_TERMS, x0)) < 1e-12
 
 
 class TestSolveCharacteristic:
@@ -307,23 +301,8 @@ class TestStructuralProperties:
                 assert scaled == pytest.approx(base / s, rel=1e-9, abs=1e-12)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(1, 100), st.floats(0.1, 20.0, allow_nan=False)),
-        min_size=1,
-        max_size=5,
-    ),
-    st.floats(1.0, 40.0, allow_nan=False),
-    st.floats(0.01, 10.0, allow_nan=False),
-)
-def test_char_eq_value_strictly_decreasing(terms, x, step):
-    eq = CharEquation(terms=tuple(terms))
-    assert char_eq_value(eq, x) > char_eq_value(eq, x + step)
-
-
-def test_equation_for_node_uses_min_times(fig2_shared):
+def test_equation_for_node_uses_minimal_times(fig2_shared):
     eq = equation_for_node(fig2_shared, "w2")
     assert sorted(eq.terms) == [(10, 1.0), (10**7, 10.0)]
     catalog = effective_catalog(fig2_shared, "w2")
-    assert catalog.min_times() == {"own": 1.0, "lib": 10.0}
+    assert catalog.entries == {"own": 1.0, "lib": 10.0}

@@ -399,6 +399,56 @@ class TestStrictInputs:
         assert captured.out == "" and "cannot be written" in captured.err
         assert not out.exists()
 
+    def test_integer_time_beyond_float_range_is_one(self, tmp_path, capsys):
+        text = scenario_path("fig1.json").read_text(encoding="utf-8")
+        assert text.count('"time": 10}') == 1
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(text.replace('"time": 10}', f'"time": {10**400}}}'), encoding="utf-8")
+        for verb in ("validate", "capacity"):
+            assert cli.main([verb, str(scenario), "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: link w2->w1: time is too large for a float" in captured.err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            f'"type": "iid", "class_mass": {{"own": {10**400}, "lib": 0.0}}',
+            '"type": "markov", "states": ["own", "lib"], '
+            f'"transitions": [[{10**400}, 0], [0.5, 0.5]]',
+            '"type": "markov", "states": ["own", "lib"], "transitions": [[0.5, 0.5], [0.5, 0.5]], '
+            f'"initial": [0, {10**400}]',
+        ],
+        ids=["class_mass", "transitions", "initial"],
+    )
+    def test_integer_probability_beyond_float_range_is_one(self, tmp_path, capsys, body):
+        spec = self.spec(tmp_path, "{" + body + "}")
+        fig1, out = str(scenario_path("fig1.json")), tmp_path / "t.trace"
+        assert cli.main(["efficiency", fig1, "w2", "--source", spec, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not a finite number" in captured.err
+        assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is not a finite number" in captured.err
+        assert not out.exists()
+
+    def test_oracle_names_a_time_too_small_for_a_grid(self, tmp_path, capsys):
+        scenario = tmp_path / "tiny.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "classes": [{"id": "a", "count": 2}],
+                    "nodes": [{"id": "n", "stores": ["a"]}],
+                    "links": [{"reader": "n", "provider": "n", "time": 1e-7}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert cli.main(["oracle", str(scenario), "n"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time 1e-07 has no grid with denominator <= 1000000; pass --grid" in captured.err
+
     def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"own": 1.0, "own": 1.0}}')
         fig1 = str(scenario_path("fig1.json"))

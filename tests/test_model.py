@@ -34,7 +34,7 @@ class TestBuildNetwork:
         counts["own"] = 0
         counts["new"] = 1
         assert net.class_counts() == {"lib": 10**7, "own": 10}
-        assert effective_catalog(net, "w2").min_times() == {"own": 1.0, "lib": 10.0}
+        assert effective_catalog(net, "w2").entries == {"own": 1.0, "lib": 10.0}
 
     def test_empty_document_is_valid(self):
         net = build_network(doc())
@@ -155,18 +155,14 @@ class TestBuildNetwork:
 class TestEffectiveCatalog:
     def test_fig1_reader(self, fig1):
         catalog = effective_catalog(fig1, "w2")
-        assert catalog.min_times() == {"own": 1.0, "lib": 10.0}
-        assert catalog.entries["own"].provider == "w2"
-        assert catalog.entries["lib"].provider == "w1"
+        assert catalog.entries == {"own": 1.0, "lib": 10.0}
 
     def test_node_without_incoming_links_has_empty_catalog(self, fig1):
         assert effective_catalog(fig1, "w1").entries == {}
 
     def test_shared_content_takes_the_faster_provider(self, fig2_shared):
         # 'own' is stored locally (time 1) and at the peer (time 2)
-        entry = effective_catalog(fig2_shared, "w2").entries["own"]
-        assert entry.min_time == 1.0
-        assert entry.provider == "w2"
+        assert effective_catalog(fig2_shared, "w2").entries["own"] == 1.0
 
     def test_equal_times_tie_break_on_provider_id(self):
         net = build_network(
@@ -179,12 +175,11 @@ class TestEffectiveCatalog:
                 ],
             )
         )
-        entry = effective_catalog(net, "r").entries["c"]
-        assert (entry.min_time, entry.provider) == (2.0, "pa")
+        assert effective_catalog(net, "r").entries == {"c": 2.0}
 
     def test_link_class_subset_restricts_coverage(self, three_file):
         catalog = effective_catalog(three_file, "n")
-        assert catalog.min_times() == {"fast": 1.0, "slow": 2.0}
+        assert catalog.entries == {"fast": 1.0, "slow": 2.0}
 
     def test_unknown_node_rejected(self, fig1):
         with pytest.raises(ScenarioError, match="unknown node 'nope'"):
@@ -218,17 +213,16 @@ class TestTaskTime:
 
 # --- randomized invariants ----------------------------------------------------
 
-def exhaustive_catalog(net: Network, node_id: str) -> dict[str, tuple[float, str]]:
+def exhaustive_catalog(net: Network, node_id: str) -> dict[str, float]:
     """Independent recomputation: scan every (provider, class, link) triple of the
-    network; per class the least (time, provider), so ties go to the smaller id."""
-    best: dict[str, tuple[float, str]] = {}
+    network; per class the least time."""
+    best: dict[str, float] = {}
     for provider in net.nodes:
         for cid in provider.stores:
             for link in net.links:
                 covers = link.classes is None or cid in link.classes
                 if link.reader == node_id and link.provider == provider.id and covers:
-                    offer = (link.time, provider.id)
-                    best[cid] = min(best.get(cid, offer), offer)
+                    best[cid] = min(best.get(cid, link.time), link.time)
     return best
 
 
@@ -236,9 +230,7 @@ def exhaustive_catalog(net: Network, node_id: str) -> dict[str, tuple[float, str
 @given(link_networks())
 def test_catalog_matches_exhaustive_pair_scan(net):
     for node in net.nodes:
-        entries = effective_catalog(net, node.id).entries
-        got = {cid: (e.min_time, e.provider) for cid, e in entries.items()}
-        assert got == exhaustive_catalog(net, node.id)
+        assert effective_catalog(net, node.id).entries == exhaustive_catalog(net, node.id)
 
 
 @settings(max_examples=50, deadline=None)
@@ -249,19 +241,19 @@ def test_adding_a_link_never_increases_read_times(net, time, data):
         return
     provider = data.draw(st.sampled_from(providers))
     reader = data.draw(st.sampled_from(net.nodes))
-    before = {n.id: effective_catalog(net, n.id).min_times() for n in net.nodes}
+    before = {n.id: effective_catalog(net, n.id).entries for n in net.nodes}
     bigger = Network(
         classes=net.classes,
         nodes=net.nodes,
         links=net.links + (Link(reader=reader.id, provider=provider.id, time=time),),
     )
     for node in net.nodes:
-        after = effective_catalog(bigger, node.id).min_times()
+        after = effective_catalog(bigger, node.id).entries
         for cid, old in before[node.id].items():
             assert after[cid] <= old
     # and symmetrically: dropping that link never decreases any entry
     for node in net.nodes:
-        after = effective_catalog(bigger, node.id).min_times()
+        after = effective_catalog(bigger, node.id).entries
         for cid, new in after.items():
             if cid in before[node.id]:
                 assert before[node.id][cid] >= new

@@ -21,7 +21,7 @@ from cachecap.oracle import QuantizedCatalog
 
 from conftest import link_networks, random_terms, single_node_network
 
-PELL = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0, time_gcd=1)
+PELL = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
 PELL_RATE = math.log2(1 + math.sqrt(2))
 
 
@@ -48,7 +48,6 @@ class TestQuantize:
     def test_identity_grid(self, fig1):
         q = quantize_node(fig1, "w2", grid=1.0)
         assert sorted(q.int_times) == [(10, 1), (10**7, 10)]
-        assert q.time_gcd == 1
 
     def test_off_grid_time_names_the_class(self):
         net, node = single_node_network([(1, 1.0), (1, 1 / 3)])
@@ -57,7 +56,9 @@ class TestQuantize:
 
     def test_gcd_recorded(self):
         net, node = single_node_network([(1, 2.0), (1, 4.0)])
-        assert quantize_node(net, node, grid=1.0).time_gcd == 2
+        x0 = solve_characteristic(equation_for_node(net, node))
+        report = convergence_report(quantize_node(net, node, grid=1.0), 40, x0)
+        assert [p.time_steps for p in report.points] == list(range(2, 41, 2))
 
     def test_invalid_grid_rejected(self, three_file):
         catalog = effective_catalog(three_file, "n")
@@ -87,8 +88,13 @@ class TestInferGrid:
         assert infer_grid([0.2, 0.3]) == pytest.approx(0.1, rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot infer a grid from an empty catalog"):
             infer_grid([])
+
+    def test_time_without_a_grid_is_named(self):
+        for times in ([1e-7], [1.0, 4e-7]):
+            with pytest.raises(ValueError, match=r"time \d\.?\d*e-07 has no grid .*pass --grid"):
+                infer_grid(times)
 
 
 class TestCountTasks:
@@ -100,7 +106,7 @@ class TestCountTasks:
         assert count_tasks(PELL, 3) == 12  # 8 unit triples + 4 mixes with c
 
     def test_unreachable_time_is_zero(self):
-        even = QuantizedCatalog(int_times=((2, 2),), grid=1.0, time_gcd=2)
+        even = QuantizedCatalog(int_times=((2, 2),), grid=1.0)
         assert count_tasks(even, 3) == 0
 
     def test_negative_time_rejected(self):
@@ -121,7 +127,6 @@ class TestCountTasks:
             q = QuantizedCatalog(
                 int_times=tuple((c, int(t)) for c, t in terms),
                 grid=1.0,
-                time_gcd=math.gcd(*(int(t) for _, t in terms)),
             )
             file_times = [int(t) for c, t in terms for _ in range(c)]
             for total in range(0, 9):
@@ -136,13 +141,13 @@ class TestConvergenceReport:
         assert report.final_gap < 0.02
 
     def test_single_file_rate_is_zero(self):
-        q = QuantizedCatalog(int_times=((1, 3),), grid=1.0, time_gcd=3)
+        q = QuantizedCatalog(int_times=((1, 3),), grid=1.0)
         report = convergence_report(q, 30, 1.0)
         assert [p.time_steps for p in report.points] == [3, 6, 9, 12, 15, 18, 21, 24, 27, 30]
         assert all(p.count == 1 and p.rate == 0.0 for p in report.points)
 
     def test_two_unit_files_rate_is_exactly_one(self):
-        q = QuantizedCatalog(int_times=((2, 1),), grid=1.0, time_gcd=1)
+        q = QuantizedCatalog(int_times=((2, 1),), grid=1.0)
         report = convergence_report(q, 80, 2.0)
         assert all(p.rate == 1.0 for p in report.points)
         assert report.final_gap == 0.0
@@ -152,14 +157,14 @@ class TestConvergenceReport:
         assert convergence_report(PELL, 200, x0).final_gap < convergence_report(PELL, 20, x0).final_gap
 
     def test_points_only_on_the_time_lattice(self):
-        q = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5, time_gcd=2)
+        q = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5)
         report = convergence_report(q, 40, solve_characteristic(CharEquation(terms=((2, 1.0), (1, 2.0)))) ** 2)
         assert all(p.time_steps % 2 == 0 for p in report.points)
 
     def test_rate_is_in_original_time_units(self):
         # same catalog on a finer grid must report the same rates
-        coarse = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0, time_gcd=1)
-        fine = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5, time_gcd=2)
+        coarse = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
+        fine = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5)
         r_coarse = convergence_report(coarse, 100, 1 + math.sqrt(2))
         r_fine = convergence_report(fine, 200, 1 + math.sqrt(2))
         assert r_fine.points[-1].rate == pytest.approx(r_coarse.points[-1].rate, rel=1e-12)
@@ -210,7 +215,7 @@ def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, requ
 def test_oracle_rates_never_exceed_the_solver_capacity(net):
     """nu(T) <= X0**T by induction on the recurrence, since sum(count * X0**-tau) = 1."""
     for node, nc in analyze_network(net).per_node.items():
-        if equation_for_node(net, node).total_files < 2:
+        if sum(count for count, _ in equation_for_node(net, node).terms) < 2:
             continue
         report = convergence_report(quantize_node(net, node), 200, nc.x0)
         assert report.points

@@ -83,6 +83,16 @@ def _check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
 
 
+def _lhs(terms: list[tuple[float, float]], s: float) -> tuple[float, float]:
+    """sum(count * x**-tau) and sum(tau * count * x**-tau) at x = 2**s."""
+    value = slope = 0.0
+    for log2c, tau in terms:
+        term = 2.0 ** (log2c - tau * s)
+        value += term
+        slope += tau * term
+    return value, slope
+
+
 def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
@@ -94,7 +104,10 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     Newton steps from below on a convex decreasing function never pass the
     root: the iterates rise monotonically and converge quadratically. The
     bound is the root itself for one class (a single file gives x0 = 1 with
-    no step). Iteration stops once a step moves x0 by at most ``rel_tol``.
+    no step). Iteration stops once a step moves x0 by at most ``rel_tol``
+    and the left-hand side at x0 * (1 + rel_tol) is at most 1, which puts the
+    root within ``rel_tol`` above x0. If it is still above 1, Newton goes on
+    from that point, which is still below the root.
 
     The residual check follows ``rel_tol``: a relative error e in x0 moves
     the left-hand side by about e * sum(tau * count * x0**-tau), so a loose
@@ -106,20 +119,23 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
 
     terms = [(math.log2(count), tau) for count, tau in eq.terms]
     s = max(log2c / tau for log2c, tau in terms)
+    value, slope = _lhs(terms, s)
     iterations, step = 0, math.inf
-    while True:
-        value = slope = 0.0  # sum(count * x**-tau) and sum(tau * count * x**-tau)
-        for log2c, tau in terms:
-            term = 2.0 ** (log2c - tau * s)
-            value += term
-            slope += tau * term
-        if value <= 1.0 or step * _LN2 <= rel_tol:
-            break
+    while value > 1.0:
+        if step * _LN2 <= rel_tol:
+            # A step from below falls short of the root, so a small one does not
+            # show that x0 is within rel_tol: look at x0 * (1 + rel_tol) itself.
+            ahead = s + math.log2(1.0 + rel_tol)
+            ahead_value, ahead_slope = _lhs(terms, ahead)
+            if ahead_value <= 1.0 or ahead == s:
+                break
+            s, value, slope = ahead, ahead_value, ahead_slope
         if iterations == _MAX_ITERATIONS:
             raise SolverError(f"Newton did not converge in {_MAX_ITERATIONS} steps")
         step = (value - 1.0) / (_LN2 * slope)
         s += step
         iterations += 1
+        value, slope = _lhs(terms, s)
 
     if s >= 1024.0:
         raise SolverError("root exceeds the representable range")

@@ -9,11 +9,18 @@ with tau in grid units. Counting is done in exact integer arithmetic (the
 values outgrow 64 bits quickly), and log2(nu(T)) / (T * grid) converges to
 the capacity in bits per original time unit, giving an independent
 cross-check of the root-finding solver.
+
+The report prints each nu(T) in decimal. Those digits come from a second run
+of the recurrence in exact ``decimal`` arithmetic: libmpdec adds, multiplies
+by a count and prints in time linear in the digits, where converting a Python
+int to text is quadratic (and refused beyond 4,300 digits by default).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,14 +71,16 @@ class OracleReport:
     grid: float
     solver_capacity: float
     final_gap: float
+    catalog: QuantizedCatalog  # the catalog counted, rerun in decimal for the digits
 
     def to_json_dict(self) -> dict:
+        nu = _decimal_series(self.catalog, self.points[-1].time_steps if self.points else 0)
         return {
             "grid": self.grid,
             "solver_capacity": self.solver_capacity,
             "final_gap": self.final_gap,
             "series": [
-                {"T": p.time_steps, "nu": str(p.count), "rate": p.rate}
+                {"T": p.time_steps, "nu": nu[p.time_steps], "rate": p.rate}
                 for p in self.points
             ],
         }
@@ -92,6 +101,10 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
     int_times: list[tuple[int, int]] = []
     for cid, time in sorted(catalog.entries.items()):
         steps = time / grid
+        if not math.isfinite(steps):
+            raise ValueError(
+                f"class '{cid}': time {time} / grid {grid} is not a finite number of steps"
+            )
         tau_int = round(steps)
         if tau_int < 1 or abs(steps - tau_int) > _GRID_REL_TOL * max(1.0, abs(steps)):
             raise ValueError(f"class '{cid}': time {time} is not a multiple of grid {grid}")
@@ -156,6 +169,31 @@ def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
     return nu
 
 
+def _decimal_series(q: QuantizedCatalog, t_max: int) -> list[str]:
+    """``str(nu(T))`` for T = 0..t_max: the recurrence rerun in exact decimal arithmetic.
+
+    The context can hold any integer and traps ``Inexact``, so no value is
+    ever rounded. Only the last ``max_time`` values are kept: ``window[-tau]``
+    is nu(T - tau), and the zeros it starts with stand for negative T.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        zero = decimal.Decimal(0)
+        terms = [(decimal.Decimal(count), tau) for count, tau in q.int_times]
+        window = deque([zero] * q.max_time, maxlen=q.max_time)
+        window.append(decimal.Decimal(1))
+        digits = ["1"]
+        for _ in range(t_max):
+            total = zero
+            for count, tau in terms:
+                total += count * window[-tau]
+            window.append(total)
+            digits.append(str(total))
+    return digits
+
+
 def _log2_exact(n: int) -> float:
     """log2 of an arbitrarily large positive integer, to double precision."""
     bits = n.bit_length()
@@ -189,5 +227,9 @@ def convergence_report(
     else:
         final_gap = abs(solver_capacity)
     return OracleReport(
-        points=points, grid=q.grid, solver_capacity=solver_capacity, final_gap=final_gap
+        points=points,
+        grid=q.grid,
+        solver_capacity=solver_capacity,
+        final_gap=final_gap,
+        catalog=q,
     )

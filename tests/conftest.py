@@ -35,6 +35,21 @@ CLI_FIXTURES = [
 ]
 
 
+# Terms of a catalog whose first Newton step moves x0 by under 10 % but ends
+# 24 % below the root (2.656 against 3.485).
+SHORT_STEP_TERMS = (
+    (1, 10.049630500341234),
+    (2685580, 17.296244681143897),
+    (2, 1.1605562011450856),
+    (4, 4.0),
+    (1832757, 16.0),
+    (6, 2.0),
+    (4384933, 18.09699628831444),
+    (409867, 14.88471472219819),
+    (8, 10.512945510800574),
+)
+
+
 def text_fixture(fixture: str, args: list[str]) -> tuple[str, list[str]]:
     """The text fixture's file name and arguments for a ``CLI_FIXTURES`` entry."""
     return Path(fixture).with_suffix(".txt").name, [a for a in args if a != "--json"]

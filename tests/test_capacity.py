@@ -21,7 +21,13 @@ from cachecap import (
 )
 from cachecap.model import FileClass, Link, Network, Node
 
-from conftest import link_networks, random_terms, scale_times, single_node_network
+from conftest import (
+    SHORT_STEP_TERMS,
+    link_networks,
+    random_terms,
+    scale_times,
+    single_node_network,
+)
 
 FIG1_TERMS = ((10, 1.0), (10**7, 10.0))
 FIG2_TERMS = ((10, 1.0), (10, 2.0), (10**7, 10.0))
@@ -145,6 +151,23 @@ class TestNewtonSolver:
         exact = solve_characteristic_full(eq)
         assert abs(loose.x0 - exact.x0) <= tol * exact.x0
         assert loose.iterations <= exact.iterations
+
+    def test_short_step_far_below_the_root_does_not_stop_a_loose_solve(self):
+        # A stop on the step size alone returned 2.656 after one step. Newton
+        # goes on from x0 * 1.1, where the sum is still above 1: 3 steps, not 4.
+        eq = CharEquation(terms=SHORT_STEP_TERMS)
+        loose = solve_characteristic_full(eq, rel_tol=0.1)
+        exact = solve_characteristic_full(eq)
+        assert exact.x0 == pytest.approx(3.4849274653538407, rel=1e-12)
+        assert exact.x0 / 1.1 <= loose.x0 <= exact.x0
+        assert (loose.iterations, exact.iterations) == (3, 8)
+
+    def test_tolerance_below_float_resolution_stops_on_the_step(self):
+        # log2(1 + 1e-17) is 0: x0 * (1 + tol) is x0 itself and tells nothing more.
+        eq = CharEquation(terms=((280023, 101.5397817091703), (4717698, 64.92066061761611)))
+        fine = solve_characteristic_full(eq, rel_tol=1e-17)
+        assert fine.x0 == solve_characteristic_full(eq).x0
+        assert fine.iterations == 3
 
 
 class TestNodeCapacity:

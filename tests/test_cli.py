@@ -4,14 +4,17 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import cachecap
 import cachecap.cli as cli
+import cachecap.oracle
 from cachecap import (
     analyze_network,
+    count_tasks,
     load_scenario,
     markov_entropy_rate,
     MarkovSource,
@@ -19,7 +22,14 @@ from cachecap import (
     write_trace,
 )
 
-from conftest import CLI_FIXTURES, FIXTURE_DIR, REPO_ROOT, scenario_path, text_fixture
+from conftest import (
+    CLI_FIXTURES,
+    FIXTURE_DIR,
+    REPO_ROOT,
+    SHORT_STEP_TERMS,
+    scenario_path,
+    text_fixture,
+)
 
 DIGEST_RE = re.compile(r'"digest": "[0-9a-f]{64}"')
 
@@ -93,6 +103,27 @@ class TestCapacityCommand:
                 assert loose[node] is None
             else:
                 assert abs(loose[node] - x0) <= tol * x0
+
+    def test_loose_tolerance_holds_after_a_short_first_step(self, tmp_path, capsys):
+        ids = [f"c{i}" for i in range(len(SHORT_STEP_TERMS))]
+        doc = {
+            "classes": [{"id": c, "count": n} for c, (n, _) in zip(ids, SHORT_STEP_TERMS)],
+            "nodes": [{"id": "n", "stores": ids}],
+            "links": [
+                {"reader": "n", "provider": "n", "time": t, "classes": [c]}
+                for c, (_, t) in zip(ids, SHORT_STEP_TERMS)
+            ],
+        }
+        scenario = tmp_path / "short-step.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+
+        def x0(*extra: str) -> float:
+            assert cli.main(["capacity", str(scenario), "--json", *extra]) == 0
+            return json.loads(capsys.readouterr().out)["nodes"][0]["x0"]
+
+        exact, loose = x0(), x0("--tol", "0.1")
+        assert exact == pytest.approx(3.4849274653538407, rel=1e-12)
+        assert abs(loose - exact) <= 0.1 * exact
 
     def test_human_output_mentions_every_node(self):
         out = run_cli("capacity", "scenarios/fig2.json").stdout
@@ -330,6 +361,15 @@ class TestReports:
         assert all(isinstance(row["nu"], str) for row in report["series"])
         assert report["final_gap"] < 0.05
 
+    def test_oracle_prints_counts_beyond_the_int_to_str_digit_limit(self, three_file):
+        proc = run_cli("oracle", "scenarios/three-file.json", "n", "--tmax", "12000", "--json")
+        assert proc.returncode == 0, proc.stderr
+        last = json.loads(proc.stdout)["series"][-1]
+        assert last["T"] == 12000
+        assert len(last["nu"]) > 4300
+        exact = count_tasks(cachecap.quantize_node(three_file, "n"), 12000)
+        assert Decimal(last["nu"]) == Decimal(exact)  # Decimal(int) has no digit limit
+
 
 class TestStrictInputs:
     """Malformed input exits 1; the digest describes the bytes that were parsed."""
@@ -449,6 +489,13 @@ class TestStrictInputs:
         assert captured.out == ""
         assert "time 1e-07 has no grid with denominator <= 1000000; pass --grid" in captured.err
 
+    def test_oracle_grid_too_fine_for_a_float_is_one(self, capsys):
+        three = str(scenario_path("three-file.json"))
+        assert cli.main(["oracle", three, "n", "--grid", "1e-320", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "class 'fast': time 1.0 / grid 1e-320 is not a finite number" in captured.err
+
     def test_duplicate_key_in_source_spec_is_one(self, tmp_path, capsys):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"own": 1.0, "own": 1.0}}')
         fig1 = str(scenario_path("fig1.json"))
@@ -526,6 +573,29 @@ class TestWorkPerCall:
 
     def test_oracle(self, work, capsys):
         assert self.run(work, capsys, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)
+
+
+def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch, capsys):
+    """The decimal rerun belongs to ``to_json_dict``; ``convergence_report`` never pays for it."""
+    calls = []
+    real = cachecap.oracle._decimal_series
+
+    def counted(q, t_max):
+        calls.append(t_max)
+        return real(q, t_max)
+
+    monkeypatch.setattr(cachecap.oracle, "_decimal_series", counted)
+    q = cachecap.oracle.QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
+    report = cachecap.convergence_report(q, 60, 1 + 2**0.5)
+    assert calls == []
+    report.to_json_dict()
+    assert calls == [60]
+    three = str(scenario_path("three-file.json"))
+    for extra in ([], ["--json"]):
+        calls.clear()
+        assert cli.main(["oracle", three, "n", "--tmax", "60", *extra]) == 0
+        capsys.readouterr()
+        assert calls == [60]
 
 
 def test_cli_import_does_not_load_numpy():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cachecap import (
     CharEquation,
@@ -64,6 +65,12 @@ class TestQuantize:
         catalog = effective_catalog(three_file, "n")
         with pytest.raises(ValueError, match="grid"):
             quantize(catalog, 0.0)
+
+    def test_grid_too_fine_for_a_float_is_named(self, three_file):
+        # 1.0 / 1e-320 overflows to inf, which round() cannot take
+        catalog = effective_catalog(three_file, "n")
+        with pytest.raises(ValueError, match=r"class 'fast': time 1.0 / grid 1e-320 is not"):
+            quantize(catalog, 1e-320)
 
     def test_capacity_is_preserved_across_grids(self):
         # capacity in grid units must equal (capacity per time unit) * grid
@@ -178,6 +185,24 @@ class TestConvergenceReport:
         doc = report.to_json_dict()
         assert doc["series"][0] == {"T": 1, "nu": "2", "rate": 1.0}
         assert all(isinstance(row["nu"], str) for row in doc["series"])
+
+
+@st.composite
+def quantized_catalogs(draw) -> QuantizedCatalog:
+    """1-5 classes, counts up to 10**7, times 1-20 scaled by 1-3 (so some T are skipped)."""
+    scale = draw(st.integers(1, 3))
+    term = st.tuples(st.integers(1, 10**7), st.integers(1, 20))
+    terms = draw(st.lists(term, min_size=1, max_size=5))
+    return QuantizedCatalog(int_times=tuple((c, tau * scale) for c, tau in terms), grid=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quantized_catalogs(), st.integers(60, 300))
+def test_report_digits_are_the_exact_counts(q, t_max):
+    report = convergence_report(q, t_max, 2.0)
+    series = report.to_json_dict()["series"]
+    assert [row["T"] for row in series] == [p.time_steps for p in report.points]
+    assert [row["nu"] for row in series] == [str(p.count) for p in report.points]
 
 
 def test_oracle_agrees_with_solver_on_integer_catalogs():

@@ -9,7 +9,8 @@ with tau(f) the minimal read time of f. The node's capacity is log2(X0)
 bits per time unit; the network capacity is the sum over nodes. The root is
 found by Newton's method in s = log2(X), where the left-hand side minus one
 is convex and decreasing; started below the root, the iterates rise to it
-monotonically, so no bracket is needed.
+monotonically, so no bracket is needed. It stops at the fixed relative
+tolerance REL_TOL, which a double can meet at every root it can represent.
 
 All logarithms here are base 2.
 """
@@ -38,7 +39,7 @@ __all__ = [
     "optimal_distribution",
 ]
 
-DEFAULT_REL_TOL = 1e-12
+REL_TOL = 1e-12
 _MAX_ITERATIONS = 200
 _RESIDUAL_BOUND = 1e-9
 _LN2 = math.log(2.0)
@@ -78,11 +79,6 @@ class CapacityResult:
     network_capacity: float
 
 
-def _check_rel_tol(rel_tol: float) -> None:
-    if not (rel_tol > 0 and math.isfinite(rel_tol)):
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-
-
 def _lhs(terms: list[tuple[float, float]], s: float) -> tuple[float, float]:
     """sum(count * x**-tau) and sum(tau * count * x**-tau) at x = 2**s."""
     value = slope = 0.0
@@ -93,7 +89,7 @@ def _lhs(terms: list[tuple[float, float]], s: float) -> tuple[float, float]:
     return value, slope
 
 
-def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
+def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
@@ -104,16 +100,12 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     Newton steps from below on a convex decreasing function never pass the
     root: the iterates rise monotonically and converge quadratically. The
     bound is the root itself for one class (a single file gives x0 = 1 with
-    no step). Iteration stops once a step moves x0 by at most ``rel_tol``
-    and the left-hand side at x0 * (1 + rel_tol) is at most 1, which puts the
-    root within ``rel_tol`` above x0. If it is still above 1, Newton goes on
-    from that point, which is still below the root.
-
-    The residual check follows ``rel_tol``: a relative error e in x0 moves
-    the left-hand side by about e * sum(tau * count * x0**-tau), so a loose
-    tolerance is allowed that much more than the fixed bound.
+    no step). Iteration stops once a step moves x0 by at most REL_TOL and
+    the left-hand side at x0 * (1 + REL_TOL) is at most 1, which puts the
+    root within REL_TOL above x0. If it is still above 1, Newton goes on
+    from that point, which is still below the root. The residual |lhs - 1|
+    at the returned x0 must be within a fixed 1e-9.
     """
-    _check_rel_tol(rel_tol)
     if not eq.terms:
         return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)
 
@@ -122,10 +114,10 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     value, slope = _lhs(terms, s)
     iterations, step = 0, math.inf
     while value > 1.0:
-        if step * _LN2 <= rel_tol:
+        if step * _LN2 <= REL_TOL:
             # A step from below falls short of the root, so a small one does not
-            # show that x0 is within rel_tol: look at x0 * (1 + rel_tol) itself.
-            ahead = s + math.log2(1.0 + rel_tol)
+            # show that x0 is within REL_TOL: look at x0 * (1 + REL_TOL) itself.
+            ahead = s + math.log2(1.0 + REL_TOL)
             ahead_value, ahead_slope = _lhs(terms, ahead)
             if ahead_value <= 1.0 or ahead == s:
                 break
@@ -140,9 +132,8 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     if s >= 1024.0:
         raise SolverError("root exceeds the representable range")
     residual = abs(value - 1.0)
-    bound = _RESIDUAL_BOUND if rel_tol <= DEFAULT_REL_TOL else max(_RESIDUAL_BOUND, rel_tol * slope)
-    if residual > bound:
-        raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {bound:.3g}")
+    if residual > _RESIDUAL_BOUND:
+        raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {_RESIDUAL_BOUND:.3g}")
     x0 = 2.0**s
     capacity = math.log2(x0) if x0 > 1.0 else 0.0
     return NodeCapacity(
@@ -150,8 +141,8 @@ def solve_characteristic_full(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL
     )
 
 
-def solve_characteristic(eq: CharEquation, rel_tol: float = DEFAULT_REL_TOL) -> float | None:
-    return solve_characteristic_full(eq, rel_tol).x0
+def solve_characteristic(eq: CharEquation) -> float | None:
+    return solve_characteristic_full(eq).x0
 
 
 def _catalog_equation(catalog: EffectiveCatalog) -> CharEquation:
@@ -165,9 +156,9 @@ def equation_for_node(net: Network, node_id: str) -> CharEquation:
     return _catalog_equation(effective_catalog(net, node_id))
 
 
-def catalog_capacity(catalog: EffectiveCatalog, rel_tol: float = DEFAULT_REL_TOL) -> NodeCapacity:
+def catalog_capacity(catalog: EffectiveCatalog) -> NodeCapacity:
     """Solve an already-built catalog."""
-    return solve_characteristic_full(_catalog_equation(catalog), rel_tol)
+    return solve_characteristic_full(_catalog_equation(catalog))
 
 
 def node_capacity(net: Network, node_id: str) -> float:
@@ -180,13 +171,9 @@ def network_capacity(net: Network) -> float:
     return analyze_network(net).network_capacity
 
 
-def analyze_network(net: Network, rel_tol: float = DEFAULT_REL_TOL) -> CapacityResult:
-    """Per-node capacities plus the network total, with solver diagnostics.
-
-    ``rel_tol`` is checked first, so a network with no node rejects a bad one too.
-    """
-    _check_rel_tol(rel_tol)
-    per_node = {n.id: catalog_capacity(effective_catalog(net, n.id), rel_tol) for n in net.nodes}
+def analyze_network(net: Network) -> CapacityResult:
+    """Per-node capacities plus the network total, with solver diagnostics."""
+    per_node = {n.id: catalog_capacity(effective_catalog(net, n.id)) for n in net.nodes}
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
     return CapacityResult(per_node=per_node, network_capacity=total)
 

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .capacity import (
-    DEFAULT_REL_TOL,
+    REL_TOL,
     SolverError,
     analyze_network,
     catalog_capacity,
@@ -51,8 +51,7 @@ def _build_parser() -> _Parser:
             p.add_argument(positional)
         return p
 
-    p = verb("capacity", "per-node and network capacity of a scenario", "scenario")
-    p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL, help="solver relative tolerance")
+    verb("capacity", "per-node and network capacity of a scenario", "scenario")
     verb("optimal", "capacity-achieving access distribution of a node", "scenario", "node")
     p = verb("efficiency", "entropy efficiency of a node under a source", "scenario", "node")
     src = p.add_mutually_exclusive_group(required=True)
@@ -112,11 +111,11 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
 
 def _cmd_capacity(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
-    result = analyze_network(net, rel_tol=args.tol)
+    result = analyze_network(net)
     return {
         "command": "capacity",
         "scenario": scenario,
-        "rel_tol": args.tol,
+        "rel_tol": REL_TOL,
         "nodes": [{"node": nid, **asdict(nc)} for nid, nc in sorted(result.per_node.items())],
         "network_capacity_bits_per_time": result.network_capacity,
     }
@@ -357,8 +356,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, ArithmeticError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except (SolverError, ArithmeticError, MemoryError) as exc:
+        print(f"computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
     if args.json:

@@ -236,7 +236,7 @@ def parse_json(text: str, what: str) -> object:
     """Parse JSON text, rejecting duplicate object keys; errors name ``what``."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, ScenarioError) as exc:
+    except (json.JSONDecodeError, RecursionError, ScenarioError) as exc:
         raise ScenarioError(f"invalid JSON in {what}: {exc}") from exc
 
 

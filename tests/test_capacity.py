@@ -74,11 +74,6 @@ class TestSolveCharacteristic:
     def test_empty_equation_has_no_root(self):
         assert solve_characteristic(CharEquation(terms=())) is None
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
-    def test_invalid_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError):
-            solve_characteristic(CharEquation(terms=QUAD_TERMS), rel_tol=tol)
-
     def test_residual_within_bound_on_random_equations(self):
         rng = random.Random(7)
         for _ in range(200):
@@ -143,31 +138,10 @@ class TestNewtonSolver:
         with pytest.raises(SolverError, match="representable range"):
             solve_characteristic_full(CharEquation(terms=terms))
 
-    @settings(max_examples=100, deadline=None)
-    @given(_terms, st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
-    def test_loose_tolerance_stays_within_it(self, terms, tol):
-        eq = CharEquation(terms=tuple(terms))
-        loose = solve_characteristic_full(eq, rel_tol=tol)
-        exact = solve_characteristic_full(eq)
-        assert abs(loose.x0 - exact.x0) <= tol * exact.x0
-        assert loose.iterations <= exact.iterations
-
-    def test_short_step_far_below_the_root_does_not_stop_a_loose_solve(self):
-        # A stop on the step size alone returned 2.656 after one step. Newton
-        # goes on from x0 * 1.1, where the sum is still above 1: 3 steps, not 4.
-        eq = CharEquation(terms=SHORT_STEP_TERMS)
-        loose = solve_characteristic_full(eq, rel_tol=0.1)
-        exact = solve_characteristic_full(eq)
-        assert exact.x0 == pytest.approx(3.4849274653538407, rel=1e-12)
-        assert exact.x0 / 1.1 <= loose.x0 <= exact.x0
-        assert (loose.iterations, exact.iterations) == (3, 8)
-
-    def test_tolerance_below_float_resolution_stops_on_the_step(self):
-        # log2(1 + 1e-17) is 0: x0 * (1 + tol) is x0 itself and tells nothing more.
-        eq = CharEquation(terms=((280023, 101.5397817091703), (4717698, 64.92066061761611)))
-        fine = solve_characteristic_full(eq, rel_tol=1e-17)
-        assert fine.x0 == solve_characteristic_full(eq).x0
-        assert fine.iterations == 3
+    def test_short_step_far_below_the_root_is_solved_in_eight_steps(self):
+        solve = solve_characteristic_full(CharEquation(terms=SHORT_STEP_TERMS))
+        assert solve.x0 == pytest.approx(3.4849274653538407, rel=1e-12)
+        assert solve.iterations == 8
 
 
 class TestNodeCapacity:
@@ -195,11 +169,6 @@ class TestNetworkCapacity:
 
     def test_empty_network(self):
         assert network_capacity(Network(classes=(), nodes=(), links=())) == 0.0
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
-    def test_bad_tolerance_rejected_even_without_nodes(self, tol):
-        with pytest.raises(ValueError, match="rel_tol must be positive"):
-            analyze_network(Network(classes=(), nodes=(), links=()), rel_tol=tol)
 
     def test_analyze_network_sums_per_node(self, fig2):
         result = analyze_network(fig2)

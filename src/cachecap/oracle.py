@@ -3,12 +3,15 @@
 For a catalog whose read times all sit on a common grid, the number nu(T) of
 distinct file sequences with total time exactly T satisfies the recurrence
 
-    nu(T) = sum over classes of  count * nu(T - tau)        nu(0) = 1
+    nu(T) = sum over memory kinds of  N_k * nu(T - t_k)        nu(0) = 1
 
-with tau in grid units. Counting is done in exact integer arithmetic (the
-values outgrow 64 bits quickly), and log2(nu(T)) / (T * grid) converges to
-the capacity in bits per original time unit, giving an independent
-cross-check of the root-finding solver.
+with t_k in grid units. A memory kind is every file the node reads in the
+same time t_k, so N_k sums the counts of all classes on that time, and the
+recurrence does one term per distinct time, not one per class (Shannon's
+noiseless channel with symbol durations, summed per duration). Counting is
+done in exact integer arithmetic (the values outgrow 64 bits quickly), and
+log2(nu(T)) / (T * grid) converges to the capacity in bits per original time
+unit, giving an independent cross-check of the root-finding solver.
 
 The report prints each nu(T) in decimal. Those digits come from a second run
 of the recurrence in exact ``decimal`` arithmetic: libmpdec adds, multiplies
@@ -47,7 +50,10 @@ _MAX_DENOMINATOR = 10**6
 class QuantizedCatalog:
     """Catalog with read times as exact positive integers on a common grid.
 
-    ``original tau = tau_int * grid``.
+    ``original tau = tau_int * grid``. ``quantize`` gives one pair per memory
+    kind: distinct ``tau_int`` in ascending order, each with the total file
+    count of the classes read in that time. A hand-built catalog may repeat a
+    time; the recurrence adds its pairs all the same.
     """
 
     int_times: tuple[tuple[int, int], ...]  # (count, tau_int)
@@ -87,18 +93,20 @@ class OracleReport:
 
 
 def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
-    """Snap a catalog's read times onto integer multiples of ``grid``.
+    """Snap a catalog's read times onto integer multiples of ``grid``, one pair per kind.
 
     ``grid=None`` infers the largest grid that fits every time. Every time
     must be an exact multiple of the grid (to within double rounding, 1e-9
     relative); an off-grid time is rejected with the class named, never
-    silently rounded.
+    silently rounded. Classes that land on the same step count form one
+    memory kind: their file counts are summed into a single ``(count, tau_int)``
+    pair, and the pairs come in ascending ``tau_int``.
     """
     if grid is None:
         grid = infer_grid(catalog.entries.values())
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive and finite, got {grid}")
-    int_times: list[tuple[int, int]] = []
+    kinds: dict[int, int] = {}  # tau_int -> total file count
     for cid, time in sorted(catalog.entries.items()):
         steps = time / grid
         if not math.isfinite(steps):
@@ -108,8 +116,9 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
         tau_int = round(steps)
         if tau_int < 1 or abs(steps - tau_int) > _GRID_REL_TOL * max(1.0, abs(steps)):
             raise ValueError(f"class '{cid}': time {time} is not a multiple of grid {grid}")
-        int_times.append((catalog.counts[cid], tau_int))
-    return QuantizedCatalog(int_times=tuple(int_times), grid=grid)
+        kinds[tau_int] = kinds.get(tau_int, 0) + catalog.counts[cid]
+    int_times = tuple((count, tau) for tau, count in sorted(kinds.items()))
+    return QuantizedCatalog(int_times=int_times, grid=grid)
 
 
 def infer_grid(times: Iterable[float]) -> float:
@@ -146,7 +155,7 @@ def quantize_node(net: Network, node_id: str, grid: float | None = None) -> Quan
 def count_tasks(q: QuantizedCatalog, T: int) -> int:
     """nu(T): exact number of file sequences with total quantized time T.
 
-    Files within a class are distinct, so a class contributes ``count``
+    Files within a kind are distinct, so a kind contributes ``count``
     choices per position. nu(0) = 1 is the empty task.
     """
     if T < 0:

@@ -133,6 +133,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "computation failed: MemoryError" in captured.err
 
+    def test_closed_stdout_is_one_without_a_traceback(self):
+        # About 5 MB of JSON: far more than a pipe holds, so the writer meets
+        # the closed pipe while printing.
+        args = ["oracle", "scenarios/three-file.json", "n", "--tmax", "5000", "--json"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "cachecap", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=REPO_ROOT,
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert proc.returncode == 1
+        assert stderr == b""
+
     def test_unknown_node_is_one(self):
         assert run_cli("optimal", "scenarios/fig1.json", "ghost").returncode == 1
 
@@ -345,6 +361,34 @@ class TestReports:
         assert len(last["nu"]) > 4300
         exact = count_tasks(cachecap.quantize_node(three_file, "n"), 12000)
         assert Decimal(last["nu"]) == Decimal(exact)  # Decimal(int) has no digit limit
+
+    # One node whose four classes share two read times (a:3, b:5 at 1; c:7, d:2
+    # at 3). SHA-256 of the text stdout and of the JSON series at --tmax 3000,
+    # computed while the recurrence still ran one term per class: counting per
+    # memory kind must keep every byte.
+    SHARED_TIMES = """{
+  "classes": [{"id": "a", "count": 3}, {"id": "b", "count": 5},
+              {"id": "c", "count": 7}, {"id": "d", "count": 2}],
+  "nodes": [{"id": "n", "stores": ["a", "b", "c", "d"]}],
+  "links": [
+    {"reader": "n", "provider": "n", "time": 1, "classes": ["a", "b"]},
+    {"reader": "n", "provider": "n", "time": 3, "classes": ["c", "d"]}
+  ]
+}
+"""
+    SHARED_TEXT_SHA = "e70f9cf2781e4dc425945772281c8dc169a603b5085048e79fff0391cc87446b"
+    SHARED_SERIES_SHA = "f65e091ecbb1d67b1270907fbca4ec1bd00e691892a713027662ce47d3b0c076"
+
+    def test_shared_time_oracle_output_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "shared.json"
+        path.write_text(self.SHARED_TIMES, encoding="utf-8")
+        args = ["oracle", str(path), "n", "--tmax", "3000"]
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.SHARED_TEXT_SHA
+        assert cli.main([*args, "--json"]) == 0
+        series = json.dumps(json.loads(capsys.readouterr().out)["series"])
+        assert hashlib.sha256(series.encode("utf-8")).hexdigest() == self.SHARED_SERIES_SHA
 
 
 class TestStrictInputs:

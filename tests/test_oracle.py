@@ -50,6 +50,15 @@ class TestQuantize:
         q = quantize_node(fig1, "w2", grid=1.0)
         assert sorted(q.int_times) == [(10, 1), (10**7, 10)]
 
+    def test_classes_on_one_time_form_one_kind(self):
+        # a:3, b:5 at time 1 and c:7, d:2 at time 3: two memory kinds of 8 and 9 files
+        net, node = single_node_network([(3, 1.0), (5, 1.0), (7, 3.0), (2, 3.0)])
+        q = quantize_node(net, node)
+        assert q.int_times == ((8, 1), (9, 3))
+        per_class = QuantizedCatalog(int_times=((3, 1), (5, 1), (7, 3), (2, 3)), grid=1.0)
+        assert count_series(q, 60) == count_series(per_class, 60)
+        assert count_series(q, 4)[1:] == [8, 64, 8 * 64 + 9, 8 * 521 + 9 * 8]
+
     def test_off_grid_time_names_the_class(self):
         net, node = single_node_network([(1, 1.0), (1, 1 / 3)])
         with pytest.raises(ValueError, match="class 'c1'"):
@@ -246,3 +255,27 @@ def test_oracle_rates_never_exceed_the_solver_capacity(net):
         assert report.points
         for point in report.points:
             assert point.rate <= nc.capacity_bits_per_time + 1e-12
+
+
+def per_class_series(catalog, grid: float, t_max: int) -> list[int]:
+    """Reference DP with one term per class, in class-id order."""
+    terms = [(catalog.counts[cid], round(time / grid)) for cid, time in sorted(catalog.entries.items())]
+    nu = [1] + [0] * t_max
+    for t in range(1, t_max + 1):
+        nu[t] = sum(count * nu[t - tau] for count, tau in terms if tau <= t)
+    return nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_counting_per_kind_equals_counting_per_class(net):
+    """Merging classes that share a time changes no count, orders the times and keeps every file."""
+    for node in net.nodes:
+        catalog = effective_catalog(net, node.id)
+        if not catalog.entries:
+            continue
+        q = quantize(catalog, None)
+        taus = [tau for _, tau in q.int_times]
+        assert all(a < b for a, b in zip(taus, taus[1:]))
+        assert sum(count for count, _ in q.int_times) == sum(catalog.counts[c] for c in catalog.entries)
+        assert count_series(q, 40) == per_class_series(catalog, q.grid, 40)

@@ -13,6 +13,11 @@ monotonically, so no bracket is needed. It stops at the fixed relative
 tolerance REL_TOL, which a double can meet at every root it can represent.
 
 All logarithms here are base 2.
+
+A node's catalog and its solution are computed at most once per Network and
+kept on it, so a batch such as ``analyze_network`` followed by per-node
+queries builds and solves each node once. Only results are kept: an unknown
+node or a failed solve raises again on the next request.
 """
 
 from __future__ import annotations
@@ -153,7 +158,7 @@ def _catalog_equation(catalog: EffectiveCatalog) -> CharEquation:
 
 def equation_for_node(net: Network, node_id: str) -> CharEquation:
     """Characteristic equation of a node, one term per reachable class."""
-    return _catalog_equation(effective_catalog(net, node_id))
+    return _catalog_equation(_node_catalog(net, node_id))
 
 
 def catalog_capacity(catalog: EffectiveCatalog) -> NodeCapacity:
@@ -161,9 +166,31 @@ def catalog_capacity(catalog: EffectiveCatalog) -> NodeCapacity:
     return solve_characteristic_full(_catalog_equation(catalog))
 
 
+def _node_catalog(net: Network, node_id: str) -> EffectiveCatalog:
+    """The node's catalog, built on the first request and kept on ``net``.
+
+    An unknown node raises every time; only a built catalog is kept.
+    """
+    catalog = net._catalogs.get(node_id)
+    if catalog is None:
+        catalog = net._catalogs[node_id] = effective_catalog(net, node_id)
+    return catalog
+
+
+def _node_solution(net: Network, node_id: str) -> NodeCapacity:
+    """The node's solved equation, solved on the first request and kept on ``net``.
+
+    A ``SolverError`` raises every time; only a solution is kept.
+    """
+    solution = net._solutions.get(node_id)
+    if solution is None:
+        solution = net._solutions[node_id] = catalog_capacity(_node_catalog(net, node_id))
+    return solution
+
+
 def node_capacity(net: Network, node_id: str) -> float:
     """Capacity of one node in bits per time unit (0 if nothing is reachable)."""
-    return catalog_capacity(effective_catalog(net, node_id)).capacity_bits_per_time
+    return _node_solution(net, node_id).capacity_bits_per_time
 
 
 def network_capacity(net: Network) -> float:
@@ -172,8 +199,12 @@ def network_capacity(net: Network) -> float:
 
 
 def analyze_network(net: Network) -> CapacityResult:
-    """Per-node capacities plus the network total, with solver diagnostics."""
-    per_node = {n.id: catalog_capacity(effective_catalog(net, n.id)) for n in net.nodes}
+    """Per-node capacities plus the network total, with solver diagnostics.
+
+    Each node is solved once per ``net``: a later call, or a per-node query
+    such as ``node_capacity``, reads the kept solution.
+    """
+    per_node = {n.id: _node_solution(net, n.id) for n in net.nodes}
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
     return CapacityResult(per_node=per_node, network_capacity=total)
 
@@ -204,8 +235,8 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     Raises ScenarioError for a zero-capacity node (no reachable class, or a
     single reachable file): no nondegenerate optimum exists there.
     """
-    catalog = effective_catalog(net, node_id)
-    x0 = catalog_capacity(catalog).x0
+    catalog = _node_catalog(net, node_id)
+    x0 = _node_solution(net, node_id).x0
     if x0 is None or x0 <= 1.0:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"

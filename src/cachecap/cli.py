@@ -21,12 +21,13 @@ from pathlib import Path
 from .capacity import (
     REL_TOL,
     SolverError,
+    _node_catalog,
+    _node_solution,
     analyze_network,
-    catalog_capacity,
     optimal_distribution,
 )
 from .entropy import EmpiricalSource, IIDSource, MarkovSource, entropy_efficiency
-from .model import Network, ScenarioError, effective_catalog, parse_json, read_scenario
+from .model import Network, ScenarioError, parse_json, read_scenario
 from .oracle import convergence_report, quantize
 from .traces import read_trace, write_trace
 
@@ -210,11 +211,11 @@ def _render_efficiency(report: dict) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
-    catalog = effective_catalog(net, args.node)
+    catalog = _node_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
     q = quantize(catalog, args.grid)
-    x0 = catalog_capacity(catalog).x0
+    x0 = _node_solution(net, args.node).x0
     report = convergence_report(q, args.tmax, x0)
     return {
         "command": "oracle",

@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 __all__ = [
     "ScenarioError",
@@ -42,22 +44,19 @@ class ScenarioError(ValueError):
     """Raised when a scenario document violates the schema or its invariants."""
 
 
-@dataclass(frozen=True)
-class FileClass:
+class FileClass(NamedTuple):
     """A group of ``count`` interchangeable files identified by ``id``."""
 
     id: str
     count: int
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     stores: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Directed read link: ``reader`` fetches files from ``provider``.
 
     ``time`` is in time units per file. ``classes`` restricts the link to a
@@ -73,7 +72,11 @@ class Link:
 
 @dataclass(frozen=True)
 class Network:
-    """Classes, nodes and links; lookup indexes are built once, on first use."""
+    """Classes, nodes and links; lookup indexes are built once, on first use.
+
+    Each node's catalog and solved characteristic equation are kept here too,
+    once computed (see ``capacity``), so they live and die with the network.
+    """
 
     classes: tuple[FileClass, ...]
     nodes: tuple[Node, ...]
@@ -95,6 +98,16 @@ class Network:
             grouped.setdefault(link.reader, []).append(link)
         return grouped
 
+    @cached_property
+    def _catalogs(self) -> dict[str, EffectiveCatalog]:
+        """Node id to its catalog, filled by ``capacity._node_catalog``."""
+        return {}
+
+    @cached_property
+    def _solutions(self) -> dict:
+        """Node id to its ``NodeCapacity``, filled by ``capacity._node_solution``."""
+        return {}
+
     def class_counts(self) -> dict[str, int]:
         """Class id to file count; a fresh dict the caller may change."""
         return dict(self._counts)
@@ -110,9 +123,9 @@ class Network:
 class EffectiveCatalog:
     """Per-node map from reachable class id to its minimal read time.
 
-    Classes with no finite-time provider are omitted entirely. ``counts`` is
-    the network's read-only class-id-to-file-count map, which every formula
-    over the catalog needs next to the times.
+    Classes with no finite-time provider are omitted entirely. ``entries`` is
+    read-only. ``counts`` is the network's read-only class-id-to-file-count
+    map, which every formula over the catalog needs next to the times.
     """
 
     node: str
@@ -120,9 +133,8 @@ class EffectiveCatalog:
     counts: Mapping[str, int]
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ScenarioError(message)
+# The largest int that converts to a finite float; a time above it overflows.
+_MAX_FLOAT_INT = int(sys.float_info.max)
 
 
 def _as_id(value: object, what: str) -> str:
@@ -166,60 +178,101 @@ def build_network(doc: Mapping) -> Network:
     ({id, stores}) and ``links`` ({reader, provider, time, classes?}).
     Every referential-integrity violation is rejected with a message naming
     the offending entity.
+
+    Each value is first tested for the exact type JSON gives it (``dict``,
+    ``str``, ``int``, ``float``); only a value that fails that test goes
+    through the general check, which accepts any ``Mapping`` and any ``str``
+    subclass and names what is wrong. Messages are formatted only on failure.
     """
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
     for key in ("classes", "nodes", "links"):
-        _require(isinstance(doc.get(key, []), list), f"'{key}' must be an array")
+        if not isinstance(doc.get(key, []), list):
+            raise ScenarioError(f"'{key}' must be an array")
 
     classes: list[FileClass] = []
     seen_classes: set[str] = set()
     for raw in doc.get("classes", []):
-        _require(isinstance(raw, Mapping) and "id" in raw, "class entry missing 'id'")
-        cid = _as_id(raw["id"], "class id")
-        _require(cid not in seen_classes, f"duplicate class id '{cid}'")
+        if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
+            raise ScenarioError("class entry missing 'id'")
+        cid = raw["id"]
+        if type(cid) is not str:
+            cid = _as_id(cid, "class id")
+        if cid in seen_classes:
+            raise ScenarioError(f"duplicate class id '{cid}'")
         seen_classes.add(cid)
-        classes.append(FileClass(id=cid, count=_as_count(raw.get("count", 1), f"class '{cid}'")))
+        count = raw.get("count", 1)
+        if type(count) is not int or count < 1:
+            count = _as_count(count, f"class '{cid}'")
+        classes.append(FileClass(cid, count))
 
     nodes: list[Node] = []
-    seen_nodes: set[str] = set()
+    stores_by_node: dict[str, frozenset[str]] = {}
     for raw in doc.get("nodes", []):
-        _require(isinstance(raw, Mapping) and "id" in raw, "node entry missing 'id'")
-        nid = _as_id(raw["id"], "node id")
-        _require(nid not in seen_nodes, f"duplicate node id '{nid}'")
-        seen_nodes.add(nid)
+        if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
+            raise ScenarioError("node entry missing 'id'")
+        nid = raw["id"]
+        if type(nid) is not str:
+            nid = _as_id(nid, "node id")
+        if nid in stores_by_node:
+            raise ScenarioError(f"duplicate node id '{nid}'")
         stores = raw.get("stores", [])
-        _require(isinstance(stores, list), f"node '{nid}': 'stores' must be an array")
+        if not isinstance(stores, list):
+            raise ScenarioError(f"node '{nid}': 'stores' must be an array")
         for cid in stores:
-            _as_id(cid, f"node '{nid}': stored class id")
-            _require(cid in seen_classes, f"node '{nid}' stores unknown class '{cid}'")
-        nodes.append(Node(id=nid, stores=frozenset(stores)))
+            if type(cid) is not str:
+                _as_id(cid, f"node '{nid}': stored class id")
+            if cid not in seen_classes:
+                raise ScenarioError(f"node '{nid}' stores unknown class '{cid}'")
+        stores_by_node[nid] = stored = frozenset(stores)
+        nodes.append(Node(nid, stored))
 
-    stores_by_node = {n.id: n.stores for n in nodes}
     links: list[Link] = []
     for raw in doc.get("links", []):
-        _require(isinstance(raw, Mapping), "link entry must be an object")
-        for key in ("reader", "provider", "time"):
-            _require(key in raw, f"link entry missing '{key}'")
-        reader = _as_id(raw["reader"], "link reader")
-        provider = _as_id(raw["provider"], "link provider")
-        label = f"link {reader}->{provider}"
-        _require(reader in seen_nodes, f"{label}: unknown reader '{reader}'")
-        _require(provider in seen_nodes, f"{label}: unknown provider '{provider}'")
-        time = _as_time(raw["time"], label)
-        subset: frozenset[str] | None = None
-        if raw.get("classes") is not None:
-            _require(isinstance(raw["classes"], list), f"{label}: 'classes' must be an array")
-            listed = frozenset(_as_id(c, f"{label}: class id") for c in raw["classes"])
-            for cid in sorted(listed):
-                _require(
-                    cid in stores_by_node[provider],
-                    f"{label}: class '{cid}' is not stored by provider '{provider}'",
-                )
-            subset = listed
-        links.append(Link(reader=reader, provider=provider, time=time, classes=subset))
+        if type(raw) is not dict and not isinstance(raw, Mapping):
+            raise ScenarioError("link entry must be an object")
+        if not ("reader" in raw and "provider" in raw and "time" in raw):
+            missing = next(key for key in ("reader", "provider", "time") if key not in raw)
+            raise ScenarioError(f"link entry missing '{missing}'")
+        reader = raw["reader"]
+        if type(reader) is not str:
+            reader = _as_id(reader, "link reader")
+        provider = raw["provider"]
+        if type(provider) is not str:
+            provider = _as_id(provider, "link provider")
+        if reader not in stores_by_node:
+            raise ScenarioError(f"link {reader}->{provider}: unknown reader '{reader}'")
+        if provider not in stores_by_node:
+            raise ScenarioError(f"link {reader}->{provider}: unknown provider '{provider}'")
+        time = raw["time"]
+        if type(time) is int and 0 < time <= _MAX_FLOAT_INT:
+            time = float(time)
+        elif type(time) is not float or not 0.0 < time < math.inf:
+            time = _as_time(time, f"link {reader}->{provider}")
+        subset = raw.get("classes")
+        if subset is not None:
+            subset = _link_classes(subset, stores_by_node[provider], reader, provider)
+        links.append(Link(reader, provider, time, subset))
 
     return Network(classes=tuple(classes), nodes=tuple(nodes), links=tuple(links))
+
+
+def _link_classes(
+    listed: object, stored: frozenset[str], reader: str, provider: str
+) -> frozenset[str]:
+    """A link's ``classes`` array as a set; each id must be one the provider stores."""
+    if not isinstance(listed, list):
+        raise ScenarioError(f"link {reader}->{provider}: 'classes' must be an array")
+    for cid in listed:
+        if type(cid) is not str:
+            _as_id(cid, f"link {reader}->{provider}: class id")
+    subset = frozenset(listed)
+    if not subset <= stored:
+        cid = min(subset - stored)  # the first in sorted order: the array's order does not matter
+        raise ScenarioError(
+            f"link {reader}->{provider}: class '{cid}' is not stored by provider '{provider}'"
+        )
+    return subset
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -227,7 +280,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     if len(doc) != len(pairs):
         seen: set[str] = set()
         for key, _ in pairs:
-            _require(key not in seen, f"duplicate key '{key}'")
+            if key in seen:
+                raise ScenarioError(f"duplicate key '{key}'")
             seen.add(key)
     return doc
 
@@ -267,19 +321,32 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
     """Minimal read time per class for ``node_id``, minimized over all providers.
 
     A class appears iff at least one link makes it reachable in finite time.
+    ``entries`` is read-only, so one catalog can be shared by every caller.
     """
     net.node(node_id)  # raises on unknown id
+    nodes = net._nodes_by_id
     best: dict[str, float] = {}
     for link in net._links_by_reader.get(node_id, ()):
-        covered = link.classes if link.classes is not None else net.node(link.provider).stores
+        covered = link.classes
+        if covered is None:
+            provider = nodes.get(link.provider)
+            if provider is None:  # a hand-built Network can name a node it lacks
+                provider = net.node(link.provider)  # raises
+            covered = provider.stores
         for cid in covered:
             if link.time < best.get(cid, math.inf):
                 best[cid] = link.time
-    return EffectiveCatalog(node=node_id, entries=best, counts=net._counts)
+    return EffectiveCatalog(node=node_id, entries=MappingProxyType(best), counts=net._counts)
 
 
 def task_time(catalog: EffectiveCatalog, task: Sequence[str] | Iterable[str]) -> float:
-    """Execution time of a task: sum of the minimal read times of its files."""
+    """Execution time of a task: sum of the minimal read times of its files.
+
+    A task is a sequence of class ids; a bare string is rejected, not read
+    as one class id per character.
+    """
+    if isinstance(task, str):
+        raise ScenarioError(f"a task is a sequence of class ids, not the string {task!r}")
     total = 0.0
     for cid in task:
         time = catalog.entries.get(cid)

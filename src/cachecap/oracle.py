@@ -28,7 +28,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import EffectiveCatalog, Network, effective_catalog
+from .capacity import _node_catalog
+from .model import EffectiveCatalog, Network
 
 __all__ = [
     "QuantizedCatalog",
@@ -149,7 +150,7 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def quantize_node(net: Network, node_id: str, grid: float | None = None) -> QuantizedCatalog:
     """Quantized catalog for a node; infers the grid when none is given."""
-    return quantize(effective_catalog(net, node_id), grid)
+    return quantize(_node_catalog(net, node_id), grid)
 
 
 def count_tasks(q: QuantizedCatalog, T: int) -> int:

@@ -298,3 +298,21 @@ def test_equation_for_node_uses_minimal_times(fig2_shared):
     assert sorted(eq.terms) == [(10, 1.0), (10**7, 10.0)]
     catalog = effective_catalog(fig2_shared, "w2")
     assert catalog.entries == {"own": 1.0, "lib": 10.0}
+
+
+def _optimum_or_refusal(net: Network, node_id: str) -> str:
+    try:
+        return repr(optimal_distribution(net, node_id))
+    except ScenarioError as exc:  # zero capacity
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_kept_results_equal_those_of_a_fresh_network(net):
+    """Per-node results read after ``analyze_network`` equal those of an equal, unused Network."""
+    analyze_network(net)
+    fresh = Network(classes=net.classes, nodes=net.nodes, links=net.links)
+    for node in net.nodes:
+        assert repr(node_capacity(net, node.id)) == repr(node_capacity(fresh, node.id))
+        assert _optimum_or_refusal(net, node.id) == _optimum_or_refusal(fresh, node.id)

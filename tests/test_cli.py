@@ -595,11 +595,49 @@ class TestWorkPerCall:
         assert self.run(work, capsys, *args) == (1, 1)
 
     def test_efficiency_optimal(self, work, capsys):
-        catalogs, solves = self.run(work, capsys, "efficiency", self.FIG1, "w2", "--optimal")
-        assert catalogs <= 2 and solves <= 2
+        assert self.run(work, capsys, "efficiency", self.FIG1, "w2", "--optimal") == (1, 1)
 
     def test_oracle(self, work, capsys):
         assert self.run(work, capsys, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)
+
+
+def test_queries_after_analyze_build_and_solve_nothing(work):
+    net = load_scenario(scenario_path("fig2.json"))
+    result = analyze_network(net)
+    assert (work["catalogs"], work["solves"]) == (3, 3)
+    for node in net.nodes:
+        capacity = cachecap.node_capacity(net, node.id)
+        assert capacity == result.per_node[node.id].capacity_bits_per_time
+        if capacity == 0.0:  # w1 reads over no link
+            with pytest.raises(cachecap.ScenarioError, match="zero capacity"):
+                cachecap.optimal_distribution(net, node.id)
+            with pytest.raises(ValueError, match="empty catalog"):
+                cachecap.quantize_node(net, node.id)
+            continue
+        dist = cachecap.optimal_distribution(net, node.id)
+        source = cachecap.IIDSource(class_mass=dist.class_mass)
+        assert cachecap.entropy_efficiency(net, node.id, source).utilization_ratio == pytest.approx(1.0)
+        assert cachecap.quantize_node(net, node.id).grid == 1.0
+    assert analyze_network(net) == result
+    assert (work["catalogs"], work["solves"]) == (3, 3)
+
+
+def test_failures_are_raised_every_time_and_never_kept(work):
+    # 10**7 files read in 1e-300 time units each: x0 = 2**(log2(1e7) * 1e300), beyond any float.
+    net = cachecap.build_network(
+        {
+            "classes": [{"id": "c", "count": 10**7}],
+            "nodes": [{"id": "n", "stores": ["c"]}],
+            "links": [{"reader": "n", "provider": "n", "time": 1e-300}],
+        }
+    )
+    for _ in range(2):
+        with pytest.raises(cachecap.SolverError):
+            cachecap.node_capacity(net, "n")
+        with pytest.raises(cachecap.ScenarioError, match="unknown node 'ghost'"):
+            cachecap.node_capacity(net, "ghost")
+    # n's catalog is built once and kept; its solve and ghost's catalog are tried each time.
+    assert (work["catalogs"], work["solves"]) == (3, 2)
 
 
 def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,25 @@ class TestBuildNetwork:
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            (FileClass(id="a", count=1), "count"),
+            (Node(id="n", stores=frozenset({"a"})), "stores"),
+            (Link(reader="r", provider="p", time=1.0), "time"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_link_covers_every_stored_class_by_default(self):
+        link = Link(reader="r", provider="p", time=2.0)
+        assert link.classes is None
+        assert link == Link("r", "p", 2.0, None)
+
+
 class TestEffectiveCatalog:
     def test_fig1_reader(self, fig1):
         catalog = effective_catalog(fig1, "w2")
@@ -185,6 +205,14 @@ class TestEffectiveCatalog:
         with pytest.raises(ScenarioError, match="unknown node 'nope'"):
             effective_catalog(fig1, "nope")
 
+    def test_entries_are_read_only(self, fig1):
+        catalog = effective_catalog(fig1, "w2")
+        with pytest.raises(TypeError):
+            catalog.entries["own"] = 0.5
+        with pytest.raises(TypeError):
+            del catalog.entries["lib"]
+        assert effective_catalog(fig1, "w2").entries == {"own": 1.0, "lib": 10.0}
+
     def test_catalogs_share_one_read_only_count_map(self):
         net = load_scenario(scenario_path("fig1.json"))
         w1, w2 = effective_catalog(net, "w1"), effective_catalog(net, "w2")
@@ -209,6 +237,20 @@ class TestTaskTime:
     def test_unreachable_class_rejected(self, fig1):
         with pytest.raises(ScenarioError, match="unreachable"):
             task_time(effective_catalog(fig1, "w1"), ["own"])
+
+    def test_a_bare_string_is_not_a_task(self):
+        # With one-letter class ids "ab" would otherwise read as the task ["a", "b"].
+        net = build_network(
+            doc(
+                classes=[{"id": "a"}, {"id": "b"}],
+                nodes=[{"id": "n", "stores": ["a", "b"]}],
+                links=[{"reader": "n", "provider": "n", "time": 1}],
+            )
+        )
+        catalog = effective_catalog(net, "n")
+        assert task_time(catalog, ["a", "b"]) == 2.0
+        with pytest.raises(ScenarioError, match="a task is a sequence of class ids"):
+            task_time(catalog, "ab")
 
 
 # --- randomized invariants ----------------------------------------------------
@@ -290,3 +332,96 @@ def test_package_exposes_exactly_the_layer_exports():
     for layer in layers:
         for name in layer.__all__:
             assert getattr(cachecap, name) is getattr(layer, name)
+
+
+# --- every rejection of build_network, on dict and on read-only mapping input ---
+
+
+def _valid() -> dict:
+    return doc(
+        classes=[{"id": "a", "count": 1}, {"id": "b", "count": 2}],
+        nodes=[{"id": "p", "stores": ["a"]}, {"id": "r", "stores": []}],
+        links=[{"reader": "r", "provider": "p", "time": 1, "classes": ["a"]}],
+    )
+
+
+def _with(path: tuple, value) -> dict:
+    """The valid document with the entry at ``path`` set (or, for ``...``, deleted)."""
+    root = target = _valid()
+    *parents, last = path
+    for key in parents:
+        target = target[key]
+    if value is ...:
+        del target[last]
+    else:
+        target[last] = value
+    return root
+
+
+REJECTIONS = [
+    ("doc-not-object", [], "scenario document must be a JSON object"),
+    ("classes-not-array", _with(("classes",), {}), "'classes' must be an array"),
+    ("nodes-not-array", _with(("nodes",), "n"), "'nodes' must be an array"),
+    ("links-not-array", _with(("links",), None), "'links' must be an array"),
+    ("class-missing-id", _with(("classes", 0, "id"), ...), "class entry missing 'id'"),
+    ("class-not-object", _with(("classes", 0), "a"), "class entry missing 'id'"),
+    ("class-id-not-string", _with(("classes", 0, "id"), 1), "class id must be a string, got 1"),
+    ("duplicate-class", _with(("classes", 1, "id"), "a"), "duplicate class id 'a'"),
+    ("count-bool", _with(("classes", 1, "count"), True), "class 'b': count must be an integer, got boolean"),
+    ("count-float", _with(("classes", 1, "count"), 2.5), "class 'b': count must be an integer, got 2.5"),
+    ("count-string", _with(("classes", 1, "count"), "2"), "class 'b': count must be an integer"),
+    ("count-zero", _with(("classes", 1, "count"), 0), "class 'b': non-positive count 0"),
+    ("count-negative", _with(("classes", 1, "count"), -3), "class 'b': non-positive count -3"),
+    ("count-negative-float", _with(("classes", 1, "count"), -3.0), "class 'b': non-positive count -3"),
+    ("node-missing-id", _with(("nodes", 1, "id"), ...), "node entry missing 'id'"),
+    ("node-not-object", _with(("nodes", 1), ["r"]), "node entry missing 'id'"),
+    ("node-id-not-string", _with(("nodes", 1, "id"), 7), "node id must be a string, got 7"),
+    ("duplicate-node", _with(("nodes", 1, "id"), "p"), "duplicate node id 'p'"),
+    ("stores-not-array", _with(("nodes", 0, "stores"), "a"), "node 'p': 'stores' must be an array"),
+    ("stored-id-not-string", _with(("nodes", 0, "stores"), ["a", None]), "node 'p': stored class id must be a string, got None"),
+    ("stores-unknown-class", _with(("nodes", 0, "stores"), ["a", "ghost", "b"]), "node 'p' stores unknown class 'ghost'"),
+    ("link-not-object", _with(("links", 0), "r->p"), "link entry must be an object"),
+    ("link-missing-reader", _with(("links", 0, "reader"), ...), "link entry missing 'reader'"),
+    ("link-missing-provider", _with(("links", 0, "provider"), ...), "link entry missing 'provider'"),
+    ("link-missing-time", _with(("links", 0, "time"), ...), "link entry missing 'time'"),
+    ("reader-not-string", _with(("links", 0, "reader"), 1), "link reader must be a string, got 1"),
+    ("provider-not-string", _with(("links", 0, "provider"), ["p"]), "link provider must be a string, got ['p']"),
+    ("unknown-reader", _with(("links", 0, "reader"), "x"), "link x->p: unknown reader 'x'"),
+    ("unknown-provider", _with(("links", 0, "provider"), "y"), "link r->y: unknown provider 'y'"),
+    ("time-bool", _with(("links", 0, "time"), True), "link r->p: time must be a number"),
+    ("time-string", _with(("links", 0, "time"), "1"), "link r->p: time must be a number"),
+    ("time-null", _with(("links", 0, "time"), None), "link r->p: time must be a number"),
+    ("time-nan", _with(("links", 0, "time"), math.nan), "link r->p: non-finite time nan"),
+    ("time-inf", _with(("links", 0, "time"), math.inf), "link r->p: non-finite time inf"),
+    ("time-minus-inf", _with(("links", 0, "time"), -math.inf), "link r->p: non-finite time -inf"),
+    ("time-zero", _with(("links", 0, "time"), 0), "link r->p: non-positive time 0"),
+    ("time-zero-float", _with(("links", 0, "time"), 0.0), "link r->p: non-positive time 0.0"),
+    ("time-negative", _with(("links", 0, "time"), -2.5), "link r->p: non-positive time -2.5"),
+    ("time-huge-int", _with(("links", 0, "time"), 10**400), "link r->p: time is too large for a float"),
+    ("time-huge-negative-int", _with(("links", 0, "time"), -(10**400)), "link r->p: time is too large for a float"),
+    ("link-classes-not-array", _with(("links", 0, "classes"), "a"), "link r->p: 'classes' must be an array"),
+    ("link-class-id-not-string", _with(("links", 0, "classes"), ["a", 2]), "link r->p: class id must be a string, got 2"),
+    ("link-class-not-stored", _with(("links", 0, "classes"), ["b", "a"]), "link r->p: class 'b' is not stored by provider 'p'"),
+    ("link-classes-first-sorted", _with(("links", 0, "classes"), ["z", "b"]), "link r->p: class 'b' is not stored by provider 'p'"),
+]
+
+
+def _read_only(value):
+    """``value`` with every JSON object in it wrapped in a ``MappingProxyType``."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return [_read_only(v) for v in value]
+    return value
+
+
+def test_the_valid_base_document_builds_from_both_mapping_kinds():
+    assert build_network(_valid()) == build_network(_read_only(_valid()))
+
+
+@pytest.mark.parametrize("wrap", [lambda d: d, _read_only], ids=["dict", "mappingproxy"])
+@pytest.mark.parametrize("bad, message", [r[1:] for r in REJECTIONS], ids=[r[0] for r in REJECTIONS])
+def test_every_rejection_keeps_its_message(bad, message, wrap):
+    with pytest.raises(ScenarioError) as caught:
+        build_network(wrap(bad))
+    assert str(caught.value) == message

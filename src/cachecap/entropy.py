@@ -197,26 +197,47 @@ def _strongly_connected(adj: list[list[int]]) -> bool:
 
 
 def stationary_distribution(src: MarkovSource) -> dict[str, float]:
-    """Unique stationary distribution of an irreducible chain (to 1e-12)."""
-    import numpy as np  # only this solve needs numpy; a module-level import slows every CLI start
+    """Unique stationary distribution of an irreducible chain (to 1e-12).
 
-    if not _strongly_connected(_positive_adjacency(src.transitions)):
-        raise ValueError("Markov chain is reducible; the stationary distribution is not unique")
-    p = np.asarray(src.transitions, dtype=float)
-    k = p.shape[0]
-    a = p.T - np.eye(k)
-    a[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"stationary distribution solve failed: {exc}") from exc
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    if np.abs(pi @ p - pi).max() > _STATIONARY_TOL:
+    Grassmann-Taksar-Heyman state reduction: censor the states out from the
+    last one down, then rebuild pi forward from the first. No step
+    subtracts, so every entry keeps full relative precision and pi is
+    non-negative by construction.
+    """
+    p = src.transitions
+    if not _strongly_connected(_positive_adjacency(p)):
+        raise ValueError("Markov chain is not irreducible: some state cannot reach another")
+    k = len(p)
+    a = [list(row) for row in p]
+    exits = [0.0] * k
+    for n in range(k - 1, 0, -1):
+        s = exits[n] = math.fsum(a[n][:n])
+        if s == 0.0:  # underflowed; the forward pass restarts at n
+            continue
+        scaled = [x / s for x in a[n][:n]]  # each <= 1; row[n] / s could overflow
+        for row in a[:n]:
+            f = row[n]
+            for j in range(n):
+                row[j] += f * scaled[j]
+    pi = [1.0]
+    for n in range(1, k):
+        inflow = math.fsum(pi[i] * a[i][n] for i in range(n))
+        x = inflow / exits[n] if exits[n] else math.inf
+        if x == math.inf:  # every earlier mass is negligible beside state n's
+            pi = [0.0] * n + [1.0]
+            continue
+        pi.append(x)
+        if x > 1.0:  # exact power-of-two rescale keeps max(pi) <= 1, so no later step overflows
+            shift = -math.frexp(x)[1]
+            pi = [math.ldexp(v, shift) for v in pi]
+    total = math.fsum(pi)
+    pi = [v / total for v in pi]
+    residual = max(
+        abs(math.fsum([*(pi[i] * p[i][j] for i in range(k)), -pi[j]])) for j in range(k)
+    )
+    if residual > _STATIONARY_TOL:
         raise SolverError("stationary distribution solve did not reach tolerance")
-    return {state: float(pi[i]) for i, state in enumerate(src.states)}
+    return dict(zip(src.states, pi))
 
 
 def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:

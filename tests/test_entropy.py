@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,9 +100,11 @@ class TestMarkovEntropyRate:
         )
 
     def test_reducible_chain_rejected(self):
-        split = MarkovSource(states=("a", "b"), transitions=((1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(ValueError, match="reducible"):
-            markov_entropy_rate(split)
+        # two closed classes, then a transient state 'a' (pi = (0, 1) is unique there)
+        for transitions in (((1.0, 0.0), (0.0, 1.0)), ((0.5, 0.5), (0.0, 1.0))):
+            chain = MarkovSource(states=("a", "b"), transitions=transitions)
+            with pytest.raises(ValueError, match="reducible"):
+                markov_entropy_rate(chain)
 
     def test_non_stochastic_rows_rejected(self):
         with pytest.raises(ValueError, match="row"):
@@ -121,6 +124,71 @@ class TestMarkovEntropyRate:
         p = np.array(chain.transitions)
         assert np.abs(vec @ p - vec).max() <= 1e-12
         assert sum(pi.values()) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "coupled-blocks"])
+    def test_stationary_distribution_matches_exact_solve(self, coupled):
+        # 2**-30 couplings make the chain nearly decomposable: an LU solve
+        # loses about 30 bits there, state reduction loses none.
+        for seed in range(100):
+            rng = random.Random(seed)
+            rows = dyadic_chain(rng, rng.randint(2, 6), coupled)
+            chain = MarkovSource(states=tuple("abcdef"[: len(rows)]), transitions=rows)
+            got = stationary_distribution(chain)
+            for state, exact in zip(chain.states, exact_stationary(rows)):
+                assert abs(Fraction(got[state]) - exact) <= 1e-14 * exact, (seed, state)
+
+    def test_underflowed_exit_sum_is_not_a_division_by_zero(self):
+        # censoring 'c' leaves 'b' an exit sum of 1e-200 * 1e-200, which is 0.0 in floats
+        chain = MarkovSource(
+            states=("a", "b", "c"),
+            transitions=((0.5, 0.25, 0.25), (0.0, 1 - 1e-200, 1e-200), (1e-200, 1 - 1e-200, 0.0)),
+        )
+        pi = stationary_distribution(chain)
+        assert pi["b"] == pytest.approx(1.0)
+        assert pi["c"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+    def test_ratios_beyond_the_float_range_do_not_overflow(self):
+        # pi is about (1e-310, 1e-10, 1): unscaled, the forward pass would
+        # reach pi_a = 1, pi_b = 1e300, pi_c = 1e310 = inf
+        rows = ((0.0, 1.0, 0.0), (1e-300, 0.5, 0.5), (0.0, 5e-11, 1 - 5e-11))
+        pi = stationary_distribution(MarkovSource(states=("a", "b", "c"), transitions=rows))
+        exact = exact_stationary(rows)
+        assert pi["b"] == pytest.approx(float(exact[1]), rel=1e-14, abs=0.0)
+        assert pi["c"] == pytest.approx(float(exact[2]), rel=1e-14)
+
+
+def dyadic_chain(rng, k, coupled):
+    """A random irreducible k-state chain with entries that are multiples of
+    2**-40, so every row sums to exactly 1.0 in floats. ``coupled`` splits
+    the states into two blocks joined only by entries of 2**-30."""
+    one = 2**40
+    split = rng.randint(1, k - 1) if coupled else k
+    rows = []
+    for i in range(k):
+        block = range(split) if i < split else range(split, k)
+        numer = {j: 2**10 for j in range(k) if j not in block}
+        budget = one - sum(numer.values())
+        cuts = [0, *sorted(rng.sample(range(1, budget), len(block) - 1)), budget]
+        numer.update(zip(block, (b - a for a, b in zip(cuts, cuts[1:]))))
+        rows.append(tuple(numer[j] / one for j in range(k)))
+    return tuple(rows)
+
+
+def exact_stationary(rows):
+    """pi P = pi with sum(pi) = 1, solved over Fractions by Gauss-Jordan elimination."""
+    k = len(rows)
+    p = [[Fraction(x) for x in row] for row in rows]
+    m = [[p[i][j] - (i == j) for i in range(k)] + [Fraction(0)] for j in range(k - 1)]
+    m.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if m[r][c])
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(k):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[k] for row in m]
 
 
 class TestBlockEntropyEstimate:

@@ -663,6 +663,29 @@ def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch
         assert calls == [60]
 
 
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, cachecap.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_trace_verbs_do_not_load_numpy(tmp_path):
+    # `import numpy` alone costs more than sampling a 10^5-symbol trace in a
+    # fresh interpreter, so neither trace verb may pull it in.
+    spec, trace = tmp_path / "src.json", tmp_path / "t.trace"
+    spec.write_text('{"type": "iid", "class_mass": {"fast": 0.6, "slow": 0.4}}', encoding="utf-8")
+    three = scenario_path("three-file.json")
+    code = (
+        "import sys, cachecap.cli as cli\n"
+        f"assert cli.main(['gen-trace', {str(spec)!r}, '--n', '500', '--out', {str(trace)!r}]) == 0\n"
+        f"assert cli.main(['efficiency', {str(three)!r}, 'n', '--trace', {str(trace)!r}, '--order', '1']) == 0\n"
+        "sys.exit(3 if 'numpy' in sys.modules else 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_no_verb_loads_numpy(tmp_path):
     """numpy is a test and bench dependency only: no verb may import it,
     the Markov stationary solve included."""

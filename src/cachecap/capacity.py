@@ -26,7 +26,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .model import EffectiveCatalog, Network, ScenarioError, effective_catalog
+from .model import Network, ScenarioError, effective_catalog
 
 __all__ = [
     "SolverError",
@@ -36,7 +36,7 @@ __all__ = [
     "solve_characteristic",
     "solve_characteristic_full",
     "equation_for_node",
-    "catalog_capacity",
+    "node_solution",
     "node_capacity",
     "network_capacity",
     "analyze_network",
@@ -150,47 +150,29 @@ def solve_characteristic(eq: CharEquation) -> float | None:
     return solve_characteristic_full(eq).x0
 
 
-def _catalog_equation(catalog: EffectiveCatalog) -> CharEquation:
+def equation_for_node(net: Network, node_id: str) -> CharEquation:
+    """Characteristic equation of a node, one term per reachable class."""
+    catalog = effective_catalog(net, node_id)
     counts = catalog.counts
     terms = tuple((counts[cid], time) for cid, time in sorted(catalog.entries.items()))
     return CharEquation(terms=terms)
 
 
-def equation_for_node(net: Network, node_id: str) -> CharEquation:
-    """Characteristic equation of a node, one term per reachable class."""
-    return _catalog_equation(_node_catalog(net, node_id))
-
-
-def catalog_capacity(catalog: EffectiveCatalog) -> NodeCapacity:
-    """Solve an already-built catalog."""
-    return solve_characteristic_full(_catalog_equation(catalog))
-
-
-def _node_catalog(net: Network, node_id: str) -> EffectiveCatalog:
-    """The node's catalog, built on the first request and kept on ``net``.
-
-    An unknown node raises every time; only a built catalog is kept.
-    """
-    catalog = net._catalogs.get(node_id)
-    if catalog is None:
-        catalog = net._catalogs[node_id] = effective_catalog(net, node_id)
-    return catalog
-
-
-def _node_solution(net: Network, node_id: str) -> NodeCapacity:
+def node_solution(net: Network, node_id: str) -> NodeCapacity:
     """The node's solved equation, solved on the first request and kept on ``net``.
 
-    A ``SolverError`` raises every time; only a solution is kept.
+    An unknown node or a ``SolverError`` raises every time; only a solution is kept.
     """
     solution = net._solutions.get(node_id)
     if solution is None:
-        solution = net._solutions[node_id] = catalog_capacity(_node_catalog(net, node_id))
+        solution = solve_characteristic_full(equation_for_node(net, node_id))
+        net._solutions[node_id] = solution
     return solution
 
 
 def node_capacity(net: Network, node_id: str) -> float:
     """Capacity of one node in bits per time unit (0 if nothing is reachable)."""
-    return _node_solution(net, node_id).capacity_bits_per_time
+    return node_solution(net, node_id).capacity_bits_per_time
 
 
 def network_capacity(net: Network) -> float:
@@ -204,7 +186,7 @@ def analyze_network(net: Network) -> CapacityResult:
     Each node is solved once per ``net``: a later call, or a per-node query
     such as ``node_capacity``, reads the kept solution.
     """
-    per_node = {n.id: _node_solution(net, n.id) for n in net.nodes}
+    per_node = {n.id: node_solution(net, n.id) for n in net.nodes}
     total = sum(nc.capacity_bits_per_time for nc in per_node.values())
     return CapacityResult(per_node=per_node, network_capacity=total)
 
@@ -235,8 +217,8 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     Raises ScenarioError for a zero-capacity node (no reachable class, or a
     single reachable file): no nondegenerate optimum exists there.
     """
-    catalog = _node_catalog(net, node_id)
-    x0 = _node_solution(net, node_id).x0
+    catalog = effective_catalog(net, node_id)
+    x0 = node_solution(net, node_id).x0
     if x0 is None or x0 <= 1.0:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"

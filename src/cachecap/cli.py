@@ -18,16 +18,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import asdict
 from pathlib import Path
 
-from .capacity import (
-    REL_TOL,
-    SolverError,
-    _node_catalog,
-    _node_solution,
-    analyze_network,
-    optimal_distribution,
-)
+from .capacity import REL_TOL, SolverError, analyze_network, node_solution, optimal_distribution
 from .entropy import EmpiricalSource, IIDSource, MarkovSource, entropy_efficiency
-from .model import Network, ScenarioError, parse_json, read_scenario
+from .model import Network, ScenarioError, effective_catalog, parse_json, read_scenario
 from .oracle import convergence_report, quantize
 from .traces import read_trace, write_trace
 
@@ -60,7 +53,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--source", help="source spec JSON (iid or markov)")
     src.add_argument("--optimal", action="store_true", help="use the node's optimal distribution")
     src.add_argument("--trace", help="trace file; estimates entropy at --order")
-    p.add_argument("--order", type=int, default=0, help="block order for --trace")
+    p.add_argument("--order", type=int, help="block order for --trace (default 0)")
     p.add_argument("--force", action="store_true", help="accept traces too short for --order")
     p = verb("oracle", "exact task-count growth rate vs. the solver", "scenario", "node")
     p.add_argument("--grid", type=float, default=None, help="time grid (default: inferred)")
@@ -176,6 +169,8 @@ def _render_optimal(report: dict) -> str:
 
 
 def _cmd_efficiency(args: argparse.Namespace) -> dict:
+    if args.trace is None and (args.order is not None or args.force):
+        raise _UsageError("--order and --force apply only with --trace")
     net, scenario = _load_scenario(args.scenario)
     if args.optimal:
         dist = optimal_distribution(net, args.node)
@@ -185,9 +180,9 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
         src = _load_source_spec(args.source)
         echo = {"kind": src.kind, "path": args.source}
     else:
-        trace = read_trace(args.trace)
-        src = EmpiricalSource(trace=trace, order=args.order, force=args.force)
-        echo = {"kind": src.kind, "path": args.trace, "order": args.order}
+        order = 0 if args.order is None else args.order
+        src = EmpiricalSource(trace=read_trace(args.trace), order=order, force=args.force)
+        echo = {"kind": src.kind, "path": args.trace, "order": order}
 
     result = entropy_efficiency(net, args.node, src)
     report = {"command": "efficiency", "scenario": scenario, "node": args.node, "source": echo}
@@ -211,11 +206,11 @@ def _render_efficiency(report: dict) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
-    catalog = _node_catalog(net, args.node)
+    catalog = effective_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
     q = quantize(catalog, args.grid)
-    x0 = _node_solution(net, args.node).x0
+    x0 = node_solution(net, args.node).x0
     report = convergence_report(q, args.tmax, x0)
     return {
         "command": "oracle",
@@ -226,7 +221,7 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
         "solver_x0": x0,
         "solver_capacity_bits_per_time": report.solver_capacity,
         "final_gap": report.final_gap,
-        "series": report.to_json_dict()["series"],
+        "series": report.series(),
     }
 
 
@@ -355,7 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run, render = _COMMANDS[args.command]
     try:
         report = run(args)
-    except (ScenarioError, ValueError, OSError) as exc:
+    except (_UsageError, ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ArithmeticError, MemoryError) as exc:

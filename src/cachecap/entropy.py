@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .capacity import SolverError, _node_catalog, _node_solution
-from .model import Network, ScenarioError
+from .capacity import SolverError, node_capacity
+from .model import Network, ScenarioError, effective_catalog
 from .traces import (
     Trace,
     check_chain,
@@ -318,7 +318,7 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
     For i.i.d. sources the entropy additionally counts the uniform choice
     among the files inside each class.
     """
-    catalog = _node_catalog(net, node_id)
+    catalog = effective_catalog(net, node_id)
     times = catalog.entries
     counts = catalog.counts
     marginal = src.marginal()
@@ -338,7 +338,7 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 
     efficiency = estimate.value / mean_time
-    capacity = _node_solution(net, node_id).capacity_bits_per_time
+    capacity = node_capacity(net, node_id)
     utilization = efficiency / capacity if capacity > 0 else None
     return EfficiencyResult(
         node=node_id,

@@ -75,7 +75,8 @@ class Network:
     """Classes, nodes and links; lookup indexes are built once, on first use.
 
     Each node's catalog and solved characteristic equation are kept here too,
-    once computed (see ``capacity``), so they live and die with the network.
+    once computed (``effective_catalog``, ``capacity.node_solution``), so they
+    live and die with the network.
     """
 
     classes: tuple[FileClass, ...]
@@ -100,12 +101,12 @@ class Network:
 
     @cached_property
     def _catalogs(self) -> dict[str, EffectiveCatalog]:
-        """Node id to its catalog, filled by ``capacity._node_catalog``."""
+        """Node id to its catalog, filled by ``effective_catalog``."""
         return {}
 
     @cached_property
     def _solutions(self) -> dict:
-        """Node id to its ``NodeCapacity``, filled by ``capacity._node_solution``."""
+        """Node id to its ``NodeCapacity``, filled by ``capacity.node_solution``."""
         return {}
 
     def class_counts(self) -> dict[str, int]:
@@ -321,8 +322,13 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
     """Minimal read time per class for ``node_id``, minimized over all providers.
 
     A class appears iff at least one link makes it reachable in finite time.
-    ``entries`` is read-only, so one catalog can be shared by every caller.
+    The catalog is built on the first request and kept on ``net``; its
+    ``entries`` are read-only, so every caller can share it. An unknown node
+    raises on every request and is never kept.
     """
+    catalog = net._catalogs.get(node_id)
+    if catalog is not None:
+        return catalog
     net.node(node_id)  # raises on unknown id
     nodes = net._nodes_by_id
     best: dict[str, float] = {}
@@ -336,7 +342,10 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
         for cid in covered:
             if link.time < best.get(cid, math.inf):
                 best[cid] = link.time
-    return EffectiveCatalog(node=node_id, entries=MappingProxyType(best), counts=net._counts)
+    catalog = net._catalogs[node_id] = EffectiveCatalog(
+        node=node_id, entries=MappingProxyType(best), counts=net._counts
+    )
+    return catalog
 
 
 def task_time(catalog: EffectiveCatalog, task: Sequence[str] | Iterable[str]) -> float:

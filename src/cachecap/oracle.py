@@ -28,8 +28,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import _node_catalog
-from .model import EffectiveCatalog, Network
+from .model import EffectiveCatalog, Network, effective_catalog
 
 __all__ = [
     "QuantizedCatalog",
@@ -80,17 +79,10 @@ class OracleReport:
     final_gap: float
     catalog: QuantizedCatalog  # the catalog counted, rerun in decimal for the digits
 
-    def to_json_dict(self) -> dict:
+    def series(self) -> list[dict]:
+        """One ``{"T", "nu", "rate"}`` row per point, with ``nu`` in decimal digits."""
         nu = _decimal_series(self.catalog, self.points[-1].time_steps if self.points else 0)
-        return {
-            "grid": self.grid,
-            "solver_capacity": self.solver_capacity,
-            "final_gap": self.final_gap,
-            "series": [
-                {"T": p.time_steps, "nu": nu[p.time_steps], "rate": p.rate}
-                for p in self.points
-            ],
-        }
+        return [{"T": p.time_steps, "nu": nu[p.time_steps], "rate": p.rate} for p in self.points]
 
 
 def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
@@ -150,7 +142,7 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def quantize_node(net: Network, node_id: str, grid: float | None = None) -> QuantizedCatalog:
     """Quantized catalog for a node; infers the grid when none is given."""
-    return quantize(_node_catalog(net, node_id), grid)
+    return quantize(effective_catalog(net, node_id), grid)
 
 
 def count_tasks(q: QuantizedCatalog, T: int) -> int:

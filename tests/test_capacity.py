@@ -10,7 +10,6 @@ from cachecap import (
     ScenarioError,
     SolverError,
     analyze_network,
-    catalog_capacity,
     effective_catalog,
     equation_for_node,
     network_capacity,
@@ -38,6 +37,20 @@ SQRT2P1 = 1 + math.sqrt(2)
 def residual(terms, x: float) -> float:
     """``sum(count * x**-tau) - 1``, summed exactly by fsum."""
     return math.fsum([*(count * x**-tau for count, tau in terms), -1.0])
+
+
+class TestCharEquationChecks:
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_is_rejected(self, count):
+        with pytest.raises(ValueError) as exc:
+            CharEquation(terms=((2, 1.0), (count, 2.0)))
+        assert str(exc.value) == f"term count must be >= 1, got {count}"
+
+    @pytest.mark.parametrize("time", [0.0, -2.0, math.inf, math.nan])
+    def test_time_not_positive_and_finite_is_rejected(self, time):
+        with pytest.raises(ValueError) as exc:
+            CharEquation(terms=((2, 1.0), (1, time)))
+        assert str(exc.value) == f"term time must be positive and finite, got {time}"
 
 
 class TestCharEqValue:
@@ -188,7 +201,7 @@ def test_analyze_network_equals_the_per_node_calls(net):
     result = analyze_network(net)
     assert list(result.per_node) == [n.id for n in net.nodes]
     for node in net.nodes:
-        expected = catalog_capacity(effective_catalog(net, node.id))
+        expected = solve_characteristic_full(equation_for_node(net, node.id))
         assert result.per_node[node.id] == expected
 
 

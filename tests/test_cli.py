@@ -270,6 +270,24 @@ class TestGenTrace:
 
 
 class TestEfficiencyCommand:
+    @pytest.mark.parametrize("flag", [["--order", "7"], ["--force"]], ids=["order", "force"])
+    def test_trace_flags_without_a_trace_are_usage_errors(self, flag, capsys, tmp_path):
+        spec = tmp_path / "src.json"
+        spec.write_text(json.dumps({"type": "iid", "class_mass": {"own": 1.0}}))
+        fig1 = str(scenario_path("fig1.json"))
+        for source in (["--optimal"], ["--source", str(spec)]):
+            assert cli.main(["efficiency", fig1, "w2", *source, *flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --order and --force apply only with --trace\n"
+
+    def test_trace_report_echoes_order_zero_by_default(self, capsys, tmp_path):
+        trace = tmp_path / "t.trace"
+        write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
+        three = str(scenario_path("three-file.json"))
+        assert cli.main(["efficiency", three, "n", "--trace", str(trace), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["source"]["order"] == 0
+
     def test_optimal_source_reports_full_utilization(self):
         report = json.loads(
             run_cli("efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json").stdout
@@ -551,21 +569,24 @@ class TestStrictInputs:
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts catalog builds and characteristic solves at every cachecap reference."""
+    """Counts catalog builds (``EffectiveCatalog`` constructions) and characteristic solves."""
     counts = {"catalogs": 0, "solves": 0}
-    modules = [cachecap, cachecap.model, cachecap.capacity, cachecap.oracle, cachecap.entropy, cli]
-    for key, fn in [
-        ("catalogs", cachecap.model.effective_catalog),
-        ("solves", cachecap.capacity.solve_characteristic_full),
-    ]:
 
-        def counted(*args, _key=key, _fn=fn, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-        for module in modules:
-            if getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counted)
+        return counted
+
+    # ``effective_catalog`` builds every catalog, through the class's name in ``model``.
+    catalog_class = cachecap.model.EffectiveCatalog
+    monkeypatch.setattr(cachecap.model, "EffectiveCatalog", counting("catalogs", catalog_class))
+    solve = cachecap.capacity.solve_characteristic_full
+    counted_solve = counting("solves", solve)
+    for module in [cachecap, cachecap.capacity, cachecap.oracle, cachecap.entropy, cli]:
+        if getattr(module, solve.__name__, None) is solve:
+            monkeypatch.setattr(module, solve.__name__, counted_solve)
     return counts
 
 
@@ -636,12 +657,20 @@ def test_failures_are_raised_every_time_and_never_kept(work):
             cachecap.node_capacity(net, "n")
         with pytest.raises(cachecap.ScenarioError, match="unknown node 'ghost'"):
             cachecap.node_capacity(net, "ghost")
-    # n's catalog is built once and kept; its solve and ghost's catalog are tried each time.
-    assert (work["catalogs"], work["solves"]) == (3, 2)
+    # n's catalog is built once and kept; its solve is tried each time, and ghost
+    # raises before any catalog is built.
+    assert (work["catalogs"], work["solves"]) == (1, 2)
+
+
+def test_a_kept_catalog_is_the_same_object(work):
+    net = load_scenario(scenario_path("fig2.json"))
+    for node in net.nodes:
+        assert cachecap.effective_catalog(net, node.id) is cachecap.effective_catalog(net, node.id)
+    assert work["catalogs"] == len(net.nodes)
 
 
 def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch, capsys):
-    """The decimal rerun belongs to ``to_json_dict``; ``convergence_report`` never pays for it."""
+    """The decimal rerun belongs to ``series``; ``convergence_report`` never pays for it."""
     calls = []
     real = cachecap.oracle._decimal_series
 
@@ -653,7 +682,7 @@ def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch
     q = cachecap.oracle.QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
     report = cachecap.convergence_report(q, 60, 1 + 2**0.5)
     assert calls == []
-    report.to_json_dict()
+    report.series()
     assert calls == [60]
     three = str(scenario_path("three-file.json"))
     for extra in ([], ["--json"]):

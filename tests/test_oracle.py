@@ -191,9 +191,9 @@ class TestConvergenceReport:
 
     def test_json_serialization_uses_decimal_strings(self):
         report = convergence_report(PELL, 10, 1 + math.sqrt(2))
-        doc = report.to_json_dict()
-        assert doc["series"][0] == {"T": 1, "nu": "2", "rate": 1.0}
-        assert all(isinstance(row["nu"], str) for row in doc["series"])
+        series = report.series()
+        assert series[0] == {"T": 1, "nu": "2", "rate": 1.0}
+        assert all(isinstance(row["nu"], str) for row in series)
 
 
 @st.composite
@@ -209,7 +209,7 @@ def quantized_catalogs(draw) -> QuantizedCatalog:
 @given(quantized_catalogs(), st.integers(60, 300))
 def test_report_digits_are_the_exact_counts(q, t_max):
     report = convergence_report(q, t_max, 2.0)
-    series = report.to_json_dict()["series"]
+    series = report.series()
     assert [row["T"] for row in series] == [p.time_steps for p in report.points]
     assert [row["nu"] for row in series] == [str(p.count) for p in report.points]
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Network, ScenarioError, effective_catalog
 
@@ -54,22 +54,21 @@ class SolverError(RuntimeError):
     """Raised when the characteristic-equation root cannot be isolated."""
 
 
-@dataclass(frozen=True)
-class CharEquation:
+class CharEquation(NamedTuple("_CharEquationFields", [("terms", tuple[tuple[int, float], ...])])):
     """Left-hand side of the capacity equation: one (count, tau) term per class."""
 
-    terms: tuple[tuple[int, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for count, tau in self.terms:
+    def __new__(cls, terms: tuple[tuple[int, float], ...]) -> CharEquation:
+        for count, tau in terms:
             if count < 1:
                 raise ValueError(f"term count must be >= 1, got {count}")
             if not (tau > 0 and math.isfinite(tau)):
                 raise ValueError(f"term time must be positive and finite, got {tau}")
+        return super().__new__(cls, terms)
 
 
-@dataclass(frozen=True)
-class NodeCapacity:
+class NodeCapacity(NamedTuple):
     """A solved characteristic equation: capacity is log2(x0), or 0 if x0 is None or 1."""
 
     x0: float | None
@@ -78,8 +77,7 @@ class NodeCapacity:
     residual: float
 
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     per_node: Mapping[str, NodeCapacity]
     network_capacity: float
 
@@ -191,8 +189,7 @@ def analyze_network(net: Network) -> CapacityResult:
     return CapacityResult(per_node=per_node, network_capacity=total)
 
 
-@dataclass(frozen=True)
-class OptimalDistribution:
+class OptimalDistribution(NamedTuple):
     """Capacity-achieving i.i.d. access distribution for one node.
 
     Each file with read time tau gets probability x0**-tau; a class of

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import asdict
 from pathlib import Path
 
 from .capacity import REL_TOL, SolverError, analyze_network, node_solution, optimal_distribution
@@ -111,7 +110,7 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
         "command": "capacity",
         "scenario": scenario,
         "rel_tol": REL_TOL,
-        "nodes": [{"node": nid, **asdict(nc)} for nid, nc in sorted(result.per_node.items())],
+        "nodes": [{"node": nid, **nc._asdict()} for nid, nc in sorted(result.per_node.items())],
         "network_capacity_bits_per_time": result.network_capacity,
     }
 
@@ -186,7 +185,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
 
     result = entropy_efficiency(net, args.node, src)
     report = {"command": "efficiency", "scenario": scenario, "node": args.node, "source": echo}
-    return report | asdict(result)
+    return report | result._asdict()
 
 
 def _render_efficiency(report: dict) -> str:

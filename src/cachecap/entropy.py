@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from .capacity import SolverError, node_capacity
 from .model import Network, ScenarioError, effective_catalog
@@ -51,18 +51,18 @@ __all__ = [
 _STATIONARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class IIDSource:
+class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])])):
     """i.i.d. access: ``class_mass[c]`` is the total probability of class c.
 
     Within a class the mass is spread uniformly over the class's files.
     """
 
-    class_mass: Mapping[str, float]
+    __slots__ = ()
     kind = "iid"
 
-    def __post_init__(self) -> None:
-        check_distribution(self.class_mass.values(), "class_mass")
+    def __new__(cls, class_mass: Mapping[str, float]) -> IIDSource:
+        check_distribution(class_mass.values(), "class_mass")
+        return super().__new__(cls, class_mass)
 
     def marginal(self) -> dict[str, float]:
         return dict(self.class_mass)
@@ -74,24 +74,28 @@ class IIDSource:
         return sample_iid(self.class_mass, n, seed)
 
 
-@dataclass(frozen=True)
-class MarkovSource:
+class _MarkovFields(NamedTuple):
+    states: tuple[str, ...]
+    transitions: tuple[tuple[float, ...], ...]
+    initial: tuple[float, ...] | None
+
+
+class MarkovSource(_MarkovFields):
     """First-order Markov chain over class ids.
 
     The chain models the class-level access sequence; one transition is one
     file read. ``initial`` is only used for trace generation (``None`` means
     start from the stationary distribution); entropy and efficiency always
     treat the chain as stationary. The stationary distribution is solved once
-    per source, on first use.
+    per source, on first use, and kept in the ``__dict__`` that leaving out
+    ``__slots__`` gives each instance.
     """
 
-    states: tuple[str, ...]
-    transitions: tuple[tuple[float, ...], ...]
-    initial: tuple[float, ...] | None = None
     kind = "markov"
 
-    def __post_init__(self) -> None:
-        check_chain(self.states, self.transitions, self.initial)
+    def __new__(cls, states, transitions, initial=None) -> MarkovSource:
+        check_chain(states, transitions, initial)
+        return super().__new__(cls, states, transitions, initial)
 
     @cached_property
     def _stationary(self) -> dict[str, float]:
@@ -110,8 +114,7 @@ class MarkovSource:
         return sample_markov(self.states, self.transitions, initial, n, seed)
 
 
-@dataclass(frozen=True)
-class EmpiricalSource:
+class EmpiricalSource(NamedTuple):
     """Access statistics taken from a recorded trace, estimated at block order k."""
 
     trace: Trace
@@ -129,16 +132,14 @@ class EmpiricalSource:
 AccessSource = IIDSource | MarkovSource | EmpiricalSource
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     """Entropy in bits per file. ``order=None`` marks an exact limit value."""
 
     order: int | None
     value: float
 
 
-@dataclass(frozen=True)
-class EfficiencyResult:
+class EfficiencyResult(NamedTuple):
     node: str
     entropy_bits_per_file: float
     mean_read_time: float
@@ -147,8 +148,7 @@ class EfficiencyResult:
     utilization_ratio: float | None  # None when the node has zero capacity
 
 
-@dataclass(frozen=True)
-class NetworkEfficiency:
+class NetworkEfficiency(NamedTuple):
     total_bits_per_time: float
     per_node: Mapping[str, EfficiencyResult]
 

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -70,18 +69,20 @@ class Link(NamedTuple):
     classes: frozenset[str] | None = None
 
 
-@dataclass(frozen=True)
-class Network:
+class _NetworkFields(NamedTuple):
+    classes: tuple[FileClass, ...]
+    nodes: tuple[Node, ...]
+    links: tuple[Link, ...]
+
+
+class Network(_NetworkFields):
     """Classes, nodes and links; lookup indexes are built once, on first use.
 
     Each node's catalog and solved characteristic equation are kept here too,
     once computed (``effective_catalog``, ``capacity.node_solution``), so they
-    live and die with the network.
+    live and die with the network, in the ``__dict__`` that leaving out
+    ``__slots__`` gives each instance.
     """
-
-    classes: tuple[FileClass, ...]
-    nodes: tuple[Node, ...]
-    links: tuple[Link, ...]
 
     @cached_property
     def _counts(self) -> Mapping[str, int]:
@@ -120,8 +121,7 @@ class Network:
             raise ScenarioError(f"unknown node '{node_id}'") from None
 
 
-@dataclass(frozen=True)
-class EffectiveCatalog:
+class EffectiveCatalog(NamedTuple):
     """Per-node map from reachable class id to its minimal read time.
 
     Classes with no finite-time provider are omitted entirely. ``entries`` is

@@ -25,8 +25,8 @@ import decimal
 import math
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import EffectiveCatalog, Network, effective_catalog
 
@@ -46,8 +46,7 @@ _GRID_REL_TOL = 1e-9
 _MAX_DENOMINATOR = 10**6
 
 
-@dataclass(frozen=True)
-class QuantizedCatalog:
+class QuantizedCatalog(NamedTuple):
     """Catalog with read times as exact positive integers on a common grid.
 
     ``original tau = tau_int * grid``. ``quantize`` gives one pair per memory
@@ -64,15 +63,13 @@ class QuantizedCatalog:
         return max((tau for _, tau in self.int_times), default=0)
 
 
-@dataclass(frozen=True)
-class OraclePoint:
+class OraclePoint(NamedTuple):
     time_steps: int  # T in grid units
     count: int  # nu(T), exact
     rate: float  # log2(nu(T)) / (T * grid), bits per original time unit
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     points: tuple[OraclePoint, ...]
     grid: float
     solver_capacity: float

@@ -19,8 +19,8 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "SplitMix64",
@@ -60,8 +60,7 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     symbols: tuple[str, ...]
 
     @property
@@ -75,7 +74,7 @@ def check_distribution(values: Iterable[float], label: str) -> None:
     for v in values:
         try:
             finite = not isinstance(v, bool) and math.isfinite(v)
-        except OverflowError:  # an integer beyond the float range
+        except (OverflowError, TypeError):  # an integer beyond the float range, or no number
             finite = False
         if not finite:
             raise ValueError(f"{label}: probability {v!r} is not a finite number")

@@ -467,6 +467,27 @@ class TestStrictInputs:
         assert captured.out == "" and "invalid JSON in source spec" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, vector",
+        [
+            ('{"type": "iid", "class_mass": {"a": "1"}}', "class_mass: probability '1'"),
+            (
+                '{"type": "markov", "states": ["a", "b"], "transitions": [[1, 0], [null, 1]]}',
+                "transition row 1: probability None",
+            ),
+        ],
+        ids=["iid-string", "markov-null"],
+    )
+    def test_probability_that_is_not_a_number_names_its_vector(
+        self, tmp_path, capsys, spec, vector
+    ):
+        spec = self.spec(tmp_path, spec)
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{vector} is not a finite number" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "99999999999999999999999"])
     def test_seed_outside_64_bits_is_one(self, tmp_path, capsys, seed):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"a": 0.5, "b": 0.5}}')
@@ -715,9 +736,10 @@ def test_trace_verbs_do_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_no_verb_loads_numpy(tmp_path):
-    """numpy is a test and bench dependency only: no verb may import it,
-    the Markov stationary solve included."""
+@pytest.fixture(scope="module")
+def modules_after_every_verb(tmp_path_factory) -> set[str]:
+    """The ``sys.modules`` names of one fresh interpreter that has run every verb."""
+    tmp_path = tmp_path_factory.mktemp("every-verb")
     chain, trace = tmp_path / "chain.json", tmp_path / "t.trace"
     chain.write_text(
         '{"type": "markov", "states": ["fast", "slow"], "transitions": [[0.75, 0.25], [0.25, 0.75]]}',
@@ -736,15 +758,29 @@ def test_no_verb_loads_numpy(tmp_path):
         ["validate", three],
     ]
     assert {words[0] for words in runs} == set(cli._COMMANDS)
+    loaded = tmp_path / "modules.txt"
     code = (
         "import sys, cachecap.cli as cli\n"
         f"for words in {runs!r}:\n"
         "    assert cli.main(words) == 0, words\n"
-        "sys.exit(3 if 'numpy' in sys.modules else 0)"
+        f"open({str(loaded)!r}, 'w').write(' '.join(sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return set(loaded.read_text().split())
+
+
+def test_no_verb_loads_numpy(modules_after_every_verb):
+    """numpy is a test and bench dependency only: no verb may import it,
+    the Markov stationary solve included."""
+    assert "numpy" not in modules_after_every_verb
+
+
+def test_no_verb_loads_dataclasses(modules_after_every_verb):
+    """Every record is a named tuple: ``import dataclasses`` would pull in
+    ``inspect``, ``ast``, ``dis`` and ``tokenize`` at every start."""
+    assert "dataclasses" not in modules_after_every_verb
 
 
 def test_every_readme_command_line_parses():

@@ -14,7 +14,18 @@ from cachecap import (
     read_scenario,
     task_time,
 )
-from cachecap.model import FileClass, Link, Network, Node
+from cachecap.capacity import CapacityResult, CharEquation, NodeCapacity, OptimalDistribution
+from cachecap.entropy import (
+    EfficiencyResult,
+    EmpiricalSource,
+    EntropyEstimate,
+    IIDSource,
+    MarkovSource,
+    NetworkEfficiency,
+)
+from cachecap.model import EffectiveCatalog, FileClass, Link, Network, Node
+from cachecap.oracle import OraclePoint, OracleReport, QuantizedCatalog
+from cachecap.traces import Trace
 
 from conftest import link_networks, scenario_path
 
@@ -160,11 +171,80 @@ class TestRecords:
             (FileClass(id="a", count=1), "count"),
             (Node(id="n", stores=frozenset({"a"})), "stores"),
             (Link(reader="r", provider="p", time=1.0), "time"),
+            (Network(classes=(), nodes=(), links=()), "links"),
+            (EffectiveCatalog(node="n", entries={}, counts={}), "entries"),
+            (CharEquation(terms=((1, 1.0),)), "terms"),
+            (NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0), "x0"),
+            (CapacityResult(per_node={}, network_capacity=0.0), "network_capacity"),
+            (
+                OptimalDistribution(
+                    node="n", x0=2.0, class_mass={"a": 1.0}, file_probability={"a": 0.5}
+                ),
+                "x0",
+            ),
+            (QuantizedCatalog(int_times=((1, 1),), grid=1.0), "grid"),
+            (OraclePoint(time_steps=1, count=2, rate=1.0), "count"),
+            (
+                OracleReport(
+                    points=(),
+                    grid=1.0,
+                    solver_capacity=1.0,
+                    final_gap=0.0,
+                    catalog=QuantizedCatalog(int_times=((1, 1),), grid=1.0),
+                ),
+                "points",
+            ),
+            (IIDSource(class_mass={"a": 1.0}), "class_mass"),
+            (MarkovSource(states=("a",), transitions=((1.0,),)), "initial"),
+            (EmpiricalSource(trace=Trace(symbols=("a",))), "order"),
+            (EntropyEstimate(order=0, value=1.0), "value"),
+            (
+                EfficiencyResult(
+                    node="n",
+                    entropy_bits_per_file=1.0,
+                    mean_read_time=1.0,
+                    efficiency_bits_per_time=1.0,
+                    capacity_bits_per_time=1.0,
+                    utilization_ratio=1.0,
+                ),
+                "utilization_ratio",
+            ),
+            (NetworkEfficiency(total_bits_per_time=0.0, per_node={}), "per_node"),
+            (Trace(symbols=("a",)), "symbols"),
         ],
     )
     def test_fields_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+    @pytest.mark.parametrize(
+        "make, fields, message",
+        [
+            (CharEquation, {"terms": ((0, 1.0),)}, "term count must be >= 1, got 0"),
+            (
+                CharEquation,
+                {"terms": ((1, -2.0),)},
+                "term time must be positive and finite, got -2.0",
+            ),
+            (IIDSource, {"class_mass": {"a": 0.5}}, "class_mass: probabilities sum to 0.5, not 1"),
+            (
+                MarkovSource,
+                {"states": ("a",), "transitions": ((0.5,),)},
+                "transition row 0: probabilities sum to 0.5, not 1",
+            ),
+            (
+                MarkovSource,
+                {"states": ("a",), "transitions": ((1.0,),), "initial": (0.5,)},
+                "initial distribution: probabilities sum to 0.5, not 1",
+            ),
+        ],
+        ids=["char-count", "char-time", "iid", "markov-row", "markov-initial"],
+    )
+    def test_checked_records_reject_by_position_and_by_keyword(self, make, fields, message):
+        for build in (lambda: make(*fields.values()), lambda: make(**fields)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
     def test_link_covers_every_stored_class_by_default(self):
         link = Link(reader="r", provider="p", time=2.0)

@@ -157,7 +157,16 @@ class TestSampleIid:
 
     @pytest.mark.parametrize(
         "bad",
-        [float("nan"), float("inf"), float("-inf"), True, pytest.param(10**400, id="int-10**400")],
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            True,
+            pytest.param(10**400, id="int-10**400"),
+            pytest.param("1", id="str-1"),
+            None,
+            pytest.param([0.5], id="list"),
+        ],
     )
     def test_non_finite_or_boolean_mass_rejected(self, bad):
         with pytest.raises(ValueError, match="not a finite number"):

@@ -27,6 +27,7 @@ from .traces import (
     Trace,
     check_chain,
     check_distribution,
+    check_ids,
     empirical_distribution,
     sample_iid,
     sample_markov,
@@ -62,6 +63,7 @@ class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])]))
 
     def __new__(cls, class_mass: Mapping[str, float]) -> IIDSource:
         check_distribution(class_mass.values(), "class_mass")
+        check_ids(class_mass, "class ids")
         return super().__new__(cls, class_mass)
 
     def marginal(self) -> dict[str, float]:

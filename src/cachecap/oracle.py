@@ -13,10 +13,11 @@ done in exact integer arithmetic (the values outgrow 64 bits quickly), and
 log2(nu(T)) / (T * grid) converges to the capacity in bits per original time
 unit, giving an independent cross-check of the root-finding solver.
 
-The report prints each nu(T) in decimal. Those digits come from a second run
-of the recurrence in exact ``decimal`` arithmetic: libmpdec adds, multiplies
-by a count and prints in time linear in the digits, where converting a Python
-int to text is quadratic (and refused beyond 4,300 digits by default).
+The recurrence is written once and run in two number types: Python ints for
+the counts and rates, exact ``decimal`` for the digits the report prints.
+libmpdec adds, multiplies by a count and prints in time linear in the digits,
+where converting a Python int to text is quadratic (and refused beyond 4,300
+digits by default).
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 import decimal
 import math
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .model import EffectiveCatalog, Network, effective_catalog
@@ -67,6 +69,14 @@ class OraclePoint(NamedTuple):
     time_steps: int  # T in grid units
     count: int  # nu(T), exact
     rate: float  # log2(nu(T)) / (T * grid), bits per original time unit
+
+    def __repr__(self) -> str:
+        """The default repr, but a count too long for ``str`` shows its bit length."""
+        try:
+            count = repr(self.count)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            count = f"<{self.count.bit_length()}-bit int>"
+        return f"OraclePoint(time_steps={self.time_steps!r}, count={count}, rate={self.rate!r})"
 
 
 class OracleReport(NamedTuple):
@@ -157,40 +167,37 @@ def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
     """nu(0..t_max) by dynamic programming over the recurrence, exact integers."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    nu = [0] * (t_max + 1)
-    nu[0] = 1
-    for t in range(1, t_max + 1):
-        total = 0
-        for count, tau in q.int_times:
-            if tau <= t:
-                total += count * nu[t - tau]
-        nu[t] = total
+    nu = [0] * (t_max + 1)  # allocated first: a horizon too large fails before any work
+    for t, value in zip(range(t_max + 1), _recurrence(q, 1)):
+        nu[t] = value
     return nu
 
 
 def _decimal_series(q: QuantizedCatalog, t_max: int) -> list[str]:
-    """``str(nu(T))`` for T = 0..t_max: the recurrence rerun in exact decimal arithmetic.
-
-    The context can hold any integer and traps ``Inexact``, so no value is
-    ever rounded. Only the last ``max_time`` values are kept: ``window[-tau]``
-    is nu(T - tau), and the zeros it starts with stand for negative T.
-    """
+    """``str(nu(T))`` for T = 0..t_max, counted in decimal: the context holds any
+    integer and traps ``Inexact``, so no value is ever rounded."""
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        zero = decimal.Decimal(0)
-        terms = [(decimal.Decimal(count), tau) for count, tau in q.int_times]
-        window = deque([zero] * q.max_time, maxlen=q.max_time)
-        window.append(decimal.Decimal(1))
-        digits = ["1"]
-        for _ in range(t_max):
-            total = zero
-            for count, tau in terms:
-                total += count * window[-tau]
-            window.append(total)
-            digits.append(str(total))
-    return digits
+        return [str(v) for v in islice(_recurrence(q, decimal.Decimal(1)), t_max + 1)]
+
+
+def _recurrence(q: QuantizedCatalog, one: int | decimal.Decimal) -> Iterator:
+    """nu(0), nu(1), ... in the number type of ``one``, from a window of the
+    last ``max_time`` values: ``window[-tau]`` is nu(T - tau) when nu(T) is
+    summed, and the zeros it starts with stand for negative T."""
+    zero = one - one
+    terms = [(one * count, tau) for count, tau in q.int_times]
+    width = max(q.max_time, 1)
+    window = deque([zero] * width, maxlen=width)
+    window.append(one)
+    while True:
+        yield window[-1]
+        value = zero
+        for count, tau in terms:
+            value += count * window[-tau]
+        window.append(value)
 
 
 def _log2_exact(n: int) -> float:
@@ -203,18 +210,19 @@ def _log2_exact(n: int) -> float:
 
 
 def convergence_report(
-    q: QuantizedCatalog, t_max: int, solver_x0: float
+    q: QuantizedCatalog, t_max: int, solver_x0: float | None
 ) -> OracleReport:
     """Growth-rate series log2(nu(T))/(T*grid) against the solver's log2(x0).
 
     Points appear only at achievable T (nu(T) > 0, which restricts them to
     multiples of the gcd of the quantized times). ``final_gap`` is the distance
     between the last point's rate and the solver capacity; it shrinks like
-    1/T as the horizon grows.
+    1/T as the horizon grows. An ``x0`` of ``None`` (nothing reachable) or
+    ``<= 0`` counts as capacity 0.
     """
     if t_max < q.max_time:
         raise ValueError(f"t_max {t_max} is below the largest quantized time {q.max_time}")
-    solver_capacity = math.log2(solver_x0) if solver_x0 > 0 else 0.0
+    solver_capacity = math.log2(solver_x0) if solver_x0 is not None and solver_x0 > 0 else 0.0
     nu = count_series(q, t_max)
     points = tuple(
         OraclePoint(time_steps=t, count=nu[t], rate=_log2_exact(nu[t]) / (t * q.grid))

@@ -85,6 +85,13 @@ def check_distribution(values: Iterable[float], label: str) -> None:
         raise ValueError(f"{label}: probabilities sum to {total!r}, not 1")
 
 
+def check_ids(ids: Iterable[str], label: str) -> None:
+    """Raise ValueError, naming the id, unless every id in ``ids`` is a string."""
+    for cid in ids:
+        if not isinstance(cid, str):
+            raise ValueError(f"{label} must be strings, got {cid!r}")
+
+
 def check_chain(
     states: Sequence[str],
     transitions: Sequence[Sequence[float]],
@@ -96,9 +103,7 @@ def check_chain(
     k = len(states)
     if k == 0:
         raise ValueError("Markov source needs at least one state")
-    for state in states:
-        if not isinstance(state, str):
-            raise ValueError(f"Markov 'states' must be strings, got {state!r}")
+    check_ids(states, "Markov 'states'")
     if len(set(states)) != k:
         raise ValueError("Markov states must be unique")
     if len(transitions) != k or any(len(row) != k for row in transitions):
@@ -174,6 +179,7 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     check_distribution(p.values(), "distribution")
+    check_ids(p, "class ids")
     ids, masses = zip(*sorted(p.items()))
     row = _inverse_cdf(masses)
     symbols = _walk(ids, row, [row] * len(ids), n, seed)

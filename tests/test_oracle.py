@@ -2,11 +2,13 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
     CharEquation,
+    Network,
+    Node,
     analyze_network,
     convergence_report,
     count_series,
@@ -14,10 +16,12 @@ from cachecap import (
     effective_catalog,
     equation_for_node,
     infer_grid,
+    node_solution,
     quantize,
     quantize_node,
     solve_characteristic,
 )
+from cachecap import oracle
 from cachecap.oracle import QuantizedCatalog
 
 from conftest import link_networks, random_terms, single_node_network
@@ -138,8 +142,12 @@ class TestCountTasks:
 
     def test_dp_matches_exhaustive_enumeration_on_random_catalogs(self):
         rng = random.Random(3)
-        for _ in range(40):
-            terms = random_terms(rng, max_classes=3, max_files=4, time_range=(1, 4), integer_times=True)
+        random_catalogs = [
+            random_terms(rng, max_classes=3, max_files=4, time_range=(1, 4), integer_times=True)
+            for _ in range(40)
+        ]
+        # first an empty catalog, a single kind and a repeated time
+        for terms in [[], [(3, 2)], [(2, 1), (1, 3), (2, 3)], *random_catalogs]:
             q = QuantizedCatalog(
                 int_times=tuple((c, int(t)) for c, t in terms),
                 grid=1.0,
@@ -189,6 +197,21 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="t_max"):
             convergence_report(PELL, 1, 2.0)
 
+    def test_nothing_reachable_is_capacity_zero(self):
+        net = Network(classes=(), nodes=(Node(id="n", stores=frozenset()),), links=())
+        q = quantize(effective_catalog(net, "n"), 1.0)
+        report = convergence_report(q, 10, node_solution(net, "n").x0)  # x0 is None
+        assert report.points == ()
+        assert report.solver_capacity == 0.0 and report.final_gap == 0.0
+        assert report.series() == []
+
+    def test_repr_shows_a_count_too_long_for_str_as_its_bit_length(self, three_file):
+        x0 = solve_characteristic(equation_for_node(three_file, "n"))
+        report = convergence_report(quantize_node(three_file, "n", grid=1.0), 12000, x0)
+        text = repr(report)
+        assert repr(report.points[0]) == "OraclePoint(time_steps=1, count=2, rate=1.0)"
+        assert "OraclePoint(time_steps=12000, count=<15259-bit int>, rate=" in text
+
     def test_json_serialization_uses_decimal_strings(self):
         report = convergence_report(PELL, 10, 1 + math.sqrt(2))
         series = report.series()
@@ -207,11 +230,16 @@ def quantized_catalogs(draw) -> QuantizedCatalog:
 
 @settings(max_examples=100, deadline=None)
 @given(quantized_catalogs(), st.integers(60, 300))
+@example(QuantizedCatalog(int_times=(), grid=1.0), 0)
+@example(QuantizedCatalog(int_times=(), grid=1.0), 60)
+@example(QuantizedCatalog(int_times=((3, 2),), grid=1.0), 2)
+@example(QuantizedCatalog(int_times=((2, 1), (1, 3), (2, 3)), grid=1.0), 60)
 def test_report_digits_are_the_exact_counts(q, t_max):
     report = convergence_report(q, t_max, 2.0)
     series = report.series()
     assert [row["T"] for row in series] == [p.time_steps for p in report.points]
     assert [row["nu"] for row in series] == [str(p.count) for p in report.points]
+    assert oracle._decimal_series(q, t_max) == [str(v) for v in count_series(q, t_max)]
 
 
 def test_oracle_agrees_with_solver_on_integer_catalogs():

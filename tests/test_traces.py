@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
+    IIDSource,
     SplitMix64,
     Trace,
     empirical_distribution,
@@ -173,6 +174,13 @@ class TestSampleIid:
             sample_iid({"a": bad, "b": 0.0}, 10, seed=1)
         with pytest.raises(ValueError, match="not a finite number"):
             sample_markov(("a", "b"), ((1.0, 0.0), (bad, 0.0)), (1.0, 0.0), 5, seed=1)
+
+    @pytest.mark.parametrize("mass", [{1: 0.5, "a": 0.5}, {1: 1.0}], ids=["mixed", "int-only"])
+    def test_class_ids_must_be_strings(self, mass):
+        with pytest.raises(ValueError, match="class ids must be strings, got 1"):
+            sample_iid(mass, 5, seed=1)
+        with pytest.raises(ValueError, match="class ids must be strings, got 1"):
+            IIDSource(mass)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999, True, 1.0, "3"])
     def test_seed_outside_64_bits_or_not_an_int_rejected(self, seed):

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 from pathlib import Path
 
 from .capacity import REL_TOL, SolverError, analyze_network, node_solution, optimal_distribution
@@ -76,6 +78,14 @@ def _load_scenario(path: str) -> tuple[Network, dict]:
     return net, {"path": path, "digest": digest}
 
 
+def _array(value: object, field: str) -> tuple:
+    """A JSON array as a tuple; anything else, which ``tuple()`` would split
+    into characters or keys, is rejected with the field named."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be an array")
+    return tuple(value)
+
+
 def _load_source_spec(path: str) -> IIDSource | MarkovSource:
     doc = parse_json(Path(path).read_text(encoding="utf-8"), f"source spec {path}")
     if not isinstance(doc, Mapping) or "type" not in doc:
@@ -87,13 +97,13 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
                 raise ValueError("'class_mass' must be an object")
             return IIDSource(class_mass=doc["class_mass"])
         if kind == "markov":
-            if not isinstance(doc["states"], list):
-                raise ValueError("'states' must be an array")
+            states = _array(doc["states"], "'states'")
+            rows = _array(doc["transitions"], "'transitions'")
             initial = doc.get("initial")
             return MarkovSource(
-                states=tuple(doc["states"]),
-                transitions=tuple(tuple(row) for row in doc["transitions"]),
-                initial=tuple(initial) if initial is not None else None,
+                states=states,
+                transitions=tuple(_array(r, f"'transitions' row {i}") for i, r in enumerate(rows)),
+                initial=_array(initial, "'initial'") if initial is not None else None,
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad source spec {path}: {exc}") from exc
@@ -338,6 +348,37 @@ _COMMANDS = {
 }
 
 
+def _json_pieces(report: dict) -> Iterable[str]:
+    """``json.dumps(report, indent=2)`` and a newline, as pieces to write in turn.
+
+    A report with ``series`` rows (``OracleReport.series()``: 5,001 rows and
+    about 5 MB at ``--tmax 5000``) is laid out one row per f-string in the
+    ``indent=2`` layout, so the document is never held as one string. The
+    bytes are the same: ``T`` is ``int.__repr__``, ``nu`` is decimal digits
+    that need no escaping, and ``rate`` is ``float.__repr__``, as ``json``
+    prints a finite float. A rate that is not finite has no JSON number, so it
+    raises ``ArithmeticError`` here, before any piece is written.
+    """
+    rows = report.get("series")
+    if not rows:
+        return (json.dumps(report, indent=2), "\n")
+    for row in rows:
+        if not math.isfinite(row["rate"]):
+            raise ArithmeticError(f"oracle rate at T={row['T']} is not finite: {row['rate']!r}")
+    head, _, tail = json.dumps(report | {"series": []}, indent=2).rpartition('"series": []')
+    return chain((head, '"series": ['), _series_rows(rows), (f"\n  ]{tail}\n",))
+
+
+def _series_rows(rows: list[dict]) -> Iterator[str]:
+    sep = ""
+    for row in rows:
+        yield (
+            f'{sep}\n    {{\n      "T": {int.__repr__(row["T"])},\n      "nu": "{row["nu"]}",'
+            f'\n      "rate": {float.__repr__(row["rate"])}\n    }}'
+        )
+        sep = ","
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -349,6 +390,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     run, render = _COMMANDS[args.command]
     try:
         report = run(args)
+        if args.json:
+            pieces = _json_pieces(report)
     except (_UsageError, ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -356,10 +399,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render(report))
+    if not args.json:
+        pieces = (render(report), "\n")
+    write = sys.stdout.write  # looked up now, so redirect_stdout and capsys see the output
+    for piece in pieces:
+        write(piece)
     return 0
 
 

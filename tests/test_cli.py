@@ -379,6 +379,16 @@ class TestReports:
         assert len(last["nu"]) > 4300
         exact = count_tasks(cachecap.quantize_node(three_file, "n"), 12000)
         assert Decimal(last["nu"]) == Decimal(exact)  # Decimal(int) has no digit limit
+        # The whole stdout, layout included, as ``json.dumps(report, indent=2)`` printed it.
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "7ea6c3adb79cc99c42817f300119886aa5708d12bb1cb0d5b97c92ee6cefb96e"
+
+    def test_benchmark_oracle_job_stdout_is_pinned(self):
+        """The ``cli-verbs`` benchmark's oracle job, byte for byte (about 5 MB of JSON)."""
+        proc = run_cli("oracle", "scenarios/three-file.json", "n", "--tmax", "5000", "--json")
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "26747184390c83d84a6b48df46547b43b6e62b1b879a2bf193eba8d4d4f37c79"
 
     # One node whose four classes share two read times (a:3, b:5 at 1; c:7, d:2
     # at 3). SHA-256 of the text stdout and of the JSON series at --tmax 3000,
@@ -439,6 +449,25 @@ class TestStrictInputs:
         out = tmp_path / "t.trace"
         assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
         assert "'states'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"transitions": ["10", "01"]', "'transitions' row 0 must be an array"),
+            ('"transitions": {"a": [1, 0], "b": [0, 1]}', "'transitions' must be an array"),
+            ('"transitions": [[0.5, 0.5], 1]', "'transitions' row 1 must be an array"),
+            ('"transitions": [[1, 0], [0, 1]], "initial": "ab"', "'initial' must be an array"),
+            ('"transitions": [[1, 0], [0, 1]], "initial": {"a": 1, "b": 0}', "'initial' must be an array"),
+        ],
+        ids=["row-string", "transitions-object", "row-number", "initial-string", "initial-object"],
+    )
+    def test_markov_vectors_must_be_arrays(self, tmp_path, capsys, fields, message):
+        spec = self.spec(tmp_path, f'{{"type": "markov", "states": ["a", "b"], {fields}}}')
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "10", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize("mass", ['[["own", 0.9], ["lib", 0.1]]', '[[1, 0.5], ["a", 0.5]]'])

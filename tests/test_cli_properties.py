@@ -1,0 +1,182 @@
+"""Property tests of the command line, run in process through ``cli.main``:
+the streamed ``--json`` writer against ``json.dumps``, and the exit codes of
+every verb on random documents with at most one junk value."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import cachecap.cli as cli
+from cachecap import Network, convergence_report
+from cachecap.oracle import QuantizedCatalog
+
+from conftest import link_networks, scenario_path
+
+
+def run_main(*args: str) -> tuple[int, str]:
+    """``cli.main(args)``: its exit code and stdout; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(args))
+    return code, out.getvalue()
+
+
+# --- the --json writer --------------------------------------------------------
+
+
+@st.composite
+def oracle_inputs(draw) -> tuple[QuantizedCatalog, int]:
+    """A hand-built catalog (times may repeat) and a horizon at or above its largest time."""
+    pairs = st.tuples(st.integers(1, 10**7), st.integers(1, 6))
+    q = QuantizedCatalog(
+        int_times=tuple(draw(st.lists(pairs, min_size=1, max_size=5))),
+        grid=draw(st.floats(1e-6, 1e6)),
+    )
+    return q, draw(st.integers(q.max_time, 150))
+
+
+def oracle_document(q: QuantizedCatalog, t_max: int, x0: float | None) -> dict:
+    """A report with the oracle verb's fields, counted from ``q``."""
+    report = convergence_report(q, t_max, x0)
+    return {
+        "command": "oracle",
+        "scenario": {"path": "scenarios/n.json", "digest": "0" * 64},
+        "node": "n",
+        "grid": q.grid,
+        "t_max": t_max,
+        "solver_x0": x0,
+        "solver_capacity_bits_per_time": report.solver_capacity,
+        "final_gap": report.final_gap,
+        "series": report.series(),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_inputs(), st.one_of(st.none(), st.floats(0.0, 1e9)))
+@example((QuantizedCatalog(int_times=(), grid=1.0), 0), None)  # empty series
+@example((QuantizedCatalog(int_times=((3, 1),), grid=1.0), 1), 3.0)  # one row
+@example((QuantizedCatalog(int_times=((3, 1), (5, 1), (7, 3), (2, 3)), grid=1.0), 60), 9.0)
+def test_json_writer_prints_what_json_dumps_prints(inputs, x0):
+    doc = oracle_document(*inputs, x0)
+    with mock.patch.dict(cli._COMMANDS, {"oracle": (lambda args: doc, cli._render_oracle)}):
+        code, out = run_main("oracle", "scenarios/n.json", "n", "--json")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch, capsys):
+    real = cli.convergence_report
+
+    def last_rate_infinite(q, t_max, x0):
+        report = real(q, t_max, x0)
+        last = report.points[-1]._replace(rate=math.inf)
+        return report._replace(points=(*report.points[:-1], last))
+
+    monkeypatch.setattr(cli, "convergence_report", last_rate_infinite)
+    three = str(scenario_path("three-file.json"))
+    assert cli.main(["oracle", three, "n", "--tmax", "60", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "computation failed: oracle rate at T=60 is not finite: inf" in captured.err
+
+
+# --- exit codes of every verb -------------------------------------------------
+
+JUNK = [math.nan, math.inf, -math.inf, True, 10**400, -(10**400), None, "1", [], {}, "ghost"]
+
+
+def network_document(net: Network) -> dict:
+    return {
+        "classes": [{"id": c.id, "count": c.count} for c in net.classes],
+        "nodes": [{"id": n.id, "stores": sorted(n.stores)} for n in net.nodes],
+        "links": [
+            {"reader": l.reader, "provider": l.provider, "time": l.time}
+            | ({} if l.classes is None else {"classes": sorted(l.classes)})
+            for l in net.links
+        ],
+    }
+
+
+def value_paths(value, path=()) -> list[tuple]:
+    """The path of every value below the document root."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    paths = []
+    for key, child in children:
+        paths.append((*path, key))
+        if isinstance(child, (dict, list)):
+            paths.extend(value_paths(child, (*path, key)))
+    return paths
+
+
+@st.composite
+def mutated_documents(draw) -> tuple[dict, list[str]]:
+    """A ``link_networks`` document with zero or one value replaced by junk, and its node ids."""
+    net = draw(link_networks())
+    doc = network_document(net)
+    paths = value_paths(doc)
+    path = draw(st.one_of(st.none(), st.sampled_from(paths)))
+    if path is not None:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = draw(st.sampled_from(JUNK))
+    return doc, [n.id for n in net.nodes]
+
+
+def check_report(args: list[str], report: dict) -> None:
+    """What every report that exits 0 must hold."""
+
+    def capacities(value):
+        if isinstance(value, dict):
+            for key, child in value.items():
+                if "capacity" in key and isinstance(child, float):
+                    yield child
+                yield from capacities(child)
+        elif isinstance(value, list):
+            for child in value:
+                yield from capacities(child)
+
+    assert all(c >= 0 for c in capacities(report)), (args, report)
+    if "--optimal" in args:
+        assert abs(report["utilization_ratio"] - 1) <= 1e-9, (args, report)
+    if args[0] == "oracle":
+        assert math.isfinite(report["final_gap"]), (args, report)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_documents())
+def test_every_verb_exits_0_1_or_2_and_raises_nothing(drawn):
+    doc, node_ids = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = str(Path(tmp, "s.json"))
+        Path(scenario).write_text(json.dumps(doc), encoding="utf-8")
+        runs = [["capacity", scenario], ["validate", scenario]]
+        runs.append(["compare", str(scenario_path("fig2.json")), scenario])
+        for node in node_ids:
+            runs.append(["optimal", scenario, node])
+            runs.append(["oracle", scenario, node, "--tmax", "40"])
+            runs.append(["efficiency", scenario, node, "--optimal"])
+        for args in runs:  # grows: an optimal that exits 0 adds the trace verbs
+            for fmt in ([], ["--json"]):
+                code, out = run_main(*args, *fmt)
+                assert code in (0, 1, 2), (args, fmt)
+                if code != 0 or not fmt:
+                    continue
+                report = json.loads(out)
+                check_report(args, report)
+                if args[0] == "optimal":
+                    node = args[2]
+                    spec, trace = str(Path(tmp, f"{node}.src.json")), str(Path(tmp, f"{node}.trace"))
+                    masses = {row["class"]: row["class_mass"] for row in report["classes"]}
+                    Path(spec).write_text(json.dumps({"type": "iid", "class_mass": masses}))
+                    runs.append(["gen-trace", spec, "--n", "300", "--out", trace])
+                    runs.append(["efficiency", scenario, node, "--source", spec])
+                    runs.append(["efficiency", scenario, node, "--trace", trace, "--force"])

@@ -33,7 +33,6 @@ __all__ = [
     "CharEquation",
     "NodeCapacity",
     "CapacityResult",
-    "solve_characteristic",
     "solve_characteristic_full",
     "equation_for_node",
     "node_solution",
@@ -107,16 +106,21 @@ def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
     the left-hand side at x0 * (1 + REL_TOL) is at most 1, which puts the
     root within REL_TOL above x0. If it is still above 1, Newton goes on
     from that point, which is still below the root. The residual |lhs - 1|
-    at the returned x0 must be within a fixed 1e-9.
+    at the returned x0 must be within a fixed 1e-9. The first iterate at or
+    above s = 1024, the bound included, shows that x0 overflows a double.
     """
     if not eq.terms:
         return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)
 
     terms = [(math.log2(count), tau) for count, tau in eq.terms]
     s = max(log2c / tau for log2c, tau in terms)
-    value, slope = _lhs(terms, s)
     iterations, step = 0, math.inf
-    while value > 1.0:
+    while True:
+        if s >= 1024.0:  # s is at or below the root, so 2**root overflows too
+            raise SolverError("root exceeds the representable range")
+        value, slope = _lhs(terms, s)
+        if value <= 1.0:
+            break
         if step * _LN2 <= REL_TOL:
             # A step from below falls short of the root, so a small one does not
             # show that x0 is within REL_TOL: look at x0 * (1 + REL_TOL) itself.
@@ -130,10 +134,7 @@ def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
         step = (value - 1.0) / (_LN2 * slope)
         s += step
         iterations += 1
-        value, slope = _lhs(terms, s)
 
-    if s >= 1024.0:
-        raise SolverError("root exceeds the representable range")
     residual = abs(value - 1.0)
     if residual > _RESIDUAL_BOUND:
         raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {_RESIDUAL_BOUND:.3g}")
@@ -144,15 +145,11 @@ def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
     )
 
 
-def solve_characteristic(eq: CharEquation) -> float | None:
-    return solve_characteristic_full(eq).x0
-
-
 def equation_for_node(net: Network, node_id: str) -> CharEquation:
     """Characteristic equation of a node, one term per reachable class."""
     catalog = effective_catalog(net, node_id)
     counts = catalog.counts
-    terms = tuple((counts[cid], time) for cid, time in sorted(catalog.entries.items()))
+    terms = tuple((counts[cid], time) for cid, time in catalog.entries.items())
     return CharEquation(terms=terms)
 
 
@@ -220,7 +217,7 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"
         )
-    file_probability = {cid: x0**-time for cid, time in sorted(catalog.entries.items())}
+    file_probability = {cid: x0**-time for cid, time in catalog.entries.items()}
     class_mass = {cid: catalog.counts[cid] * p for cid, p in file_probability.items()}
     return OptimalDistribution(
         node=node_id, x0=x0, class_mass=class_mass, file_probability=file_probability

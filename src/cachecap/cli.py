@@ -93,8 +93,6 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
     kind = doc["type"]
     try:
         if kind == "iid":
-            if not isinstance(doc["class_mass"], Mapping):
-                raise ValueError("'class_mass' must be an object")
             return IIDSource(class_mass=doc["class_mass"])
         if kind == "markov":
             states = _array(doc["states"], "'states'")
@@ -142,15 +140,15 @@ def _render_capacity(report: dict) -> str:
 def _cmd_optimal(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
     dist = optimal_distribution(net, args.node)
-    counts = net.class_counts()
+    counts = effective_catalog(net, args.node).counts
     classes = [
         {
             "class": cid,
             "files": counts[cid],
             "file_probability": dist.file_probability[cid],
-            "class_mass": dist.class_mass[cid],
+            "class_mass": mass,
         }
-        for cid in sorted(dist.class_mass)
+        for cid, mass in dist.class_mass.items()
     ]
     return {
         "command": "optimal",

@@ -26,8 +26,7 @@ from .model import Network, ScenarioError, effective_catalog
 from .traces import (
     Trace,
     check_chain,
-    check_distribution,
-    check_ids,
+    check_class_mass,
     empirical_distribution,
     sample_iid,
     sample_markov,
@@ -62,8 +61,7 @@ class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])]))
     kind = "iid"
 
     def __new__(cls, class_mass: Mapping[str, float]) -> IIDSource:
-        check_distribution(class_mass.values(), "class_mass")
-        check_ids(class_mass, "class ids")
+        check_class_mass(class_mass, "class_mass")
         return super().__new__(cls, class_mass)
 
     def marginal(self) -> dict[str, float]:
@@ -164,7 +162,7 @@ def iid_entropy(
     mass is uniform over the class's files; 0*log(0) is 0. Without counts
     every class is a single file.
     """
-    check_distribution(class_mass.values(), "class_mass")
+    check_class_mass(class_mass, "class_mass")
     h = 0.0
     for cid, mass in class_mass.items():
         if mass <= 0.0:

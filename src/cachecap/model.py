@@ -110,10 +110,6 @@ class Network(_NetworkFields):
         """Node id to its ``NodeCapacity``, filled by ``capacity.node_solution``."""
         return {}
 
-    def class_counts(self) -> dict[str, int]:
-        """Class id to file count; a fresh dict the caller may change."""
-        return dict(self._counts)
-
     def node(self, node_id: str) -> Node:
         try:
             return self._nodes_by_id[node_id]
@@ -125,8 +121,10 @@ class EffectiveCatalog(NamedTuple):
     """Per-node map from reachable class id to its minimal read time.
 
     Classes with no finite-time provider are omitted entirely. ``entries`` is
-    read-only. ``counts`` is the network's read-only class-id-to-file-count
-    map, which every formula over the catalog needs next to the times.
+    read-only and comes in class-id order, which fixes the order of every sum
+    and every report over the catalog. ``counts`` is the network's read-only
+    class-id-to-file-count map, which every formula over the catalog needs
+    next to the times.
     """
 
     node: str
@@ -343,7 +341,7 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
             if link.time < best.get(cid, math.inf):
                 best[cid] = link.time
     catalog = net._catalogs[node_id] = EffectiveCatalog(
-        node=node_id, entries=MappingProxyType(best), counts=net._counts
+        node=node_id, entries=MappingProxyType(dict(sorted(best.items()))), counts=net._counts
     )
     return catalog
 

@@ -39,7 +39,6 @@ __all__ = [
     "quantize",
     "quantize_node",
     "infer_grid",
-    "count_tasks",
     "count_series",
     "convergence_report",
 ]
@@ -81,7 +80,6 @@ class OraclePoint(NamedTuple):
 
 class OracleReport(NamedTuple):
     points: tuple[OraclePoint, ...]
-    grid: float
     solver_capacity: float
     final_gap: float
     catalog: QuantizedCatalog  # the catalog counted, rerun in decimal for the digits
@@ -97,17 +95,17 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
 
     ``grid=None`` infers the largest grid that fits every time. Every time
     must be an exact multiple of the grid (to within double rounding, 1e-9
-    relative); an off-grid time is rejected with the class named, never
-    silently rounded. Classes that land on the same step count form one
-    memory kind: their file counts are summed into a single ``(count, tau_int)``
-    pair, and the pairs come in ascending ``tau_int``.
+    relative); the first off-grid time in the catalog's order is rejected
+    with its class named, never silently rounded. Classes that land on the
+    same step count form one memory kind: their file counts are summed into a
+    single ``(count, tau_int)`` pair, and the pairs come in ascending ``tau_int``.
     """
     if grid is None:
         grid = infer_grid(catalog.entries.values())
     if not (grid > 0 and math.isfinite(grid)):
         raise ValueError(f"grid must be positive and finite, got {grid}")
     kinds: dict[int, int] = {}  # tau_int -> total file count
-    for cid, time in sorted(catalog.entries.items()):
+    for cid, time in catalog.entries.items():
         steps = time / grid
         if not math.isfinite(steps):
             raise ValueError(
@@ -152,19 +150,13 @@ def quantize_node(net: Network, node_id: str, grid: float | None = None) -> Quan
     return quantize(effective_catalog(net, node_id), grid)
 
 
-def count_tasks(q: QuantizedCatalog, T: int) -> int:
-    """nu(T): exact number of file sequences with total quantized time T.
-
-    Files within a kind are distinct, so a kind contributes ``count``
-    choices per position. nu(0) = 1 is the empty task.
-    """
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    return count_series(q, T)[T]
-
-
 def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
-    """nu(0..t_max) by dynamic programming over the recurrence, exact integers."""
+    """nu(0..t_max) by dynamic programming over the recurrence, exact integers.
+
+    nu(T) is the number of file sequences with total quantized time T: files
+    within a kind are distinct, so a kind gives ``count`` choices per
+    position, and nu(0) = 1 is the empty task.
+    """
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     nu = [0] * (t_max + 1)  # allocated first: a horizon too large fails before any work
@@ -235,7 +227,6 @@ def convergence_report(
         final_gap = abs(solver_capacity)
     return OracleReport(
         points=points,
-        grid=q.grid,
         solver_capacity=solver_capacity,
         final_gap=final_gap,
         catalog=q,

@@ -92,6 +92,15 @@ def check_ids(ids: Iterable[str], label: str) -> None:
             raise ValueError(f"{label} must be strings, got {cid!r}")
 
 
+def check_class_mass(mass: Mapping[str, float], label: str) -> None:
+    """Raise ValueError, naming ``label``, unless ``mass`` is a mapping whose
+    keys are string class ids and whose values are a distribution."""
+    if not isinstance(mass, Mapping):
+        raise ValueError(f"'{label}' must be a mapping, got {type(mass).__name__}")
+    check_distribution(mass.values(), label)
+    check_ids(mass, "class ids")
+
+
 def check_chain(
     states: Sequence[str],
     transitions: Sequence[Sequence[float]],
@@ -178,8 +187,7 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    check_distribution(p.values(), "distribution")
-    check_ids(p, "class ids")
+    check_class_mass(p, "p")
     ids, masses = zip(*sorted(p.items()))
     row = _inverse_cdf(masses)
     symbols = _walk(ids, row, [row] * len(ids), n, seed)

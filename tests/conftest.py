@@ -50,6 +50,11 @@ SHORT_STEP_TERMS = (
 )
 
 
+# Terms of a catalog whose lower bound on the root is s = log2(x0) of about
+# 39,755, far beyond the 1024 at which 2**s overflows a double.
+FAR_ROOT_TERMS = ((933, 0.00077399), (8_690_949, 0.00057983))
+
+
 def text_fixture(fixture: str, args: list[str]) -> tuple[str, list[str]]:
     """The text fixture's file name and arguments for a ``CLI_FIXTURES`` entry."""
     return Path(fixture).with_suffix(".txt").name, [a for a in args if a != "--json"]
@@ -126,27 +131,30 @@ def random_terms(
 @st.composite
 def link_networks(draw) -> Network:
     """Random networks with duplicate links, equal-time ties between providers,
-    class-restricted links and nodes that read over no link."""
+    class-restricted links and nodes that read over no link. The first node
+    stores something, and at least half of the nodes, rounded up, read from a
+    node that does."""
     class_ids = sorted(draw(st.sets(st.sampled_from("abcde"), min_size=1)))
     ids = sorted(draw(st.sets(st.sampled_from(["n1", "n2", "n3", "n4"]), min_size=1)))
     classes = tuple(FileClass(id=c, count=draw(st.integers(1, 10**7))) for c in class_ids)
     nodes = tuple(
-        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(class_ids))))) for n in ids
+        Node(id=n, stores=frozenset(draw(st.sets(st.sampled_from(class_ids), min_size=least))))
+        for n, least in zip(ids, [1, 0, 0, 0])
     )
-    links = []
-    for _ in range(draw(st.integers(0, 12))):
-        provider = draw(st.sampled_from(nodes))
+
+    def link(reader: str, providers: Sequence[Node]) -> Link:
+        provider = draw(st.sampled_from(providers))
         subset = None
         if provider.stores and draw(st.booleans()):
             subset = frozenset(draw(st.sets(st.sampled_from(sorted(provider.stores)), min_size=1)))
-        links.append(
-            Link(
-                reader=draw(st.sampled_from(ids)),
-                provider=provider.id,
-                time=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0])),  # few values: many ties
-                classes=subset,
-            )
-        )
+        time = draw(st.sampled_from([1.0, 2.0, 2.5, 4.0]))  # few values: many ties
+        return Link(reader=reader, provider=provider.id, time=time, classes=subset)
+
+    storing = [n for n in nodes if n.stores]
+    readers = draw(st.permutations(ids))[: (len(ids) + 1) // 2]
+    links = [link(reader, storing) for reader in readers]
+    links += [link(draw(st.sampled_from(ids)), nodes) for _ in range(draw(st.integers(0, 8)))]
+    links = draw(st.permutations(links))
     if links and draw(st.booleans()):
         links.insert(draw(st.integers(0, len(links))), draw(st.sampled_from(links)))
     return Network(classes=classes, nodes=nodes, links=tuple(links))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,12 +16,12 @@ from cachecap import (
     network_capacity,
     node_capacity,
     optimal_distribution,
-    solve_characteristic,
     solve_characteristic_full,
 )
 from cachecap.model import FileClass, Link, Network, Node
 
 from conftest import (
+    FAR_ROOT_TERMS,
     SHORT_STEP_TERMS,
     link_networks,
     random_terms,
@@ -55,13 +56,13 @@ class TestCharEquationChecks:
 
 class TestCharEqValue:
     def test_fig1_equation_near_one_at_published_root(self):
-        x0 = solve_characteristic(CharEquation(terms=FIG1_TERMS))
+        x0 = solve_characteristic_full(CharEquation(terms=FIG1_TERMS)).x0
         assert abs(x0 - 10.01) < 0.01
         assert abs(residual(FIG1_TERMS, 10.01)) < 1e-3
         assert abs(residual(FIG1_TERMS, x0)) < 1e-12
 
     def test_quadratic_root_hits_one(self):
-        x0 = solve_characteristic(CharEquation(terms=QUAD_TERMS))
+        x0 = solve_characteristic_full(CharEquation(terms=QUAD_TERMS)).x0
         assert x0 == pytest.approx(SQRT2P1, rel=1e-12)
         assert abs(residual(QUAD_TERMS, SQRT2P1)) < 1e-12
         assert abs(residual(QUAD_TERMS, x0)) < 1e-12
@@ -69,23 +70,23 @@ class TestCharEqValue:
 
 class TestSolveCharacteristic:
     def test_fig1_root(self):
-        assert solve_characteristic(CharEquation(terms=FIG1_TERMS)) == pytest.approx(
+        assert solve_characteristic_full(CharEquation(terms=FIG1_TERMS)).x0 == pytest.approx(
             10.01, abs=0.01
         )
 
     def test_fig2_root(self):
-        assert solve_characteristic(CharEquation(terms=FIG2_TERMS)) == pytest.approx(
+        assert solve_characteristic_full(CharEquation(terms=FIG2_TERMS)).x0 == pytest.approx(
             2**3.449, abs=0.05
         )
 
     def test_single_file_root_is_one(self):
-        assert solve_characteristic(CharEquation(terms=((1, 5.0),))) == 1.0
+        assert solve_characteristic_full(CharEquation(terms=((1, 5.0),))).x0 == 1.0
 
     def test_single_class_closed_form(self):
-        assert solve_characteristic(CharEquation(terms=((4, 2.0),))) == 2.0
+        assert solve_characteristic_full(CharEquation(terms=((4, 2.0),))).x0 == 2.0
 
     def test_empty_equation_has_no_root(self):
-        assert solve_characteristic(CharEquation(terms=())) is None
+        assert solve_characteristic_full(CharEquation(terms=())).x0 is None
 
     def test_residual_within_bound_on_random_equations(self):
         rng = random.Random(7)
@@ -146,10 +147,37 @@ class TestNewtonSolver:
             assert math.isfinite(solve.x0) and solve.residual <= 1e-9
             assert solve.x0 == pytest.approx(bisect_root(terms), rel=1e-12)
 
-    @pytest.mark.parametrize("terms", [((10**7, 1e-3),), ((2, 1e-3), (3, 1e-3)), ((2, 5e-324),)])
+    @pytest.mark.parametrize(
+        "terms", [((10**7, 1e-3),), ((2, 1e-3), (3, 1e-3)), ((2, 5e-324),), FAR_ROOT_TERMS]
+    )
     def test_root_beyond_float_range_raises(self, terms):
-        with pytest.raises(SolverError, match="representable range"):
+        with pytest.raises(SolverError, match="^root exceeds the representable range$"):
             solve_characteristic_full(CharEquation(terms=terms))
+
+    def test_wide_random_catalogs_solve_or_overflow(self):
+        """2,000 seeded catalogs: 2-30 classes, counts up to 10**7, times over
+        five decades. Each either solves, to the pinned reprs, or raises that
+        its root is out of range; none runs out of Newton steps."""
+        rng = random.Random(2026)
+        digest, outcomes = hashlib.sha256(), {"solved": 0, "overflow": 0}
+        for i in range(2000):
+            classes, scale = rng.randint(2, 30), 10 ** rng.uniform(-4, 1)
+            terms = tuple(
+                (max(1, round(10 ** rng.uniform(0, 7))), rng.uniform(0.05, 20) * scale)
+                for _ in range(classes)
+            )
+            try:
+                solve = solve_characteristic_full(CharEquation(terms=terms))
+            except SolverError as exc:
+                assert str(exc) == "root exceeds the representable range"
+                outcomes["overflow"] += 1
+                continue
+            outcomes["solved"] += 1
+            digest.update(f"{i}:{solve!r}\n".encode())
+        assert outcomes == {"solved": 1158, "overflow": 842}
+        assert digest.hexdigest() == (
+            "d87d1dcde9520048f4c46e2d91b7a3d3e86266a80a7fbefc90502c748547a556"
+        )
 
     def test_short_step_far_below_the_root_is_solved_in_eight_steps(self):
         solve = solve_characteristic_full(CharEquation(terms=SHORT_STEP_TERMS))

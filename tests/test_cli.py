@@ -15,7 +15,7 @@ import cachecap.cli as cli
 import cachecap.oracle
 from cachecap import (
     analyze_network,
-    count_tasks,
+    count_series,
     load_scenario,
     markov_entropy_rate,
     MarkovSource,
@@ -25,6 +25,7 @@ from cachecap import (
 
 from conftest import (
     CLI_FIXTURES,
+    FAR_ROOT_TERMS,
     FIXTURE_DIR,
     REPO_ROOT,
     scenario_path,
@@ -148,6 +149,23 @@ class TestExitCodes:
             stderr = proc.stderr.read()
         assert proc.returncode == 1
         assert stderr == b""
+
+    def test_root_beyond_float_range_is_two(self, tmp_path, capsys):
+        (fast_count, fast), (slow_count, slow) = FAR_ROOT_TERMS
+        path = tmp_path / "far.json"
+        doc = {
+            "classes": [{"id": "a", "count": fast_count}, {"id": "b", "count": slow_count}],
+            "nodes": [{"id": "n", "stores": ["a", "b"]}],
+            "links": [
+                {"reader": "n", "provider": "n", "time": fast, "classes": ["a"]},
+                {"reader": "n", "provider": "n", "time": slow, "classes": ["b"]},
+            ],
+        }
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["capacity", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "computation failed: root exceeds the representable range\n"
 
     def test_unknown_node_is_one(self):
         assert run_cli("optimal", "scenarios/fig1.json", "ghost").returncode == 1
@@ -377,7 +395,7 @@ class TestReports:
         last = json.loads(proc.stdout)["series"][-1]
         assert last["T"] == 12000
         assert len(last["nu"]) > 4300
-        exact = count_tasks(cachecap.quantize_node(three_file, "n"), 12000)
+        exact = count_series(cachecap.quantize_node(three_file, "n"), 12000)[12000]
         assert Decimal(last["nu"]) == Decimal(exact)  # Decimal(int) has no digit limit
         # The whole stdout, layout included, as ``json.dumps(report, indent=2)`` printed it.
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
@@ -740,6 +758,47 @@ def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch
         assert cli.main(["oracle", three, "n", "--tmax", "60", *extra]) == 0
         capsys.readouterr()
         assert calls == [60]
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """A link with no ``classes`` list covers its provider's stored classes, a
+    frozenset whose order follows the hash seed; the reports must not."""
+    ids = ["q", "w", "e", "r", "t", "y", "u", "i", "o", "p"]
+    doc = {
+        "classes": [{"id": c, "count": 1 + 7**k % 11} for k, c in enumerate(ids)],
+        "nodes": [
+            {"id": "all", "stores": ids},
+            {"id": "half", "stores": ids[::2]},
+            {"id": "few", "stores": ids[1:6]},
+            {"id": "n", "stores": []},
+        ],
+        "links": [
+            {"reader": "n", "provider": "all", "time": 3.0},
+            {"reader": "n", "provider": "half", "time": 1.5},
+            {"reader": "n", "provider": "few", "time": 1.0},
+            {"reader": "n", "provider": "few", "time": 0.5, "classes": ["w"]},
+        ],
+    }
+    scenario = tmp_path / "hashed.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    runs = [
+        ["capacity", str(scenario)],
+        ["optimal", str(scenario), "n"],
+        ["efficiency", str(scenario), "n", "--optimal"],
+        ["oracle", str(scenario), "n", "--tmax", "60"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    for args in runs:
+        outputs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cachecap", *args, "--json"],
+                env=env | {"PYTHONHASHSEED": seed},
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, args
 
 
 def test_cli_import_does_not_load_numpy():

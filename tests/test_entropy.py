@@ -59,6 +59,21 @@ def traces_with_order(draw):
     return tuple(symbols), order
 
 
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: IIDSource([("a", 1.0)]), "'class_mass'"),
+        (lambda: IIDSource(None), "'class_mass'"),
+        (lambda: sample_iid([("a", 1.0)], 3, 0), "'p'"),
+        (lambda: iid_entropy([("a", 1.0)]), "'class_mass'"),
+    ],
+    ids=["source-list", "source-none", "sample-list", "entropy-list"],
+)
+def test_class_mass_that_is_not_a_mapping_is_a_value_error(call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be a mapping, got "):
+        call()
+
+
 class TestIidEntropy:
     def test_fair_coin(self):
         assert iid_entropy({"a": 0.5, "b": 0.5}).value == 1.0

@@ -37,16 +37,8 @@ def doc(classes=(), nodes=(), links=()):
 class TestBuildNetwork:
     def test_fig1_scenario_is_valid(self, fig1):
         assert [n.id for n in fig1.nodes] == ["w1", "w2"]
-        assert fig1.class_counts() == {"lib": 10**7, "own": 10}
+        assert effective_catalog(fig1, "w2").counts == {"lib": 10**7, "own": 10}
         assert len(fig1.links) == 2
-
-    def test_class_counts_is_a_copy_the_caller_may_change(self):
-        net = load_scenario(scenario_path("fig1.json"))
-        counts = net.class_counts()
-        counts["own"] = 0
-        counts["new"] = 1
-        assert net.class_counts() == {"lib": 10**7, "own": 10}
-        assert effective_catalog(net, "w2").entries == {"own": 1.0, "lib": 10.0}
 
     def test_empty_document_is_valid(self):
         net = build_network(doc())
@@ -187,7 +179,6 @@ class TestRecords:
             (
                 OracleReport(
                     points=(),
-                    grid=1.0,
                     solver_capacity=1.0,
                     final_gap=0.0,
                     catalog=QuantizedCatalog(int_times=((1, 1),), grid=1.0),
@@ -285,6 +276,17 @@ class TestEffectiveCatalog:
         with pytest.raises(ScenarioError, match="unknown node 'nope'"):
             effective_catalog(fig1, "nope")
 
+    def test_link_to_a_provider_the_network_lacks_raises_every_time(self):
+        # build_network rejects such a link; a hand-built Network can still hold one
+        net = Network(
+            classes=(FileClass(id="c", count=1),),
+            nodes=(Node(id="r", stores=frozenset()),),
+            links=(Link(reader="r", provider="ghost", time=1.0),),
+        )
+        for _ in range(2):
+            with pytest.raises(ScenarioError, match="unknown node 'ghost'"):
+                effective_catalog(net, "r")
+
     def test_entries_are_read_only(self, fig1):
         catalog = effective_catalog(fig1, "w2")
         with pytest.raises(TypeError):
@@ -300,7 +302,7 @@ class TestEffectiveCatalog:
         assert w1.counts is w2.counts
         with pytest.raises(TypeError):
             w2.counts["own"] = 0
-        assert net.class_counts() == {"lib": 10**7, "own": 10}
+        assert effective_catalog(net, "w2").counts == {"lib": 10**7, "own": 10}
 
 
 class TestTaskTime:
@@ -353,6 +355,14 @@ def exhaustive_catalog(net: Network, node_id: str) -> dict[str, float]:
 def test_catalog_matches_exhaustive_pair_scan(net):
     for node in net.nodes:
         assert effective_catalog(net, node.id).entries == exhaustive_catalog(net, node.id)
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_catalog_entries_come_in_class_id_order(net):
+    for node in net.nodes:
+        catalog = effective_catalog(net, node.id)
+        assert list(catalog.entries) == sorted(catalog.entries)
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,14 +12,13 @@ from cachecap import (
     analyze_network,
     convergence_report,
     count_series,
-    count_tasks,
     effective_catalog,
     equation_for_node,
     infer_grid,
     node_solution,
     quantize,
     quantize_node,
-    solve_characteristic,
+    solve_characteristic_full,
 )
 from cachecap import oracle
 from cachecap.oracle import QuantizedCatalog
@@ -70,7 +69,7 @@ class TestQuantize:
 
     def test_gcd_recorded(self):
         net, node = single_node_network([(1, 2.0), (1, 4.0)])
-        x0 = solve_characteristic(equation_for_node(net, node))
+        x0 = solve_characteristic_full(equation_for_node(net, node)).x0
         report = convergence_report(quantize_node(net, node, grid=1.0), 40, x0)
         assert [p.time_steps for p in report.points] == list(range(2, 41, 2))
 
@@ -90,10 +89,10 @@ class TestQuantize:
         net, node = single_node_network([(1, 1.0), (1, 2.5)])
         q = quantize_node(net, node)  # inferred grid 0.5
         assert q.grid == 0.5
-        x_time = solve_characteristic(CharEquation(terms=((1, 1.0), (1, 2.5))))
-        x_grid = solve_characteristic(
+        x_time = solve_characteristic_full(CharEquation(terms=((1, 1.0), (1, 2.5)))).x0
+        x_grid = solve_characteristic_full(
             CharEquation(terms=tuple((c, float(t)) for c, t in q.int_times))
-        )
+        ).x0
         assert math.log2(x_grid) == pytest.approx(math.log2(x_time) * q.grid, rel=1e-9)
 
 
@@ -119,19 +118,19 @@ class TestInferGrid:
 
 class TestCountTasks:
     def test_empty_task_convention(self):
-        assert count_tasks(PELL, 0) == 1
+        assert count_series(PELL, 0)[0] == 1
 
     def test_small_counts(self):
-        assert count_tasks(PELL, 2) == 5  # aa ab ba bb c
-        assert count_tasks(PELL, 3) == 12  # 8 unit triples + 4 mixes with c
+        assert count_series(PELL, 2)[2] == 5  # aa ab ba bb c
+        assert count_series(PELL, 3)[3] == 12  # 8 unit triples + 4 mixes with c
 
     def test_unreachable_time_is_zero(self):
         even = QuantizedCatalog(int_times=((2, 2),), grid=1.0)
-        assert count_tasks(even, 3) == 0
+        assert count_series(even, 3)[3] == 0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            count_tasks(PELL, -1)
+            count_series(PELL, -1)
 
     def test_counts_are_exact_integers_satisfying_the_recurrence(self):
         nu = count_series(PELL, 200)
@@ -154,7 +153,7 @@ class TestCountTasks:
             )
             file_times = [int(t) for c, t in terms for _ in range(c)]
             for total in range(0, 9):
-                assert count_tasks(q, total) == enumerate_count(file_times, total)
+                assert count_series(q, total)[total] == enumerate_count(file_times, total)
 
 
 class TestConvergenceReport:
@@ -182,7 +181,8 @@ class TestConvergenceReport:
 
     def test_points_only_on_the_time_lattice(self):
         q = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5)
-        report = convergence_report(q, 40, solve_characteristic(CharEquation(terms=((2, 1.0), (1, 2.0)))) ** 2)
+        x0 = solve_characteristic_full(CharEquation(terms=((2, 1.0), (1, 2.0)))).x0
+        report = convergence_report(q, 40, x0**2)
         assert all(p.time_steps % 2 == 0 for p in report.points)
 
     def test_rate_is_in_original_time_units(self):
@@ -206,7 +206,7 @@ class TestConvergenceReport:
         assert report.series() == []
 
     def test_repr_shows_a_count_too_long_for_str_as_its_bit_length(self, three_file):
-        x0 = solve_characteristic(equation_for_node(three_file, "n"))
+        x0 = solve_characteristic_full(equation_for_node(three_file, "n")).x0
         report = convergence_report(quantize_node(three_file, "n", grid=1.0), 12000, x0)
         text = repr(report)
         assert repr(report.points[0]) == "OraclePoint(time_steps=1, count=2, rate=1.0)"
@@ -250,7 +250,7 @@ def test_oracle_agrees_with_solver_on_integer_catalogs():
             continue
         net, node = single_node_network(terms)
         q = quantize_node(net, node, grid=1.0)
-        x0 = solve_characteristic(CharEquation(terms=tuple(terms)))
+        x0 = solve_characteristic_full(CharEquation(terms=tuple(terms))).x0
         report = convergence_report(q, 200, x0)
         assert report.final_gap < 0.02
 
@@ -267,7 +267,7 @@ def test_oracle_agrees_with_solver_on_integer_catalogs():
 def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, request):
     net = request.getfixturevalue(scenario)
     for node in nodes:
-        x0 = solve_characteristic(equation_for_node(net, node))
+        x0 = solve_characteristic_full(equation_for_node(net, node)).x0
         report = convergence_report(quantize_node(net, node, grid=1.0), 200, x0)
         assert report.final_gap < 0.02
 

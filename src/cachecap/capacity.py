@@ -23,7 +23,7 @@ node or a failed solve raises again on the next request.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .model import Network, ScenarioError, effective_catalog
@@ -54,11 +54,16 @@ class SolverError(RuntimeError):
 
 
 class CharEquation(NamedTuple("_CharEquationFields", [("terms", tuple[tuple[int, float], ...])])):
-    """Left-hand side of the capacity equation: one (count, tau) term per class."""
+    """Left-hand side of the capacity equation: one (count, tau) term per class.
+
+    ``terms`` may be any iterable of pairs. It is copied into a tuple of
+    tuples first, and that copy is what is checked and kept.
+    """
 
     __slots__ = ()
 
-    def __new__(cls, terms: tuple[tuple[int, float], ...]) -> CharEquation:
+    def __new__(cls, terms: Iterable[tuple[int, float]]) -> CharEquation:
+        terms = tuple(map(tuple, terms))
         for count, tau in terms:
             if count < 1:
                 raise ValueError(f"term count must be >= 1, got {count}")

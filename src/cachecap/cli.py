@@ -78,14 +78,6 @@ def _load_scenario(path: str) -> tuple[Network, dict]:
     return net, {"path": path, "digest": digest}
 
 
-def _array(value: object, field: str) -> tuple:
-    """A JSON array as a tuple; anything else, which ``tuple()`` would split
-    into characters or keys, is rejected with the field named."""
-    if not isinstance(value, list):
-        raise ValueError(f"{field} must be an array")
-    return tuple(value)
-
-
 def _load_source_spec(path: str) -> IIDSource | MarkovSource:
     doc = parse_json(Path(path).read_text(encoding="utf-8"), f"source spec {path}")
     if not isinstance(doc, Mapping) or "type" not in doc:
@@ -95,13 +87,8 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
         if kind == "iid":
             return IIDSource(class_mass=doc["class_mass"])
         if kind == "markov":
-            states = _array(doc["states"], "'states'")
-            rows = _array(doc["transitions"], "'transitions'")
-            initial = doc.get("initial")
             return MarkovSource(
-                states=states,
-                transitions=tuple(_array(r, f"'transitions' row {i}") for i, r in enumerate(rows)),
-                initial=_array(initial, "'initial'") if initial is not None else None,
+                states=doc["states"], transitions=doc["transitions"], initial=doc.get("initial")
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad source spec {path}: {exc}") from exc
@@ -295,8 +282,6 @@ def _render_compare(report: dict) -> str:
 
 def _cmd_gen_trace(args: argparse.Namespace) -> dict:
     src = _load_source_spec(args.source)
-    if args.n < 0:
-        raise ScenarioError(f"--n must be >= 0, got {args.n}")
     trace = src.sample(args.n, args.seed)
     write_trace(trace, args.out)
     return {

@@ -36,16 +36,13 @@ __all__ = [
     "IIDSource",
     "MarkovSource",
     "EmpiricalSource",
-    "AccessSource",
     "EntropyEstimate",
     "EfficiencyResult",
-    "NetworkEfficiency",
     "iid_entropy",
     "stationary_distribution",
     "markov_entropy_rate",
     "block_entropy_estimate",
     "entropy_efficiency",
-    "network_entropy_efficiency",
 ]
 
 _STATIONARY_TOL = 1e-12
@@ -86,16 +83,19 @@ class MarkovSource(_MarkovFields):
     The chain models the class-level access sequence; one transition is one
     file read. ``initial`` is only used for trace generation (``None`` means
     start from the stationary distribution); entropy and efficiency always
-    treat the chain as stationary. The stationary distribution is solved once
-    per source, on first use, and kept in the ``__dict__`` that leaving out
-    ``__slots__`` gives each instance.
+    treat the chain as stationary. The fields are kept as tuples, so changing
+    the caller's lists later does not change the source. The stationary
+    distribution is solved once per source, on first use, and kept in the
+    ``__dict__`` that leaving out ``__slots__`` gives each instance.
     """
 
     kind = "markov"
 
     def __new__(cls, states, transitions, initial=None) -> MarkovSource:
         check_chain(states, transitions, initial)
-        return super().__new__(cls, states, transitions, initial)
+        if initial is not None:
+            initial = tuple(initial)
+        return super().__new__(cls, tuple(states), tuple(map(tuple, transitions)), initial)
 
     @cached_property
     def _stationary(self) -> dict[str, float]:
@@ -129,9 +129,6 @@ class EmpiricalSource(NamedTuple):
         return block_entropy_estimate(self.trace, self.order, force=self.force)
 
 
-AccessSource = IIDSource | MarkovSource | EmpiricalSource
-
-
 class EntropyEstimate(NamedTuple):
     """Entropy in bits per file. ``order=None`` marks an exact limit value."""
 
@@ -146,11 +143,6 @@ class EfficiencyResult(NamedTuple):
     efficiency_bits_per_time: float
     capacity_bits_per_time: float
     utilization_ratio: float | None  # None when the node has zero capacity
-
-
-class NetworkEfficiency(NamedTuple):
-    total_bits_per_time: float
-    per_node: Mapping[str, EfficiencyResult]
 
 
 def iid_entropy(
@@ -309,7 +301,9 @@ def block_entropy_estimate(
     return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
 
 
-def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> EfficiencyResult:
+def entropy_efficiency(
+    net: Network, node_id: str, src: IIDSource | MarkovSource | EmpiricalSource
+) -> EfficiencyResult:
     """Entropy efficiency of one node under an access process.
 
     The source supplies its per-file entropy (analytic for i.i.d. and
@@ -348,14 +342,3 @@ def entropy_efficiency(net: Network, node_id: str, src: AccessSource) -> Efficie
         capacity_bits_per_time=capacity,
         utilization_ratio=utilization,
     )
-
-
-def network_entropy_efficiency(
-    net: Network, sources: Mapping[str, AccessSource]
-) -> NetworkEfficiency:
-    """Sum of per-node entropy efficiencies; nodes without a source contribute 0."""
-    per_node = {
-        node_id: entropy_efficiency(net, node_id, src) for node_id, src in sorted(sources.items())
-    }
-    total = sum(r.efficiency_bits_per_time for r in per_node.values())
-    return NetworkEfficiency(total_bits_per_time=total, per_node=per_node)

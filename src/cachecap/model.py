@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -35,7 +35,6 @@ __all__ = [
     "read_scenario",
     "scenario_digest",
     "effective_catalog",
-    "task_time",
 ]
 
 
@@ -344,20 +343,3 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
         node=node_id, entries=MappingProxyType(dict(sorted(best.items()))), counts=net._counts
     )
     return catalog
-
-
-def task_time(catalog: EffectiveCatalog, task: Sequence[str] | Iterable[str]) -> float:
-    """Execution time of a task: sum of the minimal read times of its files.
-
-    A task is a sequence of class ids; a bare string is rejected, not read
-    as one class id per character.
-    """
-    if isinstance(task, str):
-        raise ScenarioError(f"a task is a sequence of class ids, not the string {task!r}")
-    total = 0.0
-    for cid in task:
-        time = catalog.entries.get(cid)
-        if time is None:
-            raise ScenarioError(f"class '{cid}' is unreachable at node '{catalog.node}'")
-        total += time
-    return total

@@ -101,6 +101,11 @@ def check_class_mass(mass: Mapping[str, float], label: str) -> None:
     check_ids(mass, "class ids")
 
 
+def _check_array(value: object, field: str) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be an array")
+
+
 def check_chain(
     states: Sequence[str],
     transitions: Sequence[Sequence[float]],
@@ -108,7 +113,18 @@ def check_chain(
 ) -> None:
     """Raise ValueError unless ``states`` are unique strings, ``transitions`` is a
     square matrix over them whose rows are distributions, and ``initial``, when
-    given, is a distribution over them."""
+    given, is a distribution over them.
+
+    Each of ``states``, ``transitions``, its rows and ``initial`` must be a
+    list or a tuple: a string or a mapping, which iteration would split into
+    characters or keys, is rejected with the field named.
+    """
+    _check_array(states, "'states'")
+    _check_array(transitions, "'transitions'")
+    for i, row in enumerate(transitions):
+        _check_array(row, f"'transitions' row {i}")
+    if initial is not None:
+        _check_array(initial, "'initial'")
     k = len(states)
     if k == 0:
         raise ValueError("Markov source needs at least one state")
@@ -161,6 +177,8 @@ def _walk(
     the known-answer tests pin the class, and the walk tests pin the two
     to each other.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     symbols: list[str] = []
@@ -185,8 +203,6 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     contract. It is the Markov walk with every row equal to ``p``. The seed
     must be an integer in ``[0, 2**64)``.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     check_class_mass(p, "p")
     ids, masses = zip(*sorted(p.items()))
     row = _inverse_cdf(masses)
@@ -206,8 +222,6 @@ def sample_markov(
     States keep their given order; each step consumes one SplitMix64 draw.
     The seed must be an integer in ``[0, 2**64)``.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     check_chain(states, transitions, initial)
     rows = [_inverse_cdf(row) for row in transitions]
     symbols = _walk(states, _inverse_cdf(initial), rows, n, seed)

@@ -53,6 +53,19 @@ class TestCharEquationChecks:
             CharEquation(terms=((2, 1.0), (1, time)))
         assert str(exc.value) == f"term time must be positive and finite, got {time}"
 
+    def test_a_generator_is_read_once_and_kept_as_a_tuple(self):
+        eq = CharEquation(terms=(pair for pair in QUAD_TERMS))
+        assert eq.terms == QUAD_TERMS
+        assert solve_characteristic_full(eq).x0 == pytest.approx(SQRT2P1, rel=1e-12)
+
+    def test_lists_are_kept_as_tuples_so_later_edits_do_not_reach_the_equation(self):
+        terms = [list(pair) for pair in QUAD_TERMS]
+        eq = CharEquation(terms=terms)
+        terms[0][0] = 0
+        assert eq.terms == QUAD_TERMS
+        assert hash(eq) == hash(CharEquation(terms=QUAD_TERMS))
+        assert solve_characteristic_full(eq).x0 == pytest.approx(SQRT2P1, rel=1e-12)
+
 
 class TestCharEqValue:
     def test_fig1_equation_near_one_at_published_root(self):

@@ -544,6 +544,42 @@ class TestStrictInputs:
         assert captured.out == "" and "seed must be an integer in [0, 2**64)" in captured.err
         assert not out.exists()
 
+    def test_negative_length_is_one(self, tmp_path, capsys):
+        spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"a": 0.5, "b": 0.5}}')
+        out = tmp_path / "t.trace"
+        assert cli.main(["gen-trace", spec, "--n", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: n must be >= 0, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1]", "must be an object with a 'type' field"), ('{"type": "zipf"}', "unknown type 'zipf'")],
+        ids=["not-an-object", "unknown-type"],
+    )
+    def test_source_spec_without_a_known_type_is_one(self, tmp_path, capsys, text, message):
+        spec, out = self.spec(tmp_path, text), tmp_path / "t.trace"
+        fig1 = str(scenario_path("fig1.json"))
+        runs = [["gen-trace", spec, "--n", "5", "--out", str(out)], ["efficiency", fig1, "w2", "--source", spec]]
+        for args in runs:
+            assert cli.main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
+    def test_mean_read_time_that_underflows_to_zero_is_one(self, tmp_path, capsys):
+        doc = {
+            "classes": [{"id": "a"}, {"id": "b"}],
+            "nodes": [{"id": "n", "stores": ["a", "b"]}],
+            "links": [{"reader": "n", "provider": "n", "time": 5e-324}],
+        }
+        scenario = tmp_path / "tiny.json"
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"a": 0.5, "b": 0.5}}')
+        assert cli.main(["efficiency", str(scenario), "n", "--source", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: mean read time at node 'n' is not positive\n"
+
     def test_ids_that_would_not_read_back_are_not_written(self, tmp_path, capsys):
         spec = self.spec(tmp_path, '{"type": "iid", "class_mass": {"#a": 0.5, " b": 0.25, "": 0.25}}')
         out = tmp_path / "t.trace"

@@ -1,6 +1,7 @@
 """Property tests of the command line, run in process through ``cli.main``:
 the streamed ``--json`` writer against ``json.dumps``, and the exit codes of
-every verb on random documents with at most one junk value."""
+every verb on random documents, and of the source-spec verbs on source
+specs, with at most one junk value."""
 
 import contextlib
 import io
@@ -115,20 +116,53 @@ def value_paths(value, path=()) -> list[tuple]:
     return paths
 
 
-@st.composite
-def mutated_documents(draw) -> tuple[dict, list[str]]:
-    """A ``link_networks`` document with zero or one value replaced by junk, and its node ids."""
-    net = draw(link_networks())
-    doc = network_document(net)
-    paths = value_paths(doc)
-    path = draw(st.one_of(st.none(), st.sampled_from(paths)))
+def draw_junk_into(draw, doc) -> dict:
+    """``doc``, edited in place: zero or one of its values, drawn from
+    ``value_paths``, replaced by junk."""
+    path = draw(st.one_of(st.none(), st.sampled_from(value_paths(doc))))
     if path is not None:
         *parents, last = path
         target = doc
         for key in parents:
             target = target[key]
         target[last] = draw(st.sampled_from(JUNK))
-    return doc, [n.id for n in net.nodes]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw) -> tuple[dict, list[str]]:
+    """A ``link_networks`` document with zero or one value replaced by junk, and its node ids."""
+    net = draw(link_networks())
+    return draw_junk_into(draw, network_document(net)), [n.id for n in net.nodes]
+
+
+def source_specs() -> list[dict]:
+    """One valid spec of each type, over the classes of fig1's reader ``w2``;
+    new dicts on each call, since ``draw_junk_into`` edits in place."""
+    return [
+        {"type": "iid", "class_mass": {"own": 0.9, "lib": 0.1}},
+        {
+            "type": "markov",
+            "states": ["own", "lib"],
+            "transitions": [[0.9, 0.1], [0.5, 0.5]],
+            "initial": [1.0, 0.0],
+        },
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_source_specs_with_junk_exit_0_1_or_2_and_raise_nothing(data):
+    spec_doc = draw_junk_into(data.draw, data.draw(st.sampled_from(source_specs())))
+    fig1 = str(scenario_path("fig1.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, trace = str(Path(tmp, "src.json")), Path(tmp, "t.trace")
+        Path(spec).write_text(json.dumps(spec_doc), encoding="utf-8")
+        code, _ = run_main("gen-trace", spec, "--n", "50", "--out", str(trace))
+        assert code in (0, 1, 2), spec_doc
+        assert trace.exists() == (code == 0), spec_doc
+        code, _ = run_main("efficiency", fig1, "w2", "--source", spec)
+        assert code in (0, 1, 2), spec_doc
 
 
 def check_report(args: list[str], report: dict) -> None:

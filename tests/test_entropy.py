@@ -17,7 +17,6 @@ from cachecap import (
     entropy_efficiency,
     iid_entropy,
     markov_entropy_rate,
-    network_entropy_efficiency,
     node_capacity,
     optimal_distribution,
     sample_iid,
@@ -129,6 +128,37 @@ class TestMarkovEntropyRate:
         with pytest.raises(ValueError, match="'states' must be strings, got 1"):
             MarkovSource(states=(1, 2), transitions=((0.5, 0.5), (0.5, 0.5)))
 
+    def test_a_chain_without_states_rejected(self):
+        with pytest.raises(ValueError, match="^Markov source needs at least one state$"):
+            MarkovSource(states=(), transitions=())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"states": "ab"}, "'states' must be an array"),
+            ({"transitions": {"a": (0.5, 0.5), "b": (0.5, 0.5)}}, "'transitions' must be an array"),
+            ({"initial": "ab"}, "'initial' must be an array"),
+        ],
+        ids=["states-string", "transitions-mapping", "initial-string"],
+    )
+    def test_fields_that_are_not_arrays_rejected(self, fields, message):
+        # "ab" would otherwise be kept as the two states "a" and "b"
+        chain = {"states": ("a", "b"), "transitions": ((0.5, 0.5), (0.5, 0.5))} | fields
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarkovSource(**chain)
+
+    def test_lists_are_kept_as_tuples_so_later_edits_do_not_reach_the_source(self):
+        rows = [[0.9, 0.1], [0.1, 0.9]]
+        initial = [1.0, 0.0]
+        chain = MarkovSource(["a", "b"], rows, initial)
+        marginal, rate = chain.marginal(), markov_entropy_rate(chain)
+        rows[0][:] = [0.5, 0.5]
+        initial[:] = [0.0, 1.0]
+        assert chain == (("a", "b"), ((0.9, 0.1), (0.1, 0.9)), (1.0, 0.0))
+        assert chain.marginal() == marginal == pytest.approx({"a": 0.5, "b": 0.5})
+        assert markov_entropy_rate(chain) == rate
+        assert rate.value == pytest.approx(0.468996, abs=1e-6)
+
     def test_stationary_distribution_solves_pi_p_equals_pi(self):
         chain = MarkovSource(
             states=("a", "b", "c"),
@@ -225,6 +255,10 @@ class TestBlockEntropyEstimate:
             block_entropy_estimate(trace, 2)
         assert block_entropy_estimate(trace, 2, force=True).value >= 0.0
 
+    def test_trace_shorter_than_a_block_rejected_even_when_forced(self):
+        with pytest.raises(ValueError, match="^trace of length 1 is shorter than a block of 2$"):
+            block_entropy_estimate(["a"], 1, force=True)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order"):
             block_entropy_estimate(("a", "b"), -1)
@@ -290,6 +324,11 @@ class TestEntropyEfficiency:
         with pytest.raises(ScenarioError, match="unknown class"):
             entropy_efficiency(fig1, "w2", IIDSource(class_mass={"ghost": 1.0}))
 
+    def test_class_without_mass_is_skipped_even_when_unknown(self, fig1):
+        src = IIDSource(class_mass={"own": 1.0, "ghost": 0.0})
+        result = entropy_efficiency(fig1, "w2", src)
+        assert result == entropy_efficiency(fig1, "w2", IIDSource(class_mass={"own": 1.0}))
+
     def test_markov_source_uses_stationary_marginal(self, three_file):
         chain = MarkovSource(
             states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75))
@@ -354,23 +393,3 @@ class TestOptimalityProperties:
                 src = IIDSource(class_mass={c: w / total for c, w in zip(class_ids, raw)})
                 result = entropy_efficiency(net, node, src)
                 assert result.efficiency_bits_per_time <= cap + 1e-9
-
-
-class TestNetworkEfficiency:
-    def test_fig2_both_peers_at_optimum(self, fig2):
-        sources = {
-            nid: IIDSource(class_mass=optimal_distribution(fig2, nid).class_mass)
-            for nid in ("w2", "w3")
-        }
-        result = network_entropy_efficiency(fig2, sources)
-        assert result.total_bits_per_time == pytest.approx(6.898, abs=2e-3)
-
-    def test_empty_source_map(self, fig2):
-        assert network_entropy_efficiency(fig2, {}).total_bits_per_time == 0.0
-
-    def test_singleton_map_matches_node_efficiency(self, fig1):
-        src = IIDSource(class_mass=optimal_distribution(fig1, "w2").class_mass)
-        single = entropy_efficiency(fig1, "w2", src)
-        result = network_entropy_efficiency(fig1, {"w2": src})
-        assert result.total_bits_per_time == single.efficiency_bits_per_time
-        assert result.per_node["w2"] == single

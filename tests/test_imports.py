@@ -1,14 +1,18 @@
-"""No module of the package reaches into a sibling's private names.
+"""No module of the package reaches into a sibling's private names, and
+every public name has a reader.
 
 A name that starts with ``_`` belongs to its module. A sibling that needs
-the value goes through a public function, so each result has one path.
+the value goes through a public function, so each result has one path. A
+public name that nothing reads is dead weight, and goes.
 """
 
 import ast
+import re
 
 import pytest
 
 from conftest import REPO_ROOT
+from test_bench_names import bench_references
 
 SOURCES = sorted((REPO_ROOT / "src" / "cachecap").glob("*.py"))
 
@@ -27,3 +31,47 @@ def private_imports(path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_private_name_is_imported_from_a_sibling(path):
     assert private_imports(path) == []
+
+
+def public_names(path) -> list[str]:
+    """The strings in ``path``'s ``__all__``; none when it has no ``__all__``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def loaded_names(path) -> set[str]:
+    """Every ``name`` and ``x.name`` read in ``path``, outside annotations."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_annotation = set()
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if annotation is not None:
+                in_annotation.update(map(id, ast.walk(annotation)))
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in in_annotation or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    """A name in a layer's ``__all__`` is read by some module of the package,
+    used as ``cc.<name>`` by the benchmark scripts, or shown in README.md."""
+    read = set().union(*map(loaded_names, SOURCES))
+    read |= {part for ref in bench_references() for part in ref.split(".")}
+    readme = set(re.findall(r"\w+", (REPO_ROOT / "README.md").read_text(encoding="utf-8")))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in public_names(path)
+        if name not in read and name not in readme
+    ]
+    assert unread == []

@@ -12,7 +12,6 @@ from cachecap import (
     effective_catalog,
     load_scenario,
     read_scenario,
-    task_time,
 )
 from cachecap.capacity import CapacityResult, CharEquation, NodeCapacity, OptimalDistribution
 from cachecap.entropy import (
@@ -21,7 +20,6 @@ from cachecap.entropy import (
     EntropyEstimate,
     IIDSource,
     MarkovSource,
-    NetworkEfficiency,
 )
 from cachecap.model import EffectiveCatalog, FileClass, Link, Network, Node
 from cachecap.oracle import OraclePoint, OracleReport, QuantizedCatalog
@@ -200,7 +198,6 @@ class TestRecords:
                 ),
                 "utilization_ratio",
             ),
-            (NetworkEfficiency(total_bits_per_time=0.0, per_node={}), "per_node"),
             (Trace(symbols=("a",)), "symbols"),
         ],
     )
@@ -305,36 +302,6 @@ class TestEffectiveCatalog:
         assert effective_catalog(net, "w2").counts == {"lib": 10**7, "own": 10}
 
 
-class TestTaskTime:
-    def test_fig1_task(self, fig1):
-        catalog = effective_catalog(fig1, "w2")
-        assert task_time(catalog, ["own", "own", "lib"]) == 12.0
-
-    def test_empty_task(self, fig1):
-        assert task_time(effective_catalog(fig1, "w2"), []) == 0.0
-
-    def test_repeated_library_reads(self, fig1):
-        assert task_time(effective_catalog(fig1, "w2"), ["lib"] * 3) == 30.0
-
-    def test_unreachable_class_rejected(self, fig1):
-        with pytest.raises(ScenarioError, match="unreachable"):
-            task_time(effective_catalog(fig1, "w1"), ["own"])
-
-    def test_a_bare_string_is_not_a_task(self):
-        # With one-letter class ids "ab" would otherwise read as the task ["a", "b"].
-        net = build_network(
-            doc(
-                classes=[{"id": "a"}, {"id": "b"}],
-                nodes=[{"id": "n", "stores": ["a", "b"]}],
-                links=[{"reader": "n", "provider": "n", "time": 1}],
-            )
-        )
-        catalog = effective_catalog(net, "n")
-        assert task_time(catalog, ["a", "b"]) == 2.0
-        with pytest.raises(ScenarioError, match="a task is a sequence of class ids"):
-            task_time(catalog, "ab")
-
-
 # --- randomized invariants ----------------------------------------------------
 
 def exhaustive_catalog(net: Network, node_id: str) -> dict[str, float]:
@@ -389,20 +356,6 @@ def test_adding_a_link_never_increases_read_times(net, time, data):
         for cid, new in after.items():
             if cid in before[node.id]:
                 assert before[node.id][cid] >= new
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.sampled_from(["own", "lib"]), max_size=6),
-    st.lists(st.sampled_from(["own", "lib"]), max_size=6),
-)
-def test_task_time_is_additive(fragment_a, fragment_b):
-    net = load_scenario(scenario_path("fig1.json"))
-    catalog = effective_catalog(net, "w2")
-    combined = task_time(catalog, fragment_a + fragment_b)
-    assert math.isclose(
-        combined, task_time(catalog, fragment_a) + task_time(catalog, fragment_b), rel_tol=1e-12
-    )
 
 
 def test_package_exposes_exactly_the_layer_exports():

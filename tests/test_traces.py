@@ -153,8 +153,8 @@ class TestSampleIid:
             sample_iid({"a": 0.4, "b": 0.4}, 10, seed=1)
         with pytest.raises(ValueError):
             sample_iid({}, 10, seed=1)
-        with pytest.raises(ValueError):
-            sample_iid({"a": 1.0}, -1, seed=1)
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            sample_iid({"a": 1.0}, -1, 0)
 
     @pytest.mark.parametrize(
         "bad",
@@ -295,6 +295,25 @@ class TestSampleMarkov:
             sample_markov(("a", "a"), rows, (1.0, 0.0), 5, seed=1)
         with pytest.raises(ValueError, match="'states' must be strings, got 1"):
             sample_markov((1, 2), rows, (1.0, 0.0), 5, seed=1)
+
+    def test_negative_length_rejected(self):
+        states, matrix = self.CYCLE
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            sample_markov(states, matrix, (1.0, 0.0), -1, 0)
+
+    @pytest.mark.parametrize(
+        "states, transitions, initial, message",
+        [
+            ("ab", ((1.0, 0.0), (0.0, 1.0)), (1.0, 0.0), "'states' must be an array"),
+            (("a", "b"), {"a": (1.0,), "b": (1.0,)}, (1.0, 0.0), "'transitions' must be an array"),
+            (("a", "b"), ("10", "01"), (1.0, 0.0), "'transitions' row 0 must be an array"),
+            (("a", "b"), ((1.0, 0.0), (0.0, 1.0)), "ab", "'initial' must be an array"),
+        ],
+        ids=["states-string", "transitions-mapping", "row-string", "initial-string"],
+    )
+    def test_fields_that_are_not_arrays_rejected(self, states, transitions, initial, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_markov(states, transitions, initial, 5, 0)
 
 
 class TestEmpiricalDistribution:

@@ -30,7 +30,6 @@ from .model import Network, ScenarioError, effective_catalog
 
 __all__ = [
     "SolverError",
-    "CharEquation",
     "NodeCapacity",
     "CapacityResult",
     "solve_characteristic_full",
@@ -51,25 +50,6 @@ _LN2 = math.log(2.0)
 
 class SolverError(RuntimeError):
     """Raised when the characteristic-equation root cannot be isolated."""
-
-
-class CharEquation(NamedTuple("_CharEquationFields", [("terms", tuple[tuple[int, float], ...])])):
-    """Left-hand side of the capacity equation: one (count, tau) term per class.
-
-    ``terms`` may be any iterable of pairs. It is copied into a tuple of
-    tuples first, and that copy is what is checked and kept.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, terms: Iterable[tuple[int, float]]) -> CharEquation:
-        terms = tuple(map(tuple, terms))
-        for count, tau in terms:
-            if count < 1:
-                raise ValueError(f"term count must be >= 1, got {count}")
-            if not (tau > 0 and math.isfinite(tau)):
-                raise ValueError(f"term time must be positive and finite, got {tau}")
-        return super().__new__(cls, terms)
 
 
 class NodeCapacity(NamedTuple):
@@ -96,8 +76,12 @@ def _lhs(terms: list[tuple[float, float]], s: float) -> tuple[float, float]:
     return value, slope
 
 
-def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
+def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacity:
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
+
+    ``terms`` is any iterable of ``(count, tau)`` pairs, one per class, read
+    once: each count must be >= 1 and each tau positive and finite, or a
+    ``ValueError`` names the first bad value.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
     has no solution and capacity is zero by convention). Otherwise Newton's
@@ -114,23 +98,29 @@ def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
     at the returned x0 must be within a fixed 1e-9. The first iterate at or
     above s = 1024, the bound included, shows that x0 overflows a double.
     """
-    if not eq.terms:
+    logs = []
+    for count, tau in terms:
+        if count < 1:
+            raise ValueError(f"term count must be >= 1, got {count}")
+        if not (tau > 0 and math.isfinite(tau)):
+            raise ValueError(f"term time must be positive and finite, got {tau}")
+        logs.append((math.log2(count), tau))
+    if not logs:
         return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)
 
-    terms = [(math.log2(count), tau) for count, tau in eq.terms]
-    s = max(log2c / tau for log2c, tau in terms)
+    s = max(log2c / tau for log2c, tau in logs)
     iterations, step = 0, math.inf
     while True:
         if s >= 1024.0:  # s is at or below the root, so 2**root overflows too
             raise SolverError("root exceeds the representable range")
-        value, slope = _lhs(terms, s)
+        value, slope = _lhs(logs, s)
         if value <= 1.0:
             break
         if step * _LN2 <= REL_TOL:
             # A step from below falls short of the root, so a small one does not
             # show that x0 is within REL_TOL: look at x0 * (1 + REL_TOL) itself.
             ahead = s + math.log2(1.0 + REL_TOL)
-            ahead_value, ahead_slope = _lhs(terms, ahead)
+            ahead_value, ahead_slope = _lhs(logs, ahead)
             if ahead_value <= 1.0 or ahead == s:
                 break
             s, value, slope = ahead, ahead_value, ahead_slope
@@ -150,12 +140,11 @@ def solve_characteristic_full(eq: CharEquation) -> NodeCapacity:
     )
 
 
-def equation_for_node(net: Network, node_id: str) -> CharEquation:
-    """Characteristic equation of a node, one term per reachable class."""
+def equation_for_node(net: Network, node_id: str) -> tuple[tuple[int, float], ...]:
+    """Characteristic equation of a node: one ``(count, tau)`` term per reachable class."""
     catalog = effective_catalog(net, node_id)
     counts = catalog.counts
-    terms = tuple((counts[cid], time) for cid, time in catalog.entries.items())
-    return CharEquation(terms=terms)
+    return tuple((counts[cid], time) for cid, time in catalog.entries.items())
 
 
 def node_solution(net: Network, node_id: str) -> NodeCapacity:
@@ -203,11 +192,6 @@ class OptimalDistribution(NamedTuple):
     x0: float
     class_mass: Mapping[str, float]
     file_probability: Mapping[str, float]
-
-    @property
-    def capacity_bits_per_time(self) -> float:
-        """log2(x0): the node capacity, which this distribution attains."""
-        return math.log2(self.x0)
 
 
 def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:

@@ -142,7 +142,7 @@ def _cmd_optimal(args: argparse.Namespace) -> dict:
         "scenario": scenario,
         "node": args.node,
         "x0": dist.x0,
-        "capacity_bits_per_time": dist.capacity_bits_per_time,
+        "capacity_bits_per_time": node_solution(net, args.node).capacity_bits_per_time,
         "classes": classes,
     }
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -222,7 +222,10 @@ def build_network(doc: Mapping) -> Network:
                 _as_id(cid, f"node '{nid}': stored class id")
             if cid not in seen_classes:
                 raise ScenarioError(f"node '{nid}' stores unknown class '{cid}'")
-        stores_by_node[nid] = stored = frozenset(stores)
+        stored = frozenset(stores)
+        if len(stored) != len(stores):
+            raise ScenarioError(f"node '{nid}' stores class '{_first_repeat(stores)}' twice")
+        stores_by_node[nid] = stored
         nodes.append(Node(nid, stored))
 
     links: list[Link] = []
@@ -265,6 +268,9 @@ def _link_classes(
         if type(cid) is not str:
             _as_id(cid, f"link {reader}->{provider}: class id")
     subset = frozenset(listed)
+    if len(subset) != len(listed):
+        cid = _first_repeat(listed)
+        raise ScenarioError(f"link {reader}->{provider}: class '{cid}' listed twice")
     if not subset <= stored:
         cid = min(subset - stored)  # the first in sorted order: the array's order does not matter
         raise ScenarioError(
@@ -273,14 +279,20 @@ def _link_classes(
     return subset
 
 
+def _first_repeat(ids: Iterable[str]) -> str | None:
+    """The first id, in order, that already came before (None if none does)."""
+    seen: set[str] = set()
+    for cid in ids:
+        if cid in seen:
+            return cid
+        seen.add(cid)
+    return None
+
+
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     doc = dict(pairs)
     if len(doc) != len(pairs):
-        seen: set[str] = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ScenarioError(f"duplicate key '{key}'")
-            seen.add(key)
+        raise ScenarioError(f"duplicate key '{_first_repeat(key for key, _ in pairs)}'")
     return doc
 
 

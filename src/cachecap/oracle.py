@@ -102,8 +102,7 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
     """
     if grid is None:
         grid = infer_grid(catalog.entries.values())
-    if not (grid > 0 and math.isfinite(grid)):
-        raise ValueError(f"grid must be positive and finite, got {grid}")
+    _check_grid(grid)
     kinds: dict[int, int] = {}  # tau_int -> total file count
     for cid, time in catalog.entries.items():
         steps = time / grid
@@ -117,6 +116,11 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
         kinds[tau_int] = kinds.get(tau_int, 0) + catalog.counts[cid]
     int_times = tuple((count, tau) for tau, count in sorted(kinds.items()))
     return QuantizedCatalog(int_times=int_times, grid=grid)
+
+
+def _check_grid(grid: float) -> None:
+    if not (grid > 0 and math.isfinite(grid)):
+        raise ValueError(f"grid must be positive and finite, got {grid}")
 
 
 def infer_grid(times: Iterable[float]) -> float:
@@ -178,7 +182,13 @@ def _decimal_series(q: QuantizedCatalog, t_max: int) -> list[str]:
 def _recurrence(q: QuantizedCatalog, one: int | decimal.Decimal) -> Iterator:
     """nu(0), nu(1), ... in the number type of ``one``, from a window of the
     last ``max_time`` values: ``window[-tau]`` is nu(T - tau) when nu(T) is
-    summed, and the zeros it starts with stand for negative T."""
+    summed, and the zeros it starts with stand for negative T. Every count
+    and step must be an ``int`` >= 1 (not a ``bool``)."""
+    for count, tau in q.int_times:
+        if type(count) is not int or count < 1:
+            raise ValueError(f"quantized count must be an int >= 1, got {count!r}")
+        if type(tau) is not int or tau < 1:
+            raise ValueError(f"quantized step must be an int >= 1, got {tau!r}")
     zero = one - one
     terms = [(one * count, tau) for count, tau in q.int_times]
     width = max(q.max_time, 1)
@@ -212,6 +222,7 @@ def convergence_report(
     1/T as the horizon grows. An ``x0`` of ``None`` (nothing reachable) or
     ``<= 0`` counts as capacity 0.
     """
+    _check_grid(q.grid)
     if t_max < q.max_time:
         raise ValueError(f"t_max {t_max} is below the largest quantized time {q.max_time}")
     solver_capacity = math.log2(solver_x0) if solver_x0 is not None and solver_x0 > 0 else 0.0

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
-    CharEquation,
     ScenarioError,
     SolverError,
     analyze_network,
@@ -44,38 +43,68 @@ class TestCharEquationChecks:
     @pytest.mark.parametrize("count", [0, -1])
     def test_count_below_one_is_rejected(self, count):
         with pytest.raises(ValueError) as exc:
-            CharEquation(terms=((2, 1.0), (count, 2.0)))
+            solve_characteristic_full(((2, 1.0), (count, 2.0)))
         assert str(exc.value) == f"term count must be >= 1, got {count}"
 
     @pytest.mark.parametrize("time", [0.0, -2.0, math.inf, math.nan])
     def test_time_not_positive_and_finite_is_rejected(self, time):
         with pytest.raises(ValueError) as exc:
-            CharEquation(terms=((2, 1.0), (1, time)))
+            solve_characteristic_full(((2, 1.0), (1, time)))
         assert str(exc.value) == f"term time must be positive and finite, got {time}"
 
-    def test_a_generator_is_read_once_and_kept_as_a_tuple(self):
-        eq = CharEquation(terms=(pair for pair in QUAD_TERMS))
-        assert eq.terms == QUAD_TERMS
-        assert solve_characteristic_full(eq).x0 == pytest.approx(SQRT2P1, rel=1e-12)
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (((0, 1.0),), "term count must be >= 1, got 0"),
+            (((1, -2.0),), "term time must be positive and finite, got -2.0"),
+        ],
+        ids=["char-count", "char-time"],
+    )
+    def test_rejects_by_position_and_by_keyword(self, terms, message):
+        for solve in (
+            lambda: solve_characteristic_full(terms),
+            lambda: solve_characteristic_full(terms=terms),
+        ):
+            with pytest.raises(ValueError) as exc:
+                solve()
+            assert str(exc.value) == message
 
-    def test_lists_are_kept_as_tuples_so_later_edits_do_not_reach_the_equation(self):
-        terms = [list(pair) for pair in QUAD_TERMS]
-        eq = CharEquation(terms=terms)
-        terms[0][0] = 0
-        assert eq.terms == QUAD_TERMS
-        assert hash(eq) == hash(CharEquation(terms=QUAD_TERMS))
-        assert solve_characteristic_full(eq).x0 == pytest.approx(SQRT2P1, rel=1e-12)
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (((2, -1.0),), "term time must be positive and finite, got -1.0"),
+            (((3, 0.0),), "term time must be positive and finite, got 0.0"),
+        ],
+        ids=["negative-time", "zero-time"],
+    )
+    def test_no_way_around_the_check(self, terms, message):
+        # The check is part of the solve: in whatever container, each pair is
+        # checked as it is read, a bad one after a good one too.
+        for form in (tuple, list, iter):
+            with pytest.raises(ValueError) as exc:
+                solve_characteristic_full(form(((2, 1.0), *terms)))
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: (pair for pair in QUAD_TERMS), lambda: [list(pair) for pair in QUAD_TERMS]],
+        ids=["generator", "list-of-lists"],
+    )
+    def test_any_iterable_of_pairs_solves_alike(self, make):
+        solve = solve_characteristic_full(make())
+        assert solve == solve_characteristic_full(QUAD_TERMS)
+        assert solve.x0 == pytest.approx(SQRT2P1, rel=1e-12)
 
 
 class TestCharEqValue:
     def test_fig1_equation_near_one_at_published_root(self):
-        x0 = solve_characteristic_full(CharEquation(terms=FIG1_TERMS)).x0
+        x0 = solve_characteristic_full(FIG1_TERMS).x0
         assert abs(x0 - 10.01) < 0.01
         assert abs(residual(FIG1_TERMS, 10.01)) < 1e-3
         assert abs(residual(FIG1_TERMS, x0)) < 1e-12
 
     def test_quadratic_root_hits_one(self):
-        x0 = solve_characteristic_full(CharEquation(terms=QUAD_TERMS)).x0
+        x0 = solve_characteristic_full(QUAD_TERMS).x0
         assert x0 == pytest.approx(SQRT2P1, rel=1e-12)
         assert abs(residual(QUAD_TERMS, SQRT2P1)) < 1e-12
         assert abs(residual(QUAD_TERMS, x0)) < 1e-12
@@ -83,29 +112,25 @@ class TestCharEqValue:
 
 class TestSolveCharacteristic:
     def test_fig1_root(self):
-        assert solve_characteristic_full(CharEquation(terms=FIG1_TERMS)).x0 == pytest.approx(
-            10.01, abs=0.01
-        )
+        assert solve_characteristic_full(FIG1_TERMS).x0 == pytest.approx(10.01, abs=0.01)
 
     def test_fig2_root(self):
-        assert solve_characteristic_full(CharEquation(terms=FIG2_TERMS)).x0 == pytest.approx(
-            2**3.449, abs=0.05
-        )
+        assert solve_characteristic_full(FIG2_TERMS).x0 == pytest.approx(2**3.449, abs=0.05)
 
     def test_single_file_root_is_one(self):
-        assert solve_characteristic_full(CharEquation(terms=((1, 5.0),))).x0 == 1.0
+        assert solve_characteristic_full(((1, 5.0),)).x0 == 1.0
 
     def test_single_class_closed_form(self):
-        assert solve_characteristic_full(CharEquation(terms=((4, 2.0),))).x0 == 2.0
+        assert solve_characteristic_full(((4, 2.0),)).x0 == 2.0
 
     def test_empty_equation_has_no_root(self):
-        assert solve_characteristic_full(CharEquation(terms=())).x0 is None
+        assert solve_characteristic_full(()).x0 is None
 
     def test_residual_within_bound_on_random_equations(self):
         rng = random.Random(7)
         for _ in range(200):
             terms = tuple(random_terms(rng))
-            solve = solve_characteristic_full(CharEquation(terms=terms))
+            solve = solve_characteristic_full(terms)
             if solve.x0 is not None and solve.x0 > 1.0:
                 assert solve.residual <= 1e-9
 
@@ -136,7 +161,7 @@ class TestNewtonSolver:
     @settings(max_examples=300, deadline=None)
     @given(_terms)
     def test_agrees_with_bisection(self, terms):
-        solve = solve_characteristic_full(CharEquation(terms=tuple(terms)))
+        solve = solve_characteristic_full(terms)
         reference = bisect_root(terms)
         assert abs(solve.x0 - reference) <= 1e-12 * reference
         assert solve.residual <= 1e-9
@@ -144,19 +169,19 @@ class TestNewtonSolver:
 
     @pytest.mark.parametrize("tau", [0.05, 1.0, 7.3, 20.0])
     def test_single_file_is_one_without_a_step(self, tau):
-        solve = solve_characteristic_full(CharEquation(terms=((1, tau),)))
+        solve = solve_characteristic_full(((1, tau),))
         assert (solve.x0, solve.iterations, solve.residual) == (1.0, 0, 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 10**7), _times)
     def test_single_class_is_the_closed_form(self, count, tau):
-        solve = solve_characteristic_full(CharEquation(terms=((count, tau),)))
+        solve = solve_characteristic_full(((count, tau),))
         assert solve.x0 == pytest.approx(count ** (1.0 / tau), rel=1e-12)
         assert solve.iterations <= 1
 
     def test_no_overflow_at_ten_million_files(self):
         for terms in [((10**7, 20.0),), ((10**7, 20.0),) * 50, ((10**7, 20.0), (1, 0.05))]:
-            solve = solve_characteristic_full(CharEquation(terms=terms))
+            solve = solve_characteristic_full(terms)
             assert math.isfinite(solve.x0) and solve.residual <= 1e-9
             assert solve.x0 == pytest.approx(bisect_root(terms), rel=1e-12)
 
@@ -165,7 +190,7 @@ class TestNewtonSolver:
     )
     def test_root_beyond_float_range_raises(self, terms):
         with pytest.raises(SolverError, match="^root exceeds the representable range$"):
-            solve_characteristic_full(CharEquation(terms=terms))
+            solve_characteristic_full(terms)
 
     def test_wide_random_catalogs_solve_or_overflow(self):
         """2,000 seeded catalogs: 2-30 classes, counts up to 10**7, times over
@@ -180,7 +205,7 @@ class TestNewtonSolver:
                 for _ in range(classes)
             )
             try:
-                solve = solve_characteristic_full(CharEquation(terms=terms))
+                solve = solve_characteristic_full(terms)
             except SolverError as exc:
                 assert str(exc) == "root exceeds the representable range"
                 outcomes["overflow"] += 1
@@ -193,7 +218,7 @@ class TestNewtonSolver:
         )
 
     def test_short_step_far_below_the_root_is_solved_in_eight_steps(self):
-        solve = solve_characteristic_full(CharEquation(terms=SHORT_STEP_TERMS))
+        solve = solve_characteristic_full(SHORT_STEP_TERMS)
         assert solve.x0 == pytest.approx(3.4849274653538407, rel=1e-12)
         assert solve.iterations == 8
 
@@ -349,7 +374,7 @@ class TestStructuralProperties:
 
 def test_equation_for_node_uses_minimal_times(fig2_shared):
     eq = equation_for_node(fig2_shared, "w2")
-    assert sorted(eq.terms) == [(10, 1.0), (10**7, 10.0)]
+    assert sorted(eq) == [(10, 1.0), (10**7, 10.0)]
     catalog = effective_catalog(fig2_shared, "w2")
     assert catalog.entries == {"own": 1.0, "lib": 10.0}
 

@@ -499,6 +499,26 @@ class TestStrictInputs:
         assert "'class_mass'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "stores, link, message",
+        [
+            (["a", "a", "b"], {}, "node 'n' stores class 'a' twice"),
+            (["a", "b"], {"classes": ["b", "b"]}, "link n->n: class 'b' listed twice"),
+        ],
+        ids=["stores", "link-classes"],
+    )
+    def test_class_listed_twice_is_one(self, tmp_path, capsys, stores, link, message):
+        scenario = tmp_path / "twice.json"
+        doc = {
+            "classes": [{"id": "a"}, {"id": "b"}],
+            "nodes": [{"id": "n", "stores": stores}],
+            "links": [{"reader": "n", "provider": "n", "time": 1, **link}],
+        }
+        scenario.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["validate", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_scenario_nested_too_deep_to_parse_is_one(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

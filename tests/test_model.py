@@ -13,7 +13,7 @@ from cachecap import (
     load_scenario,
     read_scenario,
 )
-from cachecap.capacity import CapacityResult, CharEquation, NodeCapacity, OptimalDistribution
+from cachecap.capacity import CapacityResult, NodeCapacity, OptimalDistribution
 from cachecap.entropy import (
     EfficiencyResult,
     EmpiricalSource,
@@ -163,7 +163,10 @@ class TestRecords:
             (Link(reader="r", provider="p", time=1.0), "time"),
             (Network(classes=(), nodes=(), links=()), "links"),
             (EffectiveCatalog(node="n", entries={}, counts={}), "entries"),
-            (CharEquation(terms=((1, 1.0),)), "terms"),
+            (
+                NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0),
+                "capacity_bits_per_time",
+            ),
             (NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0), "x0"),
             (CapacityResult(per_node={}, network_capacity=0.0), "network_capacity"),
             (
@@ -208,12 +211,6 @@ class TestRecords:
     @pytest.mark.parametrize(
         "make, fields, message",
         [
-            (CharEquation, {"terms": ((0, 1.0),)}, "term count must be >= 1, got 0"),
-            (
-                CharEquation,
-                {"terms": ((1, -2.0),)},
-                "term time must be positive and finite, got -2.0",
-            ),
             (IIDSource, {"class_mass": {"a": 0.5}}, "class_mass: probabilities sum to 0.5, not 1"),
             (
                 MarkovSource,
@@ -226,7 +223,7 @@ class TestRecords:
                 "initial distribution: probabilities sum to 0.5, not 1",
             ),
         ],
-        ids=["char-count", "char-time", "iid", "markov-row", "markov-initial"],
+        ids=["iid", "markov-row", "markov-initial"],
     )
     def test_checked_records_reject_by_position_and_by_keyword(self, make, fields, message):
         for build in (lambda: make(*fields.values()), lambda: make(**fields)):
@@ -423,6 +420,7 @@ REJECTIONS = [
     ("stores-not-array", _with(("nodes", 0, "stores"), "a"), "node 'p': 'stores' must be an array"),
     ("stored-id-not-string", _with(("nodes", 0, "stores"), ["a", None]), "node 'p': stored class id must be a string, got None"),
     ("stores-unknown-class", _with(("nodes", 0, "stores"), ["a", "ghost", "b"]), "node 'p' stores unknown class 'ghost'"),
+    ("stores-class-twice", _with(("nodes", 0, "stores"), ["a", "b", "b", "a"]), "node 'p' stores class 'b' twice"),
     ("link-not-object", _with(("links", 0), "r->p"), "link entry must be an object"),
     ("link-missing-reader", _with(("links", 0, "reader"), ...), "link entry missing 'reader'"),
     ("link-missing-provider", _with(("links", 0, "provider"), ...), "link entry missing 'provider'"),
@@ -444,6 +442,7 @@ REJECTIONS = [
     ("time-huge-negative-int", _with(("links", 0, "time"), -(10**400)), "link r->p: time is too large for a float"),
     ("link-classes-not-array", _with(("links", 0, "classes"), "a"), "link r->p: 'classes' must be an array"),
     ("link-class-id-not-string", _with(("links", 0, "classes"), ["a", 2]), "link r->p: class id must be a string, got 2"),
+    ("link-class-twice", _with(("links", 0, "classes"), ["a", "a"]), "link r->p: class 'a' listed twice"),
     ("link-class-not-stored", _with(("links", 0, "classes"), ["b", "a"]), "link r->p: class 'b' is not stored by provider 'p'"),
     ("link-classes-first-sorted", _with(("links", 0, "classes"), ["z", "b"]), "link r->p: class 'b' is not stored by provider 'p'"),
 ]

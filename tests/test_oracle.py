@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
-    CharEquation,
     Network,
     Node,
     analyze_network,
@@ -89,10 +88,8 @@ class TestQuantize:
         net, node = single_node_network([(1, 1.0), (1, 2.5)])
         q = quantize_node(net, node)  # inferred grid 0.5
         assert q.grid == 0.5
-        x_time = solve_characteristic_full(CharEquation(terms=((1, 1.0), (1, 2.5)))).x0
-        x_grid = solve_characteristic_full(
-            CharEquation(terms=tuple((c, float(t)) for c, t in q.int_times))
-        ).x0
+        x_time = solve_characteristic_full(((1, 1.0), (1, 2.5))).x0
+        x_grid = solve_characteristic_full((c, float(t)) for c, t in q.int_times).x0
         assert math.log2(x_grid) == pytest.approx(math.log2(x_time) * q.grid, rel=1e-9)
 
 
@@ -131,6 +128,29 @@ class TestCountTasks:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             count_series(PELL, -1)
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((2, 0), "quantized step must be an int >= 1, got 0"),
+            ((2, -1), "quantized step must be an int >= 1, got -1"),
+            ((2, 1.5), "quantized step must be an int >= 1, got 1.5"),
+            ((2, True), "quantized step must be an int >= 1, got True"),
+            ((0, 1), "quantized count must be an int >= 1, got 0"),
+            ((2.0, 1), "quantized count must be an int >= 1, got 2.0"),
+            ((True, 1), "quantized count must be an int >= 1, got True"),
+        ],
+        ids=[
+            "step-0", "step-neg", "step-float", "step-bool", "count-0", "count-float", "count-bool"
+        ],
+    )
+    def test_hand_built_pairs_are_checked(self, pair, message):
+        q = QuantizedCatalog(int_times=((1, 2), pair), grid=1.0)
+        empty = oracle.OracleReport(points=(), solver_capacity=0.0, final_gap=0.0, catalog=q)
+        for count in (lambda: count_series(q, 5), empty.series):  # ints, then decimal digits
+            with pytest.raises(ValueError) as exc:
+                count()
+            assert str(exc.value) == message
 
     def test_counts_are_exact_integers_satisfying_the_recurrence(self):
         nu = count_series(PELL, 200)
@@ -181,7 +201,7 @@ class TestConvergenceReport:
 
     def test_points_only_on_the_time_lattice(self):
         q = QuantizedCatalog(int_times=((2, 2), (1, 4)), grid=0.5)
-        x0 = solve_characteristic_full(CharEquation(terms=((2, 1.0), (1, 2.0)))).x0
+        x0 = solve_characteristic_full(((2, 1.0), (1, 2.0))).x0
         report = convergence_report(q, 40, x0**2)
         assert all(p.time_steps % 2 == 0 for p in report.points)
 
@@ -196,6 +216,13 @@ class TestConvergenceReport:
     def test_horizon_below_largest_time_rejected(self):
         with pytest.raises(ValueError, match="t_max"):
             convergence_report(PELL, 1, 2.0)
+
+    @pytest.mark.parametrize("grid", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_not_positive_and_finite_rejected(self, grid):
+        q = QuantizedCatalog(int_times=PELL.int_times, grid=grid)
+        with pytest.raises(ValueError) as exc:
+            convergence_report(q, 10, 1 + math.sqrt(2))
+        assert str(exc.value) == f"grid must be positive and finite, got {grid}"
 
     def test_nothing_reachable_is_capacity_zero(self):
         net = Network(classes=(), nodes=(Node(id="n", stores=frozenset()),), links=())
@@ -250,7 +277,7 @@ def test_oracle_agrees_with_solver_on_integer_catalogs():
             continue
         net, node = single_node_network(terms)
         q = quantize_node(net, node, grid=1.0)
-        x0 = solve_characteristic_full(CharEquation(terms=tuple(terms))).x0
+        x0 = solve_characteristic_full(terms).x0
         report = convergence_report(q, 200, x0)
         assert report.final_gap < 0.02
 
@@ -277,7 +304,7 @@ def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, requ
 def test_oracle_rates_never_exceed_the_solver_capacity(net):
     """nu(T) <= X0**T by induction on the recurrence, since sum(count * X0**-tau) = 1."""
     for node, nc in analyze_network(net).per_node.items():
-        if sum(count for count, _ in equation_for_node(net, node).terms) < 2:
+        if sum(count for count, _ in equation_for_node(net, node)) < 2:
             continue
         report = convergence_report(quantize_node(net, node), 200, nc.x0)
         assert report.points

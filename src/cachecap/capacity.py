@@ -3,9 +3,10 @@
 The number of distinct file sequences a node can read in a time budget T
 grows like X0**T, where X0 > 1 is the largest real root of
 
-    sum over reachable files f of  X ** (-tau(f))  =  1
+    sum over memory kinds k of  N_k * X ** (-t_k)  =  1
 
-with tau(f) the minimal read time of f. The node's capacity is log2(X0)
+with N_k the count of reachable files of minimal read time t_k, so the sum is
+taken per kind (``EffectiveCatalog.kinds``). The node's capacity is log2(X0)
 bits per time unit; the network capacity is the sum over nodes. The root is
 found by Newton's method in s = log2(X), where the left-hand side minus one
 is convex and decreasing; started below the root, the iterates rise to it
@@ -33,7 +34,6 @@ __all__ = [
     "NodeCapacity",
     "CapacityResult",
     "solve_characteristic_full",
-    "equation_for_node",
     "node_solution",
     "node_capacity",
     "network_capacity",
@@ -79,18 +79,18 @@ def _lhs(terms: list[tuple[float, float]], s: float) -> tuple[float, float]:
 def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacity:
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
-    ``terms`` is any iterable of ``(count, tau)`` pairs, one per class, read
-    once: each count must be >= 1 and each tau positive and finite, or a
-    ``ValueError`` names the first bad value.
+    ``terms`` is any iterable of ``(count, tau)`` pairs, read once (a node's
+    are one per memory kind): each count must be >= 1 and each tau positive
+    and finite, or a ``ValueError`` names the first bad value.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
     has no solution and capacity is zero by convention). Otherwise Newton's
     method solves g(s) = sum(count * 2**(-tau*s)) - 1 = 0 for s = log2(x0).
-    g is convex and decreasing, and one class alone already sums to 1 at
+    g is convex and decreasing, and one term alone already sums to 1 at
     s = log2(count)/tau, so the largest of these bounds the root from below.
     Newton steps from below on a convex decreasing function never pass the
     root: the iterates rise monotonically and converge quadratically. The
-    bound is the root itself for one class (a single file gives x0 = 1 with
+    bound is the root itself for one term (a single file gives x0 = 1 with
     no step). Iteration stops once a step moves x0 by at most REL_TOL and
     the left-hand side at x0 * (1 + REL_TOL) is at most 1, which puts the
     root within REL_TOL above x0. If it is still above 1, Newton goes on
@@ -140,13 +140,6 @@ def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacit
     )
 
 
-def equation_for_node(net: Network, node_id: str) -> tuple[tuple[int, float], ...]:
-    """Characteristic equation of a node: one ``(count, tau)`` term per reachable class."""
-    catalog = effective_catalog(net, node_id)
-    counts = catalog.counts
-    return tuple((counts[cid], time) for cid, time in catalog.entries.items())
-
-
 def node_solution(net: Network, node_id: str) -> NodeCapacity:
     """The node's solved equation, solved on the first request and kept on ``net``.
 
@@ -154,7 +147,8 @@ def node_solution(net: Network, node_id: str) -> NodeCapacity:
     """
     solution = net._solutions.get(node_id)
     if solution is None:
-        solution = solve_characteristic_full(equation_for_node(net, node_id))
+        kinds = effective_catalog(net, node_id).kinds
+        solution = solve_characteristic_full((count, time) for time, count in kinds.items())
         net._solutions[node_id] = solution
     return solution
 

@@ -122,13 +122,21 @@ class EffectiveCatalog(NamedTuple):
     Classes with no finite-time provider are omitted entirely. ``entries`` is
     read-only and comes in class-id order, which fixes the order of every sum
     and every report over the catalog. ``counts`` is the network's read-only
-    class-id-to-file-count map, which every formula over the catalog needs
-    next to the times.
+    class-id-to-file-count map. ``kinds``, derived from both on every read,
+    groups the classes into memory kinds by read time.
     """
 
     node: str
     entries: Mapping[str, float]
     counts: Mapping[str, int]
+
+    @property
+    def kinds(self) -> dict[float, int]:
+        """Read time to its classes' total file count, in order of each time's first class."""
+        kinds: dict[float, int] = {}
+        for cid, time in self.entries.items():
+            kinds[time] = kinds.get(time, 0) + self.counts[cid]
+        return kinds
 
 
 # The largest int that converts to a finite float; a time above it overflows.

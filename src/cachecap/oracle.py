@@ -5,13 +5,12 @@ distinct file sequences with total time exactly T satisfies the recurrence
 
     nu(T) = sum over memory kinds of  N_k * nu(T - t_k)        nu(0) = 1
 
-with t_k in grid units. A memory kind is every file the node reads in the
-same time t_k, so N_k sums the counts of all classes on that time, and the
-recurrence does one term per distinct time, not one per class (Shannon's
-noiseless channel with symbol durations, summed per duration). Counting is
-done in exact integer arithmetic (the values outgrow 64 bits quickly), and
-log2(nu(T)) / (T * grid) converges to the capacity in bits per original time
-unit, giving an independent cross-check of the root-finding solver.
+with t_k in grid units, one term per memory kind (``EffectiveCatalog.kinds``)
+as in the solver (Shannon's noiseless channel with symbol durations, summed
+per duration). Counting is done in exact integer arithmetic (the values
+outgrow 64 bits quickly), and log2(nu(T)) / (T * grid) converges to the
+capacity in bits per original time unit, giving an independent cross-check
+of the root-finding solver.
 
 The recurrence is written once and run in two number types: Python ints for
 the counts and rates, exact ``decimal`` for the digits the report prints.
@@ -50,10 +49,9 @@ _MAX_DENOMINATOR = 10**6
 class QuantizedCatalog(NamedTuple):
     """Catalog with read times as exact positive integers on a common grid.
 
-    ``original tau = tau_int * grid``. ``quantize`` gives one pair per memory
-    kind: distinct ``tau_int`` in ascending order, each with the total file
-    count of the classes read in that time. A hand-built catalog may repeat a
-    time; the recurrence adds its pairs all the same.
+    ``original tau = tau_int * grid``. ``quantize`` gives one pair per distinct
+    ``tau_int``, ascending, with the total file count of its classes; a
+    hand-built catalog may repeat a time, and the recurrence adds its pairs.
     """
 
     int_times: tuple[tuple[int, int], ...]  # (count, tau_int)
@@ -101,7 +99,7 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
     single ``(count, tau_int)`` pair, and the pairs come in ascending ``tau_int``.
     """
     if grid is None:
-        grid = infer_grid(catalog.entries.values())
+        grid = infer_grid(catalog.kinds)
     _check_grid(grid)
     kinds: dict[int, int] = {}  # tau_int -> total file count
     for cid, time in catalog.entries.items():

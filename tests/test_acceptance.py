@@ -19,14 +19,13 @@ from cachecap import (
     MarkovSource,
     block_entropy_estimate,
     entropy_efficiency,
-    equation_for_node,
     load_scenario,
     markov_entropy_rate,
     network_capacity,
     node_capacity,
+    node_solution,
     optimal_distribution,
     sample_iid,
-    solve_characteristic_full,
 )
 from cachecap.oracle import QuantizedCatalog, count_series
 
@@ -47,7 +46,7 @@ def verdict(num: int, description: str, started: float) -> None:
 def test_criterion_1_two_node_golden():
     started = time.perf_counter()
     net = load_scenario(scenario_path("fig1.json"))
-    solve = solve_characteristic_full(equation_for_node(net, "w2"))
+    solve = node_solution(net, "w2")
     assert solve.x0 == pytest.approx(10.01, abs=0.01)
     assert node_capacity(net, "w2") == pytest.approx(3.324, abs=0.001)
     assert node_capacity(net, "w1") == 0.0

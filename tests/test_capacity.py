@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,9 @@ from cachecap import (
     SolverError,
     analyze_network,
     effective_catalog,
-    equation_for_node,
     network_capacity,
     node_capacity,
+    node_solution,
     optimal_distribution,
     solve_characteristic_full,
 )
@@ -267,7 +268,8 @@ def test_analyze_network_equals_the_per_node_calls(net):
     result = analyze_network(net)
     assert list(result.per_node) == [n.id for n in net.nodes]
     for node in net.nodes:
-        expected = solve_characteristic_full(equation_for_node(net, node.id))
+        kinds = effective_catalog(net, node.id).kinds
+        expected = solve_characteristic_full((count, time) for time, count in kinds.items())
         assert result.per_node[node.id] == expected
 
 
@@ -372,11 +374,53 @@ class TestStructuralProperties:
                 assert scaled == pytest.approx(base / s, rel=1e-9, abs=1e-12)
 
 
-def test_equation_for_node_uses_minimal_times(fig2_shared):
-    eq = equation_for_node(fig2_shared, "w2")
-    assert sorted(eq) == [(10, 1.0), (10**7, 10.0)]
+def test_kinds_sum_the_classes_on_one_time_in_first_class_order(fig2_shared):
     catalog = effective_catalog(fig2_shared, "w2")
     assert catalog.entries == {"own": 1.0, "lib": 10.0}
+    assert list(catalog.kinds.items()) == [(10.0, 10**7), (1.0, 10)]
+    # c0 and c2 share time 2, c1 and c3 time 1: two kinds, keyed as c0 then c1 come
+    net, node = single_node_network([(3, 2.0), (5, 1.0), (7, 2.0), (11, 1.0)])
+    assert list(effective_catalog(net, node).kinds.items()) == [(2.0, 10), (1.0, 16)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(link_networks())
+def test_per_kind_solve_agrees_with_the_per_class_solve(net):
+    """The reference sums one term per class; ``node_solution`` one per memory kind.
+
+    Where no two classes share a time the terms are the same, in the same
+    order, so the solutions are equal; otherwise only the rounding differs.
+    """
+    for node in net.nodes:
+        catalog = effective_catalog(net, node.id)
+        per_class = solve_characteristic_full(
+            (catalog.counts[cid], time) for cid, time in catalog.entries.items()
+        )
+        solution = node_solution(net, node.id)
+        if len(catalog.kinds) == len(catalog.entries):
+            assert solution == per_class
+        else:
+            assert abs(solution.x0 - per_class.x0) <= 1e-14 * per_class.x0
+
+
+def test_every_root_on_an_integer_grid_is_certified_exactly():
+    """With integer times, f(x) = sum N_k * x**-t_k - 1 is strictly decreasing
+    for x > 0, so f > 0 just below x0 and f < 0 just above, evaluated in exact
+    rationals over the classes as drawn, prove the true root within 2**-44 of
+    x0 without trusting a float or the grouping into kinds."""
+    rng = random.Random(44)
+    margin = Fraction(1, 2**44)
+    for _ in range(2000):
+        terms = [
+            (int(10 ** rng.uniform(0, 7)), float(rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 30))
+        ]
+        x0 = Fraction(node_solution(*single_node_network(terms)).x0)
+
+        def f(x: Fraction) -> Fraction:
+            return sum(count * x ** -int(time) for count, time in terms) - 1
+
+        assert f(x0 * (1 - margin)) > 0 > f(x0 * (1 + margin)), terms
 
 
 def _optimum_or_refusal(net: Network, node_id: str) -> str:

@@ -157,27 +157,52 @@ class TestBuildNetwork:
 class TestRecords:
     @pytest.mark.parametrize(
         "record, field",
+        # Each case has an explicit id, so removing one leaves the others' ids
+        # as they are. These keep the ids they were first run under; a new case
+        # names its record and field, e.g. "NodeCapacity-x0".
         [
-            (FileClass(id="a", count=1), "count"),
-            (Node(id="n", stores=frozenset({"a"})), "stores"),
-            (Link(reader="r", provider="p", time=1.0), "time"),
-            (Network(classes=(), nodes=(), links=()), "links"),
-            (EffectiveCatalog(node="n", entries={}, counts={}), "entries"),
-            (
+            pytest.param(FileClass(id="a", count=1), "count", id="record0-count"),
+            pytest.param(Node(id="n", stores=frozenset({"a"})), "stores", id="record1-stores"),
+            pytest.param(Link(reader="r", provider="p", time=1.0), "time", id="record2-time"),
+            pytest.param(Network(classes=(), nodes=(), links=()), "links", id="record3-links"),
+            pytest.param(
+                EffectiveCatalog(node="n", entries={}, counts={}),
+                "entries",
+                id="record4-entries",
+            ),
+            pytest.param(
                 NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0),
                 "capacity_bits_per_time",
+                id="record5-capacity_bits_per_time",
             ),
-            (NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0), "x0"),
-            (CapacityResult(per_node={}, network_capacity=0.0), "network_capacity"),
-            (
+            pytest.param(
+                NodeCapacity(x0=2.0, capacity_bits_per_time=1.0, iterations=1, residual=0.0),
+                "x0",
+                id="record6-x0",
+            ),
+            pytest.param(
+                CapacityResult(per_node={}, network_capacity=0.0),
+                "network_capacity",
+                id="record7-network_capacity",
+            ),
+            pytest.param(
                 OptimalDistribution(
                     node="n", x0=2.0, class_mass={"a": 1.0}, file_probability={"a": 0.5}
                 ),
                 "x0",
+                id="record8-x0",
             ),
-            (QuantizedCatalog(int_times=((1, 1),), grid=1.0), "grid"),
-            (OraclePoint(time_steps=1, count=2, rate=1.0), "count"),
-            (
+            pytest.param(
+                QuantizedCatalog(int_times=((1, 1),), grid=1.0),
+                "grid",
+                id="record9-grid",
+            ),
+            pytest.param(
+                OraclePoint(time_steps=1, count=2, rate=1.0),
+                "count",
+                id="record10-count",
+            ),
+            pytest.param(
                 OracleReport(
                     points=(),
                     solver_capacity=1.0,
@@ -185,12 +210,21 @@ class TestRecords:
                     catalog=QuantizedCatalog(int_times=((1, 1),), grid=1.0),
                 ),
                 "points",
+                id="record11-points",
             ),
-            (IIDSource(class_mass={"a": 1.0}), "class_mass"),
-            (MarkovSource(states=("a",), transitions=((1.0,),)), "initial"),
-            (EmpiricalSource(trace=Trace(symbols=("a",))), "order"),
-            (EntropyEstimate(order=0, value=1.0), "value"),
-            (
+            pytest.param(IIDSource(class_mass={"a": 1.0}), "class_mass", id="record12-class_mass"),
+            pytest.param(
+                MarkovSource(states=("a",), transitions=((1.0,),)),
+                "initial",
+                id="record13-initial",
+            ),
+            pytest.param(
+                EmpiricalSource(trace=Trace(symbols=("a",))),
+                "order",
+                id="record14-order",
+            ),
+            pytest.param(EntropyEstimate(order=0, value=1.0), "value", id="record15-value"),
+            pytest.param(
                 EfficiencyResult(
                     node="n",
                     entropy_bits_per_file=1.0,
@@ -200,8 +234,9 @@ class TestRecords:
                     utilization_ratio=1.0,
                 ),
                 "utilization_ratio",
+                id="record16-utilization_ratio",
             ),
-            (Trace(symbols=("a",)), "symbols"),
+            pytest.param(Trace(symbols=("a",)), "symbols", id="record17-symbols"),
         ],
     )
     def test_fields_cannot_be_assigned(self, record, field):

@@ -12,7 +12,6 @@ from cachecap import (
     convergence_report,
     count_series,
     effective_catalog,
-    equation_for_node,
     infer_grid,
     node_solution,
     quantize,
@@ -68,7 +67,7 @@ class TestQuantize:
 
     def test_gcd_recorded(self):
         net, node = single_node_network([(1, 2.0), (1, 4.0)])
-        x0 = solve_characteristic_full(equation_for_node(net, node)).x0
+        x0 = node_solution(net, node).x0
         report = convergence_report(quantize_node(net, node, grid=1.0), 40, x0)
         assert [p.time_steps for p in report.points] == list(range(2, 41, 2))
 
@@ -233,7 +232,7 @@ class TestConvergenceReport:
         assert report.series() == []
 
     def test_repr_shows_a_count_too_long_for_str_as_its_bit_length(self, three_file):
-        x0 = solve_characteristic_full(equation_for_node(three_file, "n")).x0
+        x0 = node_solution(three_file, "n").x0
         report = convergence_report(quantize_node(three_file, "n", grid=1.0), 12000, x0)
         text = repr(report)
         assert repr(report.points[0]) == "OraclePoint(time_steps=1, count=2, rate=1.0)"
@@ -294,7 +293,7 @@ def test_oracle_agrees_with_solver_on_integer_catalogs():
 def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, request):
     net = request.getfixturevalue(scenario)
     for node in nodes:
-        x0 = solve_characteristic_full(equation_for_node(net, node)).x0
+        x0 = node_solution(net, node).x0
         report = convergence_report(quantize_node(net, node, grid=1.0), 200, x0)
         assert report.final_gap < 0.02
 
@@ -304,7 +303,7 @@ def test_oracle_agrees_with_solver_on_all_golden_scenarios(scenario, nodes, requ
 def test_oracle_rates_never_exceed_the_solver_capacity(net):
     """nu(T) <= X0**T by induction on the recurrence, since sum(count * X0**-tau) = 1."""
     for node, nc in analyze_network(net).per_node.items():
-        if sum(count for count, _ in equation_for_node(net, node)) < 2:
+        if sum(effective_catalog(net, node).kinds.values()) < 2:
             continue
         report = convergence_report(quantize_node(net, node), 200, nc.x0)
         assert report.points

@@ -253,9 +253,12 @@ def _block_entropy(symbols: Sequence[str], m: int) -> float:
     Blocks are counted in trace order, so ``Counter`` holds them in
     first-occurrence order. The float sum below depends on that order in
     its last bits, and the ``efficiency --trace`` outputs pin those bits.
+    At m = 1 the symbols themselves are counted, in the same order, with
+    no 1-tuple made per symbol.
     """
     n_blocks = len(symbols) - m + 1
-    counts = Counter(zip(*(islice(symbols, j, None) for j in range(m))))
+    blocks = symbols if m == 1 else zip(*(islice(symbols, j, None) for j in range(m)))
+    counts = Counter(blocks)
     h = 0.0
     for c in counts.values():
         p = c / n_blocks

@@ -4,7 +4,11 @@ Traces are sequences of class ids (files within a class are symmetric, so
 class granularity carries all the information any formula here needs). The
 generator is SplitMix64, a counter-based 64-bit PRNG chosen because it is
 four lines long, fast, and bit-for-bit reproducible on any platform; the
-known-answer test pins its output. One draw is consumed per symbol.
+known-answer test pins its output. One draw is consumed per symbol. Draw j
+of a seed depends only on the seed and j (its state is
+``seed + j * 0x9E3779B97F4A7C15 mod 2**64``), so the draws are made in bulk,
+``_CHUNK`` at a time, each in its own 128-bit lane of one integer, and are
+bit for bit those of the one-at-a-time generator.
 
 Trace file format: UTF-8, one id per line, optional ``#cachecap-trace v1``
 header; lines starting with ``#`` are ignored on read, and so are blank lines
@@ -16,14 +20,15 @@ written.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 __all__ = [
-    "SplitMix64",
     "Trace",
     "sample_iid",
     "sample_markov",
@@ -37,27 +42,8 @@ TRACE_HEADER = "#cachecap-trace v1"
 _MASK64 = (1 << 64) - 1
 _PROB_TOL = 1e-9
 
-
-class SplitMix64:
-    """SplitMix64: state advances by a fixed odd constant, output is a mix.
-
-    Reference sequence (first three outputs, seed 0):
-    1146525961936471366, 3148508648786604803, 3908612155999415981.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1F4EE2B5) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_CHUNK = 4096  # draws per pass of the lane arithmetic in _draws
 
 
 class Trace(NamedTuple):
@@ -141,57 +127,102 @@ def check_chain(
         check_distribution(initial, "initial distribution")
 
 
-def _inverse_cdf(masses: Sequence[float]) -> tuple[list[float], list[int]]:
-    """Running sums over the positive masses, in order, and their indices.
+def _inverse_cdf(masses: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Thresholds ``ceil(running sum * 2**53)`` over the positive masses, in
+    order, and their indices.
 
-    ``idx[bisect_right(cum, u)]`` is the first index whose running sum
-    exceeds ``u``; a zero mass is skipped, and a mass too small to move the
-    sum is never picked. The index list repeats its last entry once, so a
-    ``u`` in the rounding slack at the top picks the last positive mass.
+    A draw ``v`` (the top 53 bits of a SplitMix64 output) stands for the
+    double ``u = v * 2**-53``, and ``u >= c`` holds exactly when
+    ``v >= ceil(c * 2**53)``. So ``idx[bisect_right(cum, v)]`` is the first
+    index whose running sum exceeds ``u``, with no float made per draw; a
+    zero mass is skipped, and a mass too small to move the sum is never
+    picked. The index list repeats its last entry once, so a ``u`` in the
+    rounding slack at the top picks the last positive mass.
     """
-    cum: list[float] = []
+    cum: list[int] = []
     idx: list[int] = []
     acc = 0.0
     for i, mass in enumerate(masses):
         if mass <= 0.0:
             continue
         acc += mass
-        cum.append(acc)
+        cum.append(math.ceil(acc * 2.0**53))
         idx.append(i)
     idx.append(idx[-1])
     return cum, idx
 
 
+def _draws(seed: int, n: int) -> Iterator[array]:
+    """The top 53 bits of SplitMix64 draws 1..n of ``seed``, in order, as
+    arrays of up to ``_CHUNK`` integers.
+
+    Each state of a chunk sits in its own 128-bit lane of one integer, lane
+    0 lowest. The first chunk is ``a*ones + GAMMA*ramp``, reduced mod 2**64
+    in every lane, with ``a`` the first state, ``ones`` holding 1 in every
+    lane and ``ramp`` holding j in lane j; each later chunk adds
+    ``m*GAMMA`` to every lane. Every step of the mix then acts on all
+    lanes at once. Each xor-shift is masked back to the low 64 bits of
+    every lane before its multiply: a right shift drops the low bits of
+    the lane above into the upper half of the lane below, and the multiply
+    would carry them on into the next lane. A masked lane times a 64-bit
+    constant fits in its 128 bits. The last xor-shift and the ``>> 11``
+    need no mask, because only the low 64 bits of each lane are read, and
+    the bits they take from the upper half of a masked lane are zero.
+    ``array('Q')`` reads native-endian words, hence the byteswap on a
+    big-endian host.
+    """
+    m = min(n, _CHUNK)
+    if m == 0:
+        return
+    low64 = int.from_bytes((b"\xff" * 8 + bytes(8)) * m, "little")
+    ones = int.from_bytes((b"\x01" + bytes(15)) * m, "little")
+    ramp = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(m)), "little")
+    x = (((seed + _GAMMA) & _MASK64) * ones + _GAMMA * ramp) & low64
+    step = ((m * _GAMMA) & _MASK64) * ones
+    for done in range(0, n, m):
+        z = ((x ^ (x >> 30)) & low64) * 0xBF58476D1F4EE2B5 & low64
+        z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
+        words = array("Q")
+        words.frombytes(((z ^ (z >> 31)) >> 11).to_bytes(16 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        yield words[: 2 * (n - done) : 2]
+        x = (x + step) & low64
+
+
 def _walk(
     states: Sequence[str],
-    first: tuple[list[float], list[int]],
-    rows: Sequence[tuple[list[float], list[int]]],
+    first: tuple[list[int], list[int]],
+    rows: Sequence[tuple[list[int], list[int]]],
     n: int,
     seed: int,
 ) -> tuple[str, ...]:
     """n states: the first picked from ``first``, each later one from the row
     of the state before it, one SplitMix64 draw each.
 
-    ``first`` and ``rows`` are ``_inverse_cdf`` tables. The loop is
-    ``SplitMix64(seed).next_float()`` written out with literal constants;
-    the known-answer tests pin the class, and the walk tests pin the two
-    to each other.
+    ``first`` and ``rows`` are ``_inverse_cdf`` tables. The draws come from
+    ``_draws`` a chunk at a time; the loop stays per symbol, because each
+    row depends on the state before it. The walk tests pin it to a scalar
+    SplitMix64 and a linear scan, across the chunk boundaries. The output
+    list is allocated first, so a length too large to hold fails before
+    any draw.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    symbols: list[str] = []
-    append = symbols.append
+    symbols: list[str | None] = [None] * n
     cum, idx = first
-    x = seed
-    for _ in range(n):
-        x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = ((x ^ (x >> 30)) * 0xBF58476D1F4EE2B5) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        i = idx[bisect_right(cum, ((z ^ (z >> 31)) >> 11) * 2.0**-53)]
-        append(states[i])
-        cum, idx = rows[i]
+    done = 0
+    for draws in _draws(seed, n):
+        chunk: list[str] = []
+        append = chunk.append
+        for v in draws:
+            i = idx[bisect_right(cum, v)]
+            append(states[i])
+            cum, idx = rows[i]
+        symbols[done : done + len(chunk)] = chunk
+        done += len(chunk)
     return tuple(symbols)
 
 

@@ -259,6 +259,15 @@ class TestGenTrace:
         proc = run_cli("gen-trace", str(spec), "--n", "3", "--out", str(tmp_path / "t"))
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("n", [2**62, 10**20])
+    def test_length_too_large_to_hold_is_two_and_writes_no_file(self, tmp_path, capsys, n):
+        # The trace is allocated before the first draw, so this fails at once.
+        spec, out = self.make_spec(tmp_path, {"type": "iid", "class_mass": {"a": 1.0}}), tmp_path / "t"
+        assert cli.main(["gen-trace", str(spec), "--n", str(n), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("computation failed: ")
+        assert not out.exists()
+
     # SHA-256 of the trace file, computed before the sampling loop was
     # rewritten around bisect; the walk must keep every byte.
     PINNED = {

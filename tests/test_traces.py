@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cachecap import (
     IIDSource,
-    SplitMix64,
     Trace,
     empirical_distribution,
     read_trace,
@@ -15,9 +14,44 @@ from cachecap import (
     sample_markov,
     write_trace,
 )
-from cachecap.traces import TRACE_HEADER
+from cachecap.traces import _CHUNK, TRACE_HEADER, _draws
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+# First outputs of SplitMix64 by seed, cross-checked against a C build of the
+# reference algorithm.
+KNOWN_ANSWERS = {
+    0: [
+        1146525961936471366,
+        3148508648786604803,
+        3908612155999415981,
+        4991726496119994406,
+        15525681886729249158,
+    ],
+    1234567: [13760290453583727665, 6379938252351549573, 14661389201477993513],
+}
+
+
+class SplitMix64:
+    """Scalar SplitMix64, one draw at a time: the reference that the bulk
+    draws of ``cachecap.traces`` are pinned to. The state advances by a
+    fixed odd constant; the output is a mix of it.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GAMMA) & MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1F4EE2B5) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def next_float(self) -> float:
+        """Uniform double in [0, 1) from the top 53 bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
 
 
 def reference_walk(states, first, rows, n, seed):
@@ -62,7 +96,7 @@ def seed_whose_first_draw_is(out):
     z = _unshift_xor(z, 27)
     z = (z * pow(0xBF58476D1F4EE2B5, -1, 1 << 64)) & MASK64
     z = _unshift_xor(z, 30)
-    return (z - 0x9E3779B97F4A7C15) & MASK64
+    return (z - GAMMA) & MASK64
 
 
 @st.composite
@@ -85,26 +119,40 @@ WALK_SEEDS = st.integers(0, MASK64) | st.integers(MASK64 - 2**28, MASK64).map(
     seed_whose_first_draw_is
 )
 
+# Lengths that end just before, on and just after a chunk of bulk draws.
+CHUNK_EDGES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+WALK_LENGTHS = st.integers(0, 3000) | st.sampled_from(CHUNK_EDGES)
+
 
 class TestSplitMix64:
     def test_known_answers_seed_zero(self):
-        # cross-checked against a C build of the reference algorithm
         rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(5)] == [
-            1146525961936471366,
-            3148508648786604803,
-            3908612155999415981,
-            4991726496119994406,
-            15525681886729249158,
-        ]
+        assert [rng.next_u64() for _ in range(5)] == KNOWN_ANSWERS[0]
 
     def test_known_answers_seed_1234567(self):
         rng = SplitMix64(1234567)
-        assert [rng.next_u64() for _ in range(3)] == [
-            13760290453583727665,
-            6379938252351549573,
-            14661389201477993513,
-        ]
+        assert [rng.next_u64() for _ in range(3)] == KNOWN_ANSWERS[1234567]
+
+    @pytest.mark.parametrize("seed", KNOWN_ANSWERS)
+    def test_known_answers_pin_the_draws_of_sample_iid(self, seed):
+        # Draw k + 1 of a seed is the first draw of seed + k * GAMMA. A first
+        # mass of exactly u = (top 53 bits) * 2**-53 is not above the draw,
+        # so the draw picks "b"; one more ulp of mass and it picks "a".
+        for k, out in enumerate(KNOWN_ANSWERS[seed]):
+            shifted = (seed + k * GAMMA) & MASK64
+            u = (out >> 11) * 2.0**-53
+            assert sample_iid({"a": u, "b": 1.0 - u}, 1, shifted).symbols == ("b",)
+            above = {"a": u + 2.0**-53, "b": 1.0 - u - 2.0**-53}
+            assert sample_iid(above, 1, shifted).symbols == ("a",)
+
+    @pytest.mark.parametrize("n", [0, 1, *CHUNK_EDGES])
+    @pytest.mark.parametrize(
+        "seed", [0, MASK64, seed_whose_first_draw_is(MASK64)], ids=["0", "2**64-1", "top-slack"]
+    )
+    def test_bulk_draws_equal_the_scalar_stream(self, seed, n):
+        rng = SplitMix64(seed)
+        expected = [rng.next_u64() >> 11 for _ in range(n)]
+        assert [v for draws in _draws(seed, n) for v in draws] == expected
 
     def test_floats_are_in_unit_interval(self):
         rng = SplitMix64(99)
@@ -194,6 +242,15 @@ class TestSampleIid:
         expected = reference_walk(("a", "b"), [0.5, 0.5], [[0.5, 0.5]] * 2, 50, seed)
         assert sample_iid({"a": 0.5, "b": 0.5}, 50, seed=seed).symbols == expected
 
+    @pytest.mark.parametrize("n", [2**61, 2**62])
+    def test_a_length_too_large_to_hold_fails_before_any_draw(self, n):
+        # The output list is allocated first; from 2**61 entries on, its size
+        # check fails before any memory is taken.
+        with pytest.raises(MemoryError):
+            sample_iid({"a": 0.5, "b": 0.5}, n, seed=0)
+        with pytest.raises(MemoryError):
+            sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), n, seed=0)
+
     def test_a_draw_in_the_top_slack_picks_the_last_positive_mass(self):
         p = {"a": 0.5, "b": 0.5 - 1e-10, "c": 0.0}
         seed = seed_whose_first_draw_is(MASK64)  # first draw 1 - 2**-53
@@ -223,7 +280,7 @@ def test_iid_sampling_is_the_walk_with_identical_rows(weights, n, seed):
 @given(
     data=st.data(),
     k=st.integers(1, 10),
-    n=st.integers(0, 3000),
+    n=WALK_LENGTHS,
     seed=WALK_SEEDS,
 )
 def test_iid_sampling_equals_the_reference_walk(data, k, n, seed):
@@ -237,7 +294,7 @@ def test_iid_sampling_equals_the_reference_walk(data, k, n, seed):
 @given(
     data=st.data(),
     k=st.integers(1, 8),
-    n=st.integers(0, 3000),
+    n=WALK_LENGTHS,
     seed=WALK_SEEDS,
 )
 def test_markov_sampling_equals_the_reference_walk(data, k, n, seed):

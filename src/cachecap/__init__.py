@@ -13,10 +13,20 @@ other with per-link transfer times, then ask how much the network can do:
   on grid-valued read times.
 """
 
-from .model import *
-from .capacity import *
-from .oracle import *
-from .entropy import *
-from .traces import *
-
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    """``import cachecap`` loads no layer: the first name the package lacks
+    imports all five and binds every name in their ``__all__`` here (PEP 562)."""
+    names = globals()
+    if "__all__" not in names:
+        from importlib import import_module
+
+        layers = ("model", "capacity", "oracle", "entropy", "traces")
+        modules = [import_module(f"{__name__}.{layer}") for layer in layers]
+        names.update((n, getattr(m, n)) for m in modules for n in m.__all__)
+        names["__all__"] = [n for m in modules for n in m.__all__]
+    if name in names:
+        return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,10 +20,7 @@ from itertools import chain
 from pathlib import Path
 
 from .capacity import REL_TOL, SolverError, analyze_network, node_solution, optimal_distribution
-from .entropy import EmpiricalSource, IIDSource, MarkovSource, entropy_efficiency
 from .model import Network, ScenarioError, effective_catalog, parse_json, read_scenario
-from .oracle import convergence_report, quantize
-from .traces import read_trace, write_trace
 
 __all__ = ["main", "entrypoint"]
 
@@ -79,6 +76,8 @@ def _load_scenario(path: str) -> tuple[Network, dict]:
 
 
 def _load_source_spec(path: str) -> IIDSource | MarkovSource:
+    from .entropy import IIDSource, MarkovSource
+
     doc = parse_json(Path(path).read_text(encoding="utf-8"), f"source spec {path}")
     if not isinstance(doc, Mapping) or "type" not in doc:
         raise ScenarioError(f"source spec {path} must be an object with a 'type' field")
@@ -165,6 +164,9 @@ def _render_optimal(report: dict) -> str:
 def _cmd_efficiency(args: argparse.Namespace) -> dict:
     if args.trace is None and (args.order is not None or args.force):
         raise _UsageError("--order and --force apply only with --trace")
+    from .entropy import EmpiricalSource, IIDSource, entropy_efficiency
+    from .traces import read_trace
+
     net, scenario = _load_scenario(args.scenario)
     if args.optimal:
         dist = optimal_distribution(net, args.node)
@@ -199,6 +201,8 @@ def _render_efficiency(report: dict) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> dict:
+    from .oracle import convergence_report, quantize
+
     net, scenario = _load_scenario(args.scenario)
     catalog = effective_catalog(net, args.node)
     if not catalog.entries:
@@ -281,6 +285,8 @@ def _render_compare(report: dict) -> str:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> dict:
+    from .traces import write_trace
+
     src = _load_source_spec(args.source)
     trace = src.sample(args.n, args.seed)
     write_trace(trace, args.out)

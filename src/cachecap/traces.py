@@ -204,14 +204,17 @@ def _walk(
     ``_draws`` a chunk at a time; the loop stays per symbol, because each
     row depends on the state before it. The walk tests pin it to a scalar
     SplitMix64 and a linear scan, across the chunk boundaries. The output
-    list is allocated first, so a length too large to hold fails before
-    any draw.
+    list is allocated first, so a length too large to hold raises
+    MemoryError, naming ``n``, before any draw.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    symbols: list[str | None] = [None] * n
+    try:
+        symbols: list[str | None] = [None] * n
+    except (OverflowError, MemoryError) as exc:
+        raise MemoryError(f"trace length {n} is too large to hold") from exc
     cum, idx = first
     done = 0
     for draws in _draws(seed, n):
@@ -269,13 +272,8 @@ def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
 
 
 def read_trace(path: str | Path) -> Trace:
-    symbols: list[str] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        symbols.append(line)
-    return Trace(symbols=tuple(symbols))
+    lines = map(str.strip, Path(path).read_text(encoding="utf-8").splitlines())
+    return Trace(symbols=tuple([s for s in lines if s and s[0] != "#"]))
 
 
 def _writable(s: str) -> bool:

@@ -265,7 +265,8 @@ class TestGenTrace:
         spec, out = self.make_spec(tmp_path, {"type": "iid", "class_mass": {"a": 1.0}}), tmp_path / "t"
         assert cli.main(["gen-trace", str(spec), "--n", str(n), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("computation failed: ")
+        assert captured.out == ""
+        assert captured.err == f"computation failed: trace length {n} is too large to hold\n"
         assert not out.exists()
 
     # SHA-256 of the trace file, computed before the sampling loop was
@@ -890,38 +891,52 @@ def test_trace_verbs_do_not_load_numpy(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def modules_after_every_verb(tmp_path_factory) -> set[str]:
-    """The ``sys.modules`` names of one fresh interpreter that has run every verb."""
-    tmp_path = tmp_path_factory.mktemp("every-verb")
+def verb_runs(tmp_path_factory) -> dict[str, list[list[str]]]:
+    """The ``cli.main`` argument lists that exercise each verb, by verb."""
+    tmp_path = tmp_path_factory.mktemp("verb-runs")
     chain, trace = tmp_path / "chain.json", tmp_path / "t.trace"
     chain.write_text(
         '{"type": "markov", "states": ["fast", "slow"], "transitions": [[0.75, 0.25], [0.25, 0.75]]}',
         encoding="utf-8",
     )
+    write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 500, 0), trace)
     three = str(scenario_path("three-file.json"))
-    runs = [
-        ["capacity", three],
-        ["optimal", three, "n"],
-        ["efficiency", three, "n", "--source", str(chain)],
-        ["efficiency", three, "n", "--optimal"],
-        ["gen-trace", str(chain), "--n", "500", "--out", str(trace)],
-        ["efficiency", three, "n", "--trace", str(trace), "--order", "1"],
-        ["oracle", three, "n", "--tmax", "60"],
-        ["compare", str(scenario_path("fig2.json")), str(scenario_path("fig2-shared.json"))],
-        ["validate", three],
-    ]
-    assert {words[0] for words in runs} == set(cli._COMMANDS)
+    return {
+        "capacity": [["capacity", three]],
+        "optimal": [["optimal", three, "n"]],
+        "efficiency": [
+            ["efficiency", three, "n", "--source", str(chain)],
+            ["efficiency", three, "n", "--optimal"],
+            ["efficiency", three, "n", "--trace", str(trace), "--order", "1"],
+        ],
+        "oracle": [["oracle", three, "n", "--tmax", "60"]],
+        "compare": [["compare", str(scenario_path("fig2.json")), str(scenario_path("fig2-shared.json"))]],
+        "gen-trace": [["gen-trace", str(chain), "--n", "500", "--out", str(tmp_path / "gen.trace")]],
+        "validate": [["validate", three]],
+    }
+
+
+def modules_after(code: str, tmp_path: Path) -> set[str]:
+    """The ``sys.modules`` names of a fresh interpreter that has run ``code``."""
     loaded = tmp_path / "modules.txt"
-    code = (
-        "import sys, cachecap.cli as cli\n"
-        f"for words in {runs!r}:\n"
-        "    assert cli.main(words) == 0, words\n"
-        f"open({str(loaded)!r}, 'w').write(' '.join(sys.modules))"
-    )
+    code += f"\nimport sys\nopen({str(loaded)!r}, 'w').write(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(loaded.read_text().split())
+
+
+def modules_after_verbs(runs: list[list[str]], tmp_path: Path) -> set[str]:
+    code = f"import cachecap.cli as cli\nfor words in {runs!r}:\n    assert cli.main(words) == 0, words"
+    return modules_after(code, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def modules_after_every_verb(verb_runs, tmp_path_factory) -> set[str]:
+    """The ``sys.modules`` names of one fresh interpreter that has run every verb."""
+    assert set(verb_runs) == set(cli._COMMANDS)
+    runs = [words for verb_words in verb_runs.values() for words in verb_words]
+    return modules_after_verbs(runs, tmp_path_factory.mktemp("every-verb"))
 
 
 def test_no_verb_loads_numpy(modules_after_every_verb):
@@ -934,6 +949,35 @@ def test_no_verb_loads_dataclasses(modules_after_every_verb):
     """Every record is a named tuple: ``import dataclasses`` would pull in
     ``inspect``, ``ast``, ``dis`` and ``tokenize`` at every start."""
     assert "dataclasses" not in modules_after_every_verb
+
+
+LAYER_MODULES = {f"cachecap.{layer}" for layer in ("model", "capacity", "oracle", "entropy", "traces")}
+# What each verb may not load. Only `oracle` needs the big-integer layer, and
+# with it `decimal` and `fractions`; only the source and trace verbs need
+# `entropy` and `traces`. A new verb must state its line here.
+ORACLE_LAYER = {"cachecap.oracle", "decimal", "fractions"}
+TRACE_LAYERS = {"cachecap.entropy", "cachecap.traces"}
+NOT_LOADED_BY_VERB = {
+    "capacity": ORACLE_LAYER | TRACE_LAYERS,
+    "optimal": ORACLE_LAYER | TRACE_LAYERS,
+    "compare": ORACLE_LAYER | TRACE_LAYERS,
+    "validate": ORACLE_LAYER | TRACE_LAYERS,
+    "efficiency": ORACLE_LAYER,
+    "gen-trace": ORACLE_LAYER,
+    "oracle": TRACE_LAYERS,
+}
+
+
+@pytest.mark.parametrize("verb", sorted(cli._COMMANDS))
+def test_each_verb_loads_only_the_layers_it_runs(verb, verb_runs, tmp_path):
+    loaded = modules_after_verbs(verb_runs[verb], tmp_path)
+    assert {"cachecap.model", "cachecap.capacity"} <= loaded
+    assert loaded.isdisjoint(NOT_LOADED_BY_VERB[verb]), sorted(loaded & NOT_LOADED_BY_VERB[verb])
+
+
+def test_importing_the_package_loads_no_layer(tmp_path):
+    loaded = modules_after("import cachecap", tmp_path)
+    assert "cachecap" in loaded and loaded.isdisjoint(LAYER_MODULES | {"cachecap.cli"})
 
 
 def test_every_readme_command_line_parses():

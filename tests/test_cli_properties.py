@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cachecap.cli as cli
+import cachecap.oracle as oracle
 from cachecap import Network, convergence_report
 from cachecap.oracle import QuantizedCatalog
 
@@ -73,14 +74,14 @@ def test_json_writer_prints_what_json_dumps_prints(inputs, x0):
 
 
 def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch, capsys):
-    real = cli.convergence_report
+    real = oracle.convergence_report
 
     def last_rate_infinite(q, t_max, x0):
         report = real(q, t_max, x0)
         last = report.points[-1]._replace(rate=math.inf)
         return report._replace(points=(*report.points[:-1], last))
 
-    monkeypatch.setattr(cli, "convergence_report", last_rate_infinite)
+    monkeypatch.setattr(oracle, "convergence_report", last_rate_infinite)
     three = str(scenario_path("three-file.json"))
     assert cli.main(["oracle", three, "n", "--tmax", "60", "--json"]) == 2
     captured = capsys.readouterr()

@@ -398,6 +398,9 @@ def test_package_exposes_exactly_the_layer_exports():
 
     layers = (model, capacity, oracle, entropy, traces)
     exported = {name for layer in layers for name in layer.__all__}
+    # The package binds the names on first use (a PEP 562 ``__getattr__``),
+    # so read ``__all__`` before ``vars``.
+    assert set(cachecap.__all__) == exported
     public = {
         name
         for name, obj in vars(cachecap).items()

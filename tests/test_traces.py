@@ -242,13 +242,15 @@ class TestSampleIid:
         expected = reference_walk(("a", "b"), [0.5, 0.5], [[0.5, 0.5]] * 2, 50, seed)
         assert sample_iid({"a": 0.5, "b": 0.5}, 50, seed=seed).symbols == expected
 
-    @pytest.mark.parametrize("n", [2**61, 2**62])
+    @pytest.mark.parametrize("n", [2**61, 2**62, 10**20])
     def test_a_length_too_large_to_hold_fails_before_any_draw(self, n):
         # The output list is allocated first; from 2**61 entries on, its size
-        # check fails before any memory is taken.
-        with pytest.raises(MemoryError):
+        # check fails before any memory is taken, and past the index range
+        # (10**20) the length cannot even be a list size.
+        message = f"trace length {n} is too large to hold"
+        with pytest.raises(MemoryError, match=message):
             sample_iid({"a": 0.5, "b": 0.5}, n, seed=0)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryError, match=message):
             sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), n, seed=0)
 
     def test_a_draw_in_the_top_slack_picks_the_last_positive_mass(self):
@@ -391,6 +393,30 @@ class TestEmpiricalDistribution:
         assert all(abs(emp[k] - p[k]) < tol for k in p)
 
 
+def read_trace_reference(path: Path) -> tuple[str, ...]:
+    """The reader as a loop over lines, one strip and one test per line."""
+    symbols: list[str] = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        symbols.append(line)
+    return tuple(symbols)
+
+
+# Every break str.splitlines knows, "\r\n" included, and whitespace that
+# str.strip removes around an id.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PAD = st.text(st.sampled_from(" \t\x1f\xa0\u2003\u3000"), max_size=2)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+TRACE_LINES = st.one_of(
+    st.just(TRACE_HEADER),
+    _PAD,  # blank
+    st.builds(lambda a, body, b: f"{a}#{body}{b}", _PAD, _TEXT, _PAD),  # comment
+    st.builds(lambda a, cid, b: f"{a}{cid}{b}", _PAD, _TEXT.filter(bool), _PAD),  # id
+)
+
+
 class TestTraceFiles:
     def test_round_trip_with_header(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -431,6 +457,15 @@ class TestTraceFiles:
                 assert not path.exists()
                 return
             assert read_trace(path).symbols == trace.symbols
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TRACE_LINES, st.sampled_from(LINE_BREAKS)), max_size=12))
+    def test_reader_equals_the_line_by_line_reference(self, lines):
+        text = "".join(line + end for line, end in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.trace"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert read_trace(path).symbols == read_trace_reference(path)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         trace = sample_iid({"a": 0.5, "b": 0.5}, 1000, seed=11)

@@ -134,7 +134,7 @@ def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacit
     if residual > _RESIDUAL_BOUND:
         raise SolverError(f"Newton stalled: residual {residual:.3e} exceeds {_RESIDUAL_BOUND:.3g}")
     x0 = 2.0**s
-    capacity = math.log2(x0) if x0 > 1.0 else 0.0
+    capacity = math.log2(x0)  # x0 >= 1: s starts at a bound >= 0 and only rises
     return NodeCapacity(
         x0=x0, capacity_bits_per_time=capacity, iterations=iterations, residual=residual
     )

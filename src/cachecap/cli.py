@@ -101,7 +101,6 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
     result = analyze_network(net)
     return {
-        "command": "capacity",
         "scenario": scenario,
         "rel_tol": REL_TOL,
         "nodes": [{"node": nid, **nc._asdict()} for nid, nc in sorted(result.per_node.items())],
@@ -137,7 +136,6 @@ def _cmd_optimal(args: argparse.Namespace) -> dict:
         for cid, mass in dist.class_mass.items()
     ]
     return {
-        "command": "optimal",
         "scenario": scenario,
         "node": args.node,
         "x0": dist.x0,
@@ -181,8 +179,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
         echo = {"kind": src.kind, "path": args.trace, "order": order}
 
     result = entropy_efficiency(net, args.node, src)
-    report = {"command": "efficiency", "scenario": scenario, "node": args.node, "source": echo}
-    return report | result._asdict()
+    return {"scenario": scenario, "node": args.node, "source": echo} | result._asdict()
 
 
 def _render_efficiency(report: dict) -> str:
@@ -211,7 +208,6 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     x0 = node_solution(net, args.node).x0
     report = convergence_report(q, args.tmax, x0)
     return {
-        "command": "oracle",
         "scenario": scenario,
         "node": args.node,
         "grid": q.grid,
@@ -255,7 +251,6 @@ def _cmd_compare(args: argparse.Namespace) -> dict:
         rows.append({"node": nid, "capacity_a": a, "capacity_b": b, "delta": delta})
     total_a, total_b = result_a.network_capacity, result_b.network_capacity
     return {
-        "command": "compare",
         "scenario_a": scenario_a,
         "scenario_b": scenario_b,
         "nodes": rows,
@@ -291,7 +286,6 @@ def _cmd_gen_trace(args: argparse.Namespace) -> dict:
     trace = src.sample(args.n, args.seed)
     write_trace(trace, args.out)
     return {
-        "command": "gen-trace",
         "source": {"kind": src.kind, "path": args.source},
         "n": args.n,
         "seed": args.seed,
@@ -310,7 +304,6 @@ def _render_gen_trace(report: dict) -> str:
 def _cmd_validate(args: argparse.Namespace) -> dict:
     net, scenario = _load_scenario(args.scenario)
     return {
-        "command": "validate",
         "scenario": scenario,
         "valid": True,
         "classes": len(net.classes),
@@ -378,10 +371,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     run, render = _COMMANDS[args.command]
     try:
-        report = run(args)
+        report = {"command": args.command} | run(args)
         if args.json:
             pieces = _json_pieces(report)
-    except (_UsageError, ScenarioError, ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ArithmeticError, MemoryError) as exc:

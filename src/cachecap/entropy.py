@@ -164,11 +164,8 @@ def iid_entropy(
     return EntropyEstimate(order=0, value=h + 0.0)
 
 
-def _positive_adjacency(transitions: Sequence[Sequence[float]]) -> list[list[int]]:
-    return [[j for j, p in enumerate(row) if p > 0.0] for row in transitions]
-
-
-def _strongly_connected(adj: list[list[int]]) -> bool:
+def _strongly_connected(transitions: Sequence[Sequence[float]]) -> bool:
+    adj = [[j for j, p in enumerate(row) if p > 0.0] for row in transitions]
     k = len(adj)
     radj: list[list[int]] = [[] for _ in range(k)]
     for i, outs in enumerate(adj):
@@ -196,8 +193,9 @@ def stationary_distribution(src: MarkovSource) -> dict[str, float]:
     subtracts, so every entry keeps full relative precision and pi is
     non-negative by construction.
     """
+    check_chain(src.states, src.transitions)  # a chain rebuilt by _replace or _make skips __new__
     p = src.transitions
-    if not _strongly_connected(_positive_adjacency(p)):
+    if not _strongly_connected(p):
         raise ValueError("Markov chain is not irreducible: some state cannot reach another")
     k = len(p)
     a = [list(row) for row in p]
@@ -300,7 +298,7 @@ def block_entropy_estimate(
         raw = _block_entropy(symbols, 1)
     else:
         raw = _block_entropy(symbols, n + 1) - _block_entropy(symbols, n)
-    bound = math.log2(alphabet) if alphabet > 1 else 0.0
+    bound = math.log2(alphabet)  # alphabet >= 1, as the trace holds a block; log2(1) is 0.0
     return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
 
 

@@ -126,7 +126,6 @@ class EffectiveCatalog(NamedTuple):
     groups the classes into memory kinds by read time.
     """
 
-    node: str
     entries: Mapping[str, float]
     counts: Mapping[str, int]
 
@@ -360,6 +359,6 @@ def effective_catalog(net: Network, node_id: str) -> EffectiveCatalog:
             if link.time < best.get(cid, math.inf):
                 best[cid] = link.time
     catalog = net._catalogs[node_id] = EffectiveCatalog(
-        node=node_id, entries=MappingProxyType(dict(sorted(best.items()))), counts=net._counts
+        entries=MappingProxyType(dict(sorted(best.items()))), counts=net._counts
     )
     return catalog

@@ -127,24 +127,19 @@ def infer_grid(times: Iterable[float]) -> float:
     Times are interpreted as rationals with denominator up to 10**6; the
     grid is their rational gcd. A time that rounds to 0 there has no such grid.
     """
-    gcd = Fraction(0)
+    rationals = []
     for t in times:
         r = Fraction(t).limit_denominator(_MAX_DENOMINATOR)
         if r == 0:
             raise ValueError(
                 f"time {t} has no grid with denominator <= {_MAX_DENOMINATOR}; pass --grid"
             )
-        gcd = _fraction_gcd(gcd, r)
-    if gcd == 0:
+        rationals.append(r)
+    if not rationals:
         raise ValueError("cannot infer a grid from an empty catalog")
-    return float(gcd)
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
+    den = math.lcm(*(r.denominator for r in rationals))
+    numerator = math.gcd(*(r.numerator * (den // r.denominator) for r in rationals))
+    return float(Fraction(numerator, den))
 
 
 def quantize_node(net: Network, node_id: str, grid: float | None = None) -> QuantizedCatalog:

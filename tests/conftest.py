@@ -1,13 +1,22 @@
+import os
 import random
+import sys
 from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import strategies as st
 
-from cachecap import FileClass, Link, Network, Node, load_scenario
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# The package is imported from src/, here and in the ``python -m cachecap``
+# children the tests start, which inherit PYTHONPATH.
+_SRC = str(REPO_ROOT / "src")
+sys.path[:0] = [_SRC]
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+from cachecap import FileClass, Link, Network, Node, load_scenario  # noqa: E402
+
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 

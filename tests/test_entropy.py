@@ -159,6 +159,32 @@ class TestMarkovEntropyRate:
         assert markov_entropy_rate(chain) == rate
         assert rate.value == pytest.approx(0.468996, abs=1e-6)
 
+    @pytest.mark.parametrize("through", ["marginal", "efficiency"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"transitions": ((0.9, 0.9), (0.25, 0.75))}, "transition row 0: probabilities sum"),
+            ({"transitions": ((0.75, 0.25),)}, "transition matrix shape does not match"),
+            (
+                {"transitions": ((0.75, 0.25, 0.0), (0.25, 0.75, 0.0))},
+                "transition matrix shape does not match",
+            ),
+            ({"states": ("fast", "fast")}, "Markov states must be unique"),
+        ],
+        ids=["row-sum-1.8", "missing-row", "wide-rows", "repeated-state"],
+    )
+    def test_a_chain_rebuilt_without_its_checks_is_checked_when_used(
+        self, three_file, fields, message, through
+    ):
+        # _replace and _make build the tuple without MarkovSource.__new__
+        chain = MarkovSource(states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75)))
+        rebuilt = chain._replace(**fields)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            if through == "marginal":
+                rebuilt.marginal()
+            else:
+                entropy_efficiency(three_file, "n", rebuilt)
+
     def test_stationary_distribution_solves_pi_p_equals_pi(self):
         chain = MarkovSource(
             states=("a", "b", "c"),

@@ -166,7 +166,7 @@ class TestRecords:
             pytest.param(Link(reader="r", provider="p", time=1.0), "time", id="record2-time"),
             pytest.param(Network(classes=(), nodes=(), links=()), "links", id="record3-links"),
             pytest.param(
-                EffectiveCatalog(node="n", entries={}, counts={}),
+                EffectiveCatalog(entries={}, counts={}),
                 "entries",
                 id="record4-entries",
             ),

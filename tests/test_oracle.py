@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,41 @@ class TestInferGrid:
         for times in ([1e-7], [1.0, 4e-7]):
             with pytest.raises(ValueError, match=r"time \d\.?\d*e-07 has no grid .*pass --grid"):
                 infer_grid(times)
+
+
+def pairwise_grid(times: list[float]) -> float:
+    """Reference for ``infer_grid``: the rational gcd folded in one time at a time."""
+    gcd = Fraction(0)
+    for t in times:
+        r = Fraction(t).limit_denominator(10**6)
+        if r == 0:
+            raise ValueError(f"time {t} has no grid with denominator <= {10**6}; pass --grid")
+        gcd = Fraction(
+            math.gcd(gcd.numerator * r.denominator, r.numerator * gcd.denominator),
+            gcd.denominator * r.denominator,
+        )
+    if gcd == 0:
+        raise ValueError("cannot infer a grid from an empty catalog")
+    return float(gcd)
+
+
+def grid_or_error(infer, times: list[float]) -> float | str:
+    try:
+        return infer(times)
+    except ValueError as exc:
+        return str(exc)
+
+
+rational_times = st.builds(Fraction, st.integers(1, 10**7), st.integers(1, 10**6)).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(rational_times, st.floats(1e-8, 1e4)), max_size=6))
+@example([0.5, 1e-7, 4e-7, 2.5])  # two times round to 0: the first is named
+@example([0.2, 0.3, 0.7])
+@example([])
+def test_infer_grid_is_the_pairwise_rational_gcd(times):
+    assert grid_or_error(infer_grid, times) == grid_or_error(pairwise_grid, times)
 
 
 class TestCountTasks:

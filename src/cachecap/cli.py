@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain
 from pathlib import Path
 
@@ -348,17 +348,12 @@ def _json_pieces(report: dict) -> Iterable[str]:
         if not math.isfinite(row["rate"]):
             raise ArithmeticError(f"oracle rate at T={row['T']} is not finite: {row['rate']!r}")
     head, _, tail = json.dumps(report | {"series": []}, indent=2).rpartition('"series": []')
-    return chain((head, '"series": ['), _series_rows(rows), (f"\n  ]{tail}\n",))
-
-
-def _series_rows(rows: list[dict]) -> Iterator[str]:
-    sep = ""
-    for row in rows:
-        yield (
-            f'{sep}\n    {{\n      "T": {int.__repr__(row["T"])},\n      "nu": "{row["nu"]}",'
-            f'\n      "rate": {float.__repr__(row["rate"])}\n    }}'
-        )
-        sep = ","
+    pieces = (
+        f'{"," if i else ""}\n    {{\n      "T": {int.__repr__(row["T"])},\n      "nu": "{row["nu"]}",'
+        f'\n      "rate": {float.__repr__(row["rate"])}\n    }}'
+        for i, row in enumerate(rows)
+    )
+    return chain((head, '"series": ['), pieces, (f"\n  ]{tail}\n",))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -38,7 +38,6 @@ __all__ = [
     "EmpiricalSource",
     "EntropyEstimate",
     "EfficiencyResult",
-    "iid_entropy",
     "stationary_distribution",
     "markov_entropy_rate",
     "block_entropy_estimate",
@@ -61,11 +60,23 @@ class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])]))
         check_class_mass(class_mass, "class_mass")
         return super().__new__(cls, class_mass)
 
+    # _replace builds through _make, so a rebuilt source is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def marginal(self) -> dict[str, float]:
         return dict(self.class_mass)
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
-        return iid_entropy(self.class_mass, counts)
+        """Per-file entropy, ``counts[c]`` being the number of files in class c.
+
+        A class of k files with total mass m contributes -m*log2(m/k), i.e.
+        the mass is uniform over the class's files; 0*log(0) is 0.
+        """
+        h = 0.0
+        for cid, mass in self.class_mass.items():
+            if mass > 0.0:
+                h -= mass * (math.log2(mass) - math.log2(counts[cid]))
+        return EntropyEstimate(order=0, value=h + 0.0)
 
     def sample(self, n: int, seed: int) -> Trace:
         return sample_iid(self.class_mass, n, seed)
@@ -96,6 +107,9 @@ class MarkovSource(_MarkovFields):
         if initial is not None:
             initial = tuple(initial)
         return super().__new__(cls, tuple(states), tuple(map(tuple, transitions)), initial)
+
+    # _replace builds through _make, so a rebuilt chain is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def _stationary(self) -> dict[str, float]:
@@ -145,25 +159,6 @@ class EfficiencyResult(NamedTuple):
     utilization_ratio: float | None  # None when the node has zero capacity
 
 
-def iid_entropy(
-    class_mass: Mapping[str, float], class_count: Mapping[str, int] | None = None
-) -> EntropyEstimate:
-    """Per-file entropy of an i.i.d. source given as per-class masses.
-
-    A class of k files with total mass m contributes -m*log2(m/k), i.e. the
-    mass is uniform over the class's files; 0*log(0) is 0. Without counts
-    every class is a single file.
-    """
-    check_class_mass(class_mass, "class_mass")
-    h = 0.0
-    for cid, mass in class_mass.items():
-        if mass <= 0.0:
-            continue
-        count = 1 if class_count is None else class_count[cid]
-        h -= mass * (math.log2(mass) - math.log2(count))
-    return EntropyEstimate(order=0, value=h + 0.0)
-
-
 def _strongly_connected(transitions: Sequence[Sequence[float]]) -> bool:
     adj = [[j for j, p in enumerate(row) if p > 0.0] for row in transitions]
     k = len(adj)
@@ -193,7 +188,6 @@ def stationary_distribution(src: MarkovSource) -> dict[str, float]:
     subtracts, so every entry keeps full relative precision and pi is
     non-negative by construction.
     """
-    check_chain(src.states, src.transitions)  # a chain rebuilt by _replace or _make skips __new__
     p = src.transitions
     if not _strongly_connected(p):
         raise ValueError("Markov chain is not irreducible: some state cannot reach another")
@@ -283,6 +277,8 @@ def block_entropy_estimate(
     if isinstance(symbols, Trace):
         symbols = symbols.symbols
     symbols = tuple(symbols)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"order must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"order must be >= 0, got {n}")
     if len(symbols) < n + 1:

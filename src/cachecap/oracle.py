@@ -154,6 +154,8 @@ def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
     within a kind are distinct, so a kind gives ``count`` choices per
     position, and nu(0) = 1 is the empty task.
     """
+    if isinstance(t_max, bool) or not isinstance(t_max, int):
+        raise ValueError(f"t_max must be an int, got {t_max!r}")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     nu = [0] * (t_max + 1)  # allocated first: a horizon too large fails before any work
@@ -197,10 +199,7 @@ def _recurrence(q: QuantizedCatalog, one: int | decimal.Decimal) -> Iterator:
 
 def _log2_exact(n: int) -> float:
     """log2 of an arbitrarily large positive integer, to double precision."""
-    bits = n.bit_length()
-    if bits <= 64:
-        return math.log2(n)
-    shift = bits - 64
+    shift = max(n.bit_length() - 64, 0)  # log2(n >> 0) + 0 is log2(n), the same float
     return math.log2(n >> shift) + shift
 
 

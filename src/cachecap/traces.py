@@ -207,6 +207,8 @@ def _walk(
     list is allocated first, so a length too large to hold raises
     MemoryError, naming ``n``, before any draw.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:

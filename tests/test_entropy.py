@@ -15,7 +15,6 @@ from cachecap import (
     ScenarioError,
     block_entropy_estimate,
     entropy_efficiency,
-    iid_entropy,
     markov_entropy_rate,
     node_capacity,
     optimal_distribution,
@@ -64,9 +63,8 @@ def traces_with_order(draw):
         (lambda: IIDSource([("a", 1.0)]), "'class_mass'"),
         (lambda: IIDSource(None), "'class_mass'"),
         (lambda: sample_iid([("a", 1.0)], 3, 0), "'p'"),
-        (lambda: iid_entropy([("a", 1.0)]), "'class_mass'"),
     ],
-    ids=["source-list", "source-none", "sample-list", "entropy-list"],
+    ids=["source-list", "source-none", "sample-list"],
 )
 def test_class_mass_that_is_not_a_mapping_is_a_value_error(call, argument):
     with pytest.raises(ValueError, match=f"^{argument} must be a mapping, got "):
@@ -75,24 +73,44 @@ def test_class_mass_that_is_not_a_mapping_is_a_value_error(call, argument):
 
 class TestIidEntropy:
     def test_fair_coin(self):
-        assert iid_entropy({"a": 0.5, "b": 0.5}).value == 1.0
+        assert IIDSource({"a": 0.5, "b": 0.5}).entropy({"a": 1, "b": 1}).value == 1.0
 
     def test_degenerate(self):
-        assert iid_entropy({"a": 1.0, "b": 0.0}).value == 0.0
+        assert IIDSource({"a": 1.0, "b": 0.0}).entropy({"a": 1, "b": 1}).value == 0.0
 
     def test_class_counts_add_uniform_spread(self):
         # all mass on one class of 8 files: 3 bits of file choice
-        assert iid_entropy({"c": 1.0}, {"c": 8}).value == pytest.approx(3.0, abs=1e-12)
+        assert IIDSource({"c": 1.0}).entropy({"c": 8}).value == pytest.approx(3.0, abs=1e-12)
 
     def test_estimate_metadata(self):
-        est = iid_entropy({"a": 0.5, "b": 0.5})
+        est = IIDSource({"a": 0.5, "b": 0.5}).entropy({"a": 1, "b": 1})
         assert est.order == 0
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            iid_entropy({"a": 0.6, "b": 0.6})
+            IIDSource({"a": 0.6, "b": 0.6})
         with pytest.raises(ValueError, match="negative"):
-            iid_entropy({"a": 1.5, "b": -0.5})
+            IIDSource({"a": 1.5, "b": -0.5})
+
+    @pytest.mark.parametrize(
+        "rebuild, message",
+        [
+            (lambda src: src._replace(class_mass={"own": 1.8}), "class_mass: probabilities sum to 1.8, not 1"),
+            (lambda src: src._replace(class_mass=[("own", 1.0)]), "'class_mass' must be a mapping, got list"),
+            (lambda src: IIDSource._make([{"own": 1.8}]), "class_mass: probabilities sum to 1.8, not 1"),
+        ],
+        ids=["replace-sum-1.8", "replace-list", "make-sum-1.8"],
+    )
+    def test_a_source_rebuilt_with_replace_or_make_is_checked(self, rebuild, message):
+        src = IIDSource(class_mass={"own": 1.0})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rebuild(src)
+
+    def test_replace_keeps_a_valid_source_and_names_an_unknown_field(self):
+        src = IIDSource(class_mass={"own": 1.0})
+        assert src._replace(class_mass={"own": 0.25, "b": 0.75}) == ({"own": 0.25, "b": 0.75},)
+        with pytest.raises(ValueError, match=r"^Got unexpected field names: \['mass'\]$"):
+            src._replace(mass={"own": 1.0})
 
 
 class TestMarkovEntropyRate:
@@ -110,7 +128,7 @@ class TestMarkovEntropyRate:
             transitions=((0.2, 0.3, 0.5),) * 3,
         )
         assert markov_entropy_rate(chain).value == pytest.approx(
-            iid_entropy(row).value, rel=1e-12
+            IIDSource(row).entropy(dict.fromkeys(row, 1)).value, rel=1e-12
         )
 
     def test_reducible_chain_rejected(self):
@@ -159,7 +177,7 @@ class TestMarkovEntropyRate:
         assert markov_entropy_rate(chain) == rate
         assert rate.value == pytest.approx(0.468996, abs=1e-6)
 
-    @pytest.mark.parametrize("through", ["marginal", "efficiency"])
+    @pytest.mark.parametrize("through", ["replace", "make"])
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -173,17 +191,15 @@ class TestMarkovEntropyRate:
         ],
         ids=["row-sum-1.8", "missing-row", "wide-rows", "repeated-state"],
     )
-    def test_a_chain_rebuilt_without_its_checks_is_checked_when_used(
-        self, three_file, fields, message, through
-    ):
-        # _replace and _make build the tuple without MarkovSource.__new__
+    def test_a_chain_rebuilt_without_its_checks_is_checked_when_used(self, fields, message, through):
+        # _replace builds through _make, and _make through MarkovSource.__new__,
+        # so a rebuilt chain is rejected as it is built, before any use
         chain = MarkovSource(states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75)))
-        rebuilt = chain._replace(**fields)
         with pytest.raises(ValueError, match=f"^{message}"):
-            if through == "marginal":
-                rebuilt.marginal()
+            if through == "replace":
+                chain._replace(**fields)
             else:
-                entropy_efficiency(three_file, "n", rebuilt)
+                MarkovSource._make((chain._asdict() | fields).values())
 
     def test_stationary_distribution_solves_pi_p_equals_pi(self):
         chain = MarkovSource(

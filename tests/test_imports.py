@@ -75,3 +75,26 @@ def test_every_public_name_has_a_reader():
         if name not in read and name not in readme
     ]
     assert unread == []
+
+
+def checked_classes(path) -> dict[str, bool]:
+    """Each class in ``path``'s ``__all__`` whose body defines ``__new__``,
+    mapped to whether the body also binds ``_make``."""
+    found, public = {}, public_names(path)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            bound = {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+            for s in node.body:
+                if isinstance(s, ast.Assign):
+                    bound.update(t.id for t in s.targets if isinstance(t, ast.Name))
+            if "__new__" in bound:
+                found[node.name] = "_make" in bound
+    return found
+
+
+def test_every_record_that_checks_its_input_is_rebuilt_through_its_checks():
+    """A named tuple's ``_replace`` and ``_make`` skip a ``__new__`` of its own,
+    unless ``_make`` is bound again to go through the constructor."""
+    found = {f"{path.stem}.{name}": ok for path in SOURCES for name, ok in checked_classes(path).items()}
+    assert {"entropy.IIDSource", "entropy.MarkovSource"} <= found.keys()
+    assert [name for name, ok in found.items() if not ok] == []

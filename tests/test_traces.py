@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from cachecap import (
     IIDSource,
+    QuantizedCatalog,
     Trace,
+    block_entropy_estimate,
+    count_series,
     empirical_distribution,
     read_trace,
     sample_iid,
@@ -473,3 +477,20 @@ class TestTraceFiles:
         write_trace(trace, p1)
         write_trace(sample_iid({"a": 0.5, "b": 0.5}, 1000, seed=11), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [True, False, 5.0, "5", None], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: sample_iid({"a": 0.5, "b": 0.5}, v, 0), "n"),
+        (lambda v: sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), v, 0), "n"),
+        (lambda v: block_entropy_estimate(("a", "b") * 100, v), "order"),
+        (lambda v: count_series(QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0), v), "t_max"),
+    ],
+    ids=["sample_iid", "sample_markov", "block_entropy_estimate", "count_series"],
+)
+def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, bad):
+    # a bool is an int to Python, but True would be read as 1
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+        call(bad)

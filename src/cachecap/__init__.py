@@ -15,18 +15,29 @@ other with per-link transfer times, then ask how much the network can do:
 
 __version__ = "0.1.0"
 
+# Each layer imports only layers listed before it.
+_LAYERS = ("model", "capacity", "traces", "entropy", "oracle")
+
 
 def __getattr__(name: str) -> object:
-    """``import cachecap`` loads no layer: the first name the package lacks
-    imports all five and binds every name in their ``__all__`` here (PEP 562)."""
+    """``import cachecap`` loads no layer (PEP 562). A missing name imports the
+    layers in ``_LAYERS`` order, binding each one's ``__all__`` here, and stops
+    after the layer that holds it; every layer that layer imports comes before it.
+    ``__all__`` and an unknown name import all five; once ``__all__`` is
+    bound, so is every name, and a miss raises at once."""
     names = globals()
     if "__all__" not in names:
         from importlib import import_module
 
-        layers = ("model", "capacity", "oracle", "entropy", "traces")
-        modules = [import_module(f"{__name__}.{layer}") for layer in layers]
-        names.update((n, getattr(m, n)) for m in modules for n in m.__all__)
-        names["__all__"] = [n for m in modules for n in m.__all__]
-    if name in names:
-        return names[name]
+        exported = []
+        for layer in _LAYERS:
+            module = import_module(f"{__name__}.{layer}")
+            for n in module.__all__:
+                names.setdefault(n, getattr(module, n))
+            exported += module.__all__
+            if name in names:
+                return names[name]
+        names["__all__"] = exported
+        if name == "__all__":
+            return exported
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,6 +30,7 @@ from .traces import (
     empirical_distribution,
     sample_iid,
     sample_markov,
+    trace_symbols,
 )
 
 __all__ = [
@@ -272,11 +273,10 @@ def block_entropy_estimate(
     range.
 
     A trace shorter than 10 * alphabet**(n+1) is rejected as too sparse to
-    populate the block counts unless ``force`` is set.
+    populate the block counts unless ``force`` is set. ``symbols`` is a
+    Trace, a list or a tuple; a string or a mapping raises ValueError.
     """
-    if isinstance(symbols, Trace):
-        symbols = symbols.symbols
-    symbols = tuple(symbols)
+    symbols = trace_symbols(symbols, "symbols")
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"order must be an int, got {n!r}")
     if n < 0:

@@ -13,7 +13,6 @@ sums ``count * term`` over classes instead of iterating files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -325,12 +324,16 @@ def read_scenario(path: str | Path) -> tuple[Network, str]:
 
     The file is read once, so the digest describes exactly the bytes parsed.
     """
+    import hashlib  # here, not at the top: loading the scenario alone needs no digest
+
     data = Path(path).read_bytes()
     return _parse_scenario(data, path), hashlib.sha256(data).hexdigest()
 
 
 def scenario_digest(path: str | Path) -> str:
     """SHA-256 hex digest of the raw scenario file bytes."""
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

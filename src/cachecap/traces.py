@@ -264,9 +264,20 @@ def sample_markov(
     return Trace(symbols=symbols)
 
 
+def trace_symbols(trace: Trace | Sequence[str], label: str) -> tuple[str, ...]:
+    """The symbols of a Trace, a list or a tuple. A string or a mapping, which
+    iteration would split into characters or keys, raises ValueError naming
+    ``label``."""
+    if isinstance(trace, Trace):
+        return trace.symbols
+    if not isinstance(trace, (list, tuple)):
+        raise ValueError(f"'{label}' must be a Trace, a list or a tuple, got {type(trace).__name__}")
+    return tuple(trace)
+
+
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
     """Normalized symbol frequencies, by id; each is a correctly rounded count / length."""
-    symbols = trace.symbols if isinstance(trace, Trace) else tuple(trace)
+    symbols = trace_symbols(trace, "trace")
     if not symbols:
         raise ValueError("cannot take the empirical distribution of an empty trace")
     total = len(symbols)
@@ -274,7 +285,12 @@ def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
 
 
 def read_trace(path: str | Path) -> Trace:
-    lines = map(str.strip, Path(path).read_text(encoding="utf-8").splitlines())
+    """The ids in a trace file. A file that starts with a UTF-8 byte order mark
+    raises ValueError, naming the path: the mark would join the first line."""
+    text = Path(path).read_text(encoding="utf-8")
+    if text.startswith("\ufeff"):
+        raise ValueError(f"trace file {path} starts with a UTF-8 byte order mark")
+    lines = map(str.strip, text.splitlines())
     return Trace(symbols=tuple([s for s in lines if s and s[0] != "#"]))
 
 

@@ -316,6 +316,16 @@ class TestEfficiencyCommand:
         assert cli.main(["efficiency", three, "n", "--trace", str(trace), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["source"]["order"] == 0
 
+    def test_a_trace_with_a_byte_order_mark_exits_1_naming_the_file(self, capsys, tmp_path):
+        trace = tmp_path / "t.trace"
+        write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
+        trace.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+        three = str(scenario_path("three-file.json"))
+        assert cli.main(["efficiency", three, "n", "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trace file {trace} starts with a UTF-8 byte order mark\n"
+
     def test_optimal_source_reports_full_utilization(self):
         report = json.loads(
             run_cli("efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json").stdout
@@ -978,6 +988,37 @@ def test_each_verb_loads_only_the_layers_it_runs(verb, verb_runs, tmp_path):
 def test_importing_the_package_loads_no_layer(tmp_path):
     loaded = modules_after("import cachecap", tmp_path)
     assert "cachecap" in loaded and loaded.isdisjoint(LAYER_MODULES | {"cachecap.cli"})
+
+
+def test_a_first_network_analysis_loads_only_model_and_capacity(tmp_path):
+    """A package name binds from its own layer and the layers before it in
+    ``cachecap._LAYERS``; ``load_scenario`` takes no digest, so no hashlib."""
+    bare = modules_after("", tmp_path)
+    fig2 = str(scenario_path("fig2.json"))
+    loaded = modules_after(
+        f"import cachecap\ncachecap.analyze_network(cachecap.load_scenario({fig2!r}))", tmp_path
+    )
+    assert {"cachecap.model", "cachecap.capacity"} <= loaded
+    assert sorted(loaded & (ORACLE_LAYER | TRACE_LAYERS)) == []
+    assert "hashlib" not in loaded - bare
+
+
+def test_a_first_trace_name_loads_neither_entropy_nor_oracle(tmp_path):
+    loaded = modules_after("import cachecap\ncachecap.sample_iid({'a': 1.0}, 3, 0)", tmp_path)
+    assert "cachecap.traces" in loaded
+    assert loaded.isdisjoint({"cachecap.entropy", "cachecap.oracle"})
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "assert len(cachecap.__all__) > 40",
+        "for _ in range(2):\n    assert not hasattr(cachecap, 'no_such_name')",
+    ],
+    ids=["__all__", "unknown-name"],
+)
+def test_all_or_an_unknown_name_loads_every_layer(code, tmp_path):
+    assert LAYER_MODULES <= modules_after(f"import cachecap\n{code}", tmp_path)
 
 
 def test_every_readme_command_line_parses():

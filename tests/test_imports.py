@@ -11,6 +11,8 @@ import re
 
 import pytest
 
+import cachecap
+
 from conftest import REPO_ROOT
 from test_bench_names import bench_references
 
@@ -98,3 +100,18 @@ def test_every_record_that_checks_its_input_is_rebuilt_through_its_checks():
     found = {f"{path.stem}.{name}": ok for path in SOURCES for name, ok in checked_classes(path).items()}
     assert {"entropy.IIDSource", "entropy.MarkovSource"} <= found.keys()
     assert [name for name, ok in found.items() if not ok] == []
+
+
+def test_each_layer_imports_only_the_layers_before_it():
+    """The package binds a missing name by importing the layers in
+    ``_LAYERS`` order and stops at the one that holds it, so a layer that
+    imported a later one would load it unannounced."""
+    layers = cachecap._LAYERS
+    assert set(layers) == {path.stem for path in SOURCES} - {"__init__", "__main__", "cli"}
+    late = []
+    for i, layer in enumerate(layers):
+        path = REPO_ROOT / "src" / "cachecap" / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module not in layers[:i]:
+                late.append(f"{layer}:{node.lineno}: .{node.module}")
+    assert late == []

@@ -397,10 +397,14 @@ class TestEmpiricalDistribution:
         assert all(abs(emp[k] - p[k]) < tol for k in p)
 
 
-def read_trace_reference(path: Path) -> tuple[str, ...]:
-    """The reader as a loop over lines, one strip and one test per line."""
+def read_trace_reference(path: Path) -> tuple[str, ...] | None:
+    """The reader as a loop over lines, one strip and one test per line;
+    None for a file the reader rejects, one that starts with a byte order mark."""
+    text = path.read_text(encoding="utf-8")
+    if text[:1] == "\ufeff":
+        return None
     symbols: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -469,7 +473,21 @@ class TestTraceFiles:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.trace"
             path.write_text(text, encoding="utf-8", newline="")
-            assert read_trace(path).symbols == read_trace_reference(path)
+            expected = read_trace_reference(path)
+            if expected is None:
+                with pytest.raises(ValueError, match="byte order mark"):
+                    read_trace(path)
+            else:
+                assert read_trace(path).symbols == expected
+
+    @pytest.mark.parametrize("text", [f"{TRACE_HEADER}\na\nb\n", "a\nb\n"], ids=["header", "first-id"])
+    def test_a_byte_order_mark_is_rejected_naming_the_path(self, tmp_path, text):
+        # read as text, the mark would join the header or the first id
+        path = tmp_path / "t.trace"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        with pytest.raises(ValueError, match="byte order mark") as info:
+            read_trace(path)
+        assert str(path) in str(info.value)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         trace = sample_iid({"a": 0.5, "b": 0.5}, 1000, seed=11)
@@ -494,3 +512,18 @@ def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, ba
     # a bool is an int to Python, but True would be read as 1
     with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("symbols", ["aab", {"a": 1, "b": 2}, {"a", "b"}], ids=["str", "dict", "set"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (empirical_distribution, "trace"),
+        (lambda v: block_entropy_estimate(v, 0, force=True), "symbols"),
+    ],
+    ids=["empirical_distribution", "block_entropy_estimate"],
+)
+def test_symbols_that_are_not_a_trace_list_or_tuple_are_rejected(call, name, symbols):
+    # iterating a string or a mapping would count its characters or keys
+    with pytest.raises(ValueError, match=f"^'{name}' must be a Trace, a list or a tuple, got "):
+        call(symbols)

@@ -27,7 +27,6 @@ from .traces import (
     Trace,
     check_chain,
     check_class_mass,
-    empirical_distribution,
     sample_iid,
     sample_markov,
     trace_symbols,
@@ -129,19 +128,50 @@ class MarkovSource(_MarkovFields):
         return sample_markov(self.states, self.transitions, initial, n, seed)
 
 
-class EmpiricalSource(NamedTuple):
-    """Access statistics taken from a recorded trace, estimated at block order k."""
-
+class _EmpiricalFields(NamedTuple):
     trace: Trace
     order: int = 0
     force: bool = False
+
+
+class EmpiricalSource(_EmpiricalFields):
+    """Access statistics taken from a recorded trace, estimated at block order k.
+
+    The trace's (k+1)-blocks are counted once per source, on first use, and
+    kept in the instance ``__dict__``, as ``MarkovSource`` keeps its
+    stationary distribution; the marginal and the entropy are both read off
+    that one count. An order or ``force`` that no estimate can be made with
+    fails in ``entropy``, not in ``marginal``: the count then holds the
+    symbols alone.
+    """
+
     kind = "trace"
 
+    @cached_property
+    def _counts(self) -> tuple[int, Counter]:
+        """The block length m and the counts of the trace's m-blocks."""
+        symbols = trace_symbols(self.trace, "trace")
+        try:
+            _check_estimate(symbols, self.order, self.force)
+            m = self.order + 1
+        except ValueError:
+            m = 1
+        return m, _block_counts(symbols, m)
+
     def marginal(self) -> dict[str, float]:
-        return empirical_distribution(self.trace)
+        """Normalized symbol frequencies, by id: ``empirical_distribution`` of the trace."""
+        symbols = trace_symbols(self.trace, "trace")
+        if not symbols:
+            raise ValueError("cannot take the empirical distribution of an empty trace")
+        m, counts = self._counts
+        total = len(symbols)
+        return {cid: c / total for cid, c in sorted(_prefix_counts(counts, symbols, m, 1).items())}
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
-        return block_entropy_estimate(self.trace, self.order, force=self.force)
+        """``block_entropy_estimate`` of the trace at the source's order and ``force``."""
+        symbols = trace_symbols(self.trace, "trace")
+        _check_estimate(symbols, self.order, self.force)
+        return _estimate(self._counts[1], symbols, self.order, self.force)
 
 
 class EntropyEstimate(NamedTuple):
@@ -240,23 +270,92 @@ def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:
     return EntropyEstimate(order=None, value=h + 0.0)
 
 
-def _block_entropy(symbols: Sequence[str], m: int) -> float:
-    """Plug-in entropy of overlapping m-blocks, in bits per block.
+def _block_counts(symbols: tuple[str, ...], m: int) -> Counter:
+    """Counts of the overlapping m-blocks of ``symbols``, in one pass.
 
     Blocks are counted in trace order, so ``Counter`` holds them in
-    first-occurrence order. The float sum below depends on that order in
-    its last bits, and the ``efficiency --trace`` outputs pin those bits.
-    At m = 1 the symbols themselves are counted, in the same order, with
-    no 1-tuple made per symbol.
+    first-occurrence order. The float sums of ``_entropy_bits`` depend on
+    that order in their last bits, and the ``efficiency --trace`` outputs
+    pin those bits. At m = 1 the symbols themselves are counted, with no
+    1-tuple made per symbol.
     """
-    n_blocks = len(symbols) - m + 1
-    blocks = symbols if m == 1 else zip(*(islice(symbols, j, None) for j in range(m)))
-    counts = Counter(blocks)
+    return Counter(symbols if m == 1 else zip(*(islice(symbols, j, None) for j in range(m))))
+
+
+def _prefix_counts(counts: Counter, symbols: tuple[str, ...], m: int, j: int) -> dict:
+    """Counts of the j-blocks of ``symbols``, j <= m, from ``counts``, those of its m-blocks.
+
+    The j-block at each position but the last m - j is the prefix of the
+    m-block there, so each m-block's count goes to its prefix, in the
+    count's order; then the last m - j j-blocks are added, in trace order.
+    A j-block is first met where it first occurs, so the result is in
+    first-occurrence order, as a count of the trace would be. At j = 1 the
+    keys are the symbols. The work is per distinct m-block, not per symbol.
+    """
+    if j == m:
+        return counts
+    shorter: dict = {}
+    get = shorter.get
+    for block, c in counts.items():
+        key = block[0] if j == 1 else block[:j]
+        shorter[key] = get(key, 0) + c
+    tail = symbols[len(symbols) - m + 1 :]
+    for i in range(m - j):
+        key = tail[i] if j == 1 else tail[i : i + j]
+        shorter[key] = get(key, 0) + 1
+    return shorter
+
+
+def _entropy_bits(counts: Mapping, n_blocks: int) -> float:
+    """Plug-in entropy, in bits per block, of ``n_blocks`` blocks counted in ``counts``."""
     h = 0.0
     for c in counts.values():
         p = c / n_blocks
         h -= p * math.log2(p)
     return h
+
+
+def _check_sparse(length: int, n: int, alphabet: int) -> None:
+    """Raise ValueError if ``length`` symbols over ``alphabet`` ids are too few for order n."""
+    needed = 10 * alphabet ** (n + 1)
+    if length < needed:
+        raise ValueError(
+            f"trace of length {length} is too short for order {n} "
+            f"(need >= {needed} symbols for alphabet size {alphabet}; pass force=True to override)"
+        )
+
+
+def _check_estimate(symbols: tuple[str, ...], n: int, force: bool) -> None:
+    """Raise ValueError unless an order-n estimate may be made from ``symbols``,
+    as far as that is known before the blocks are counted.
+
+    An unforced order that no trace over two or more ids of this length is
+    long enough for is checked against the alphabet here, so its blocks,
+    which could be as long as the trace, are never counted.
+    """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"order must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    if not isinstance(force, bool):
+        raise ValueError(f"force must be a bool, got {force!r}")
+    if len(symbols) < n + 1:
+        raise ValueError(f"trace of length {len(symbols)} is shorter than a block of {n + 1}")
+    if not force and len(symbols) < 10 * 2 ** (n + 1):
+        _check_sparse(len(symbols), n, len(set(symbols)))
+
+
+def _estimate(counts: Counter, symbols: tuple[str, ...], n: int, force: bool) -> EntropyEstimate:
+    """The order-n plug-in estimate from ``counts``, those of the (n+1)-blocks
+    of ``symbols``, once ``_check_estimate`` has passed."""
+    alphabet = len(_prefix_counts(counts, symbols, n + 1, 1))
+    if not force:
+        _check_sparse(len(symbols), n, alphabet)
+    raw = _entropy_bits(counts, len(symbols) - n)
+    if n > 0:
+        raw -= _entropy_bits(_prefix_counts(counts, symbols, n + 1, n), len(symbols) - n + 1)
+    bound = math.log2(alphabet)  # alphabet >= 1, as the trace holds a block; log2(1) is 0.0
+    return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
 
 
 def block_entropy_estimate(
@@ -270,32 +369,17 @@ def block_entropy_estimate(
     per-symbol entropy as n grows and is already exact in expectation for
     Markov chains of order <= n. Sampling noise can push the raw difference
     marginally outside [0, log2(alphabet)]; the result is clamped to that
-    range.
+    range. The trace is read once, to count its (n+1)-blocks; the n-block
+    counts and the alphabet are summed from those.
 
     A trace shorter than 10 * alphabet**(n+1) is rejected as too sparse to
-    populate the block counts unless ``force`` is set. ``symbols`` is a
-    Trace, a list or a tuple; a string or a mapping raises ValueError.
+    populate the block counts unless ``force`` is True; ``force`` must be a
+    bool. ``symbols`` is a Trace, a list or a tuple; a string or a mapping
+    raises ValueError.
     """
     symbols = trace_symbols(symbols, "symbols")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"order must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    if len(symbols) < n + 1:
-        raise ValueError(f"trace of length {len(symbols)} is shorter than a block of {n + 1}")
-    alphabet = len(set(symbols))
-    needed = 10 * alphabet ** (n + 1)
-    if not force and len(symbols) < needed:
-        raise ValueError(
-            f"trace of length {len(symbols)} is too short for order {n} "
-            f"(need >= {needed} symbols for alphabet size {alphabet}; pass force=True to override)"
-        )
-    if n == 0:
-        raw = _block_entropy(symbols, 1)
-    else:
-        raw = _block_entropy(symbols, n + 1) - _block_entropy(symbols, n)
-    bound = math.log2(alphabet)  # alphabet >= 1, as the trace holds a block; log2(1) is 0.0
-    return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
+    _check_estimate(symbols, n, force)
+    return _estimate(_block_counts(symbols, n + 1), symbols, n, force)
 
 
 def entropy_efficiency(

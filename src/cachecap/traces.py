@@ -12,9 +12,10 @@ bit for bit those of the one-at-a-time generator.
 
 Trace file format: UTF-8, one id per line, optional ``#cachecap-trace v1``
 header; lines starting with ``#`` are ignored on read, and so are blank lines
-and the whitespace around an id. So only ids that are one non-empty line of
-UTF-8 text, carry no surrounding whitespace and do not start with ``#`` can be
-written.
+and the whitespace around an id. A line that starts with a byte order mark
+(U+FEFF) is rejected on read: it is what joining two files leaves. So only ids
+that are one non-empty line of UTF-8 text, carry no surrounding whitespace and
+start with neither ``#`` nor U+FEFF can be written.
 """
 
 from __future__ import annotations
@@ -286,10 +287,19 @@ def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
 
 def read_trace(path: str | Path) -> Trace:
     """The ids in a trace file. A file that starts with a UTF-8 byte order mark
-    raises ValueError, naming the path: the mark would join the first line."""
+    raises ValueError, naming the path: the mark would join the first line. So
+    does a later line whose stripped text starts with one, naming the line's
+    number too: a second file's mark, where files were joined, would turn its
+    header into an id."""
     text = Path(path).read_text(encoding="utf-8")
     if text.startswith("\ufeff"):
         raise ValueError(f"trace file {path} starts with a UTF-8 byte order mark")
+    if "\ufeff" in text:
+        for number, line in enumerate(text.splitlines(), 1):
+            if line.strip().startswith("\ufeff"):
+                raise ValueError(
+                    f"trace file {path}: line {number} starts with a UTF-8 byte order mark"
+                )
     lines = map(str.strip, text.splitlines())
     return Trace(symbols=tuple([s for s in lines if s and s[0] != "#"]))
 
@@ -299,7 +309,7 @@ def _writable(s: str) -> bool:
         s.encode("utf-8")  # a lone surrogate has no UTF-8 form
     except UnicodeEncodeError:
         return False
-    return s.splitlines() == [s] and s == s.strip() and not s.startswith("#")
+    return s.splitlines() == [s] and s == s.strip() and not s.startswith(("#", "\ufeff"))
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -309,7 +319,7 @@ def write_trace(trace: Trace, path: str | Path) -> None:
         if not _writable(s):
             raise ValueError(
                 f"trace id {s!r} cannot be written: ids must be one non-empty line of "
-                "UTF-8 text without surrounding whitespace, not starting with '#'"
+                "UTF-8 text without surrounding whitespace, not starting with '#' or U+FEFF"
             )
     lines = [TRACE_HEADER, *trace.symbols]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -43,6 +43,21 @@ CLI_FIXTURES = [
     ),
 ]
 
+# Two traces over three-file's classes, at block orders 0-3. The first is
+# ``gen-trace tests/fixtures/three-file.markov-source.json --n 400 --seed 7``;
+# in the second, the last 3-block occurs only at the end.
+CLI_FIXTURES += [
+    (
+        f"three-file.efficiency-trace-{trace}-o{order}.json",
+        [
+            "efficiency", "scenarios/three-file.json", "n",
+            "--trace", f"tests/fixtures/three-file.{trace}.trace", "--order", str(order), "--json",
+        ],
+    )
+    for trace in ("markov-s7", "last-block-new")
+    for order in range(4)
+]
+
 
 # Terms of a catalog whose first Newton step moves x0 by under 10 % but ends
 # 24 % below the root (2.656 against 3.485).

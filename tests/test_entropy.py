@@ -13,7 +13,9 @@ from cachecap import (
     IIDSource,
     MarkovSource,
     ScenarioError,
+    Trace,
     block_entropy_estimate,
+    empirical_distribution,
     entropy_efficiency,
     markov_entropy_rate,
     node_capacity,
@@ -25,6 +27,9 @@ from cachecap import (
 from conftest import random_terms, single_node_network
 
 FLIP = MarkovSource(states=("a", "b"), transitions=((0.75, 0.25), (0.25, 0.75)))
+FLIP_TRACE = MarkovSource(
+    states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75))
+).sample(20000, seed=3)
 
 
 def reference_block_estimate(symbols, n):
@@ -330,6 +335,98 @@ class TestBlockEntropyEstimate:
         symbols, order = trace_and_order
         value = block_entropy_estimate(symbols, order, force=True).value
         assert value == reference_block_estimate(symbols, order)
+
+
+def tail_trace(order, last_is_new):
+    """A trace over "a" and "b" whose last ``order``-block is new or repeats.
+
+    The body is runs of "a" then up to ``order - 1`` "b"s, ending with "a".
+    Followed by ``order`` "b"s, the last block is one the body never holds;
+    followed by its own first ``order`` symbols, it is the first block again.
+    """
+    rng = random.Random(order)
+    body = []
+    while len(body) < 60:
+        body += ["a"] * rng.randint(1, 3) + ["b"] * rng.randint(0, order - 1)
+    body.append("a")
+    tail = ["b"] * order if last_is_new else body[:order]
+    return tuple(body + tail)
+
+
+class TestOneCountEstimate:
+    @pytest.mark.parametrize("last_is_new", [True, False], ids=["last-new", "last-repeats"])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_the_last_block_is_counted_whether_new_or_not(self, order, last_is_new):
+        symbols = tail_trace(order, last_is_new)
+        blocks = [symbols[i : i + order] for i in range(len(symbols) - order + 1)]
+        assert (blocks.count(blocks[-1]) == 1) == last_is_new
+        expected = reference_block_estimate(symbols, order)
+        assert block_entropy_estimate(symbols, order, force=True).value == expected
+        source = EmpiricalSource(Trace(symbols), order, force=True)
+        assert source.entropy({}).value == expected
+
+    @pytest.mark.parametrize(
+        "symbols",
+        [
+            FLIP_TRACE.symbols,
+            tuple("abc" * 60) + ("a", "a", "b"),  # long enough at order 3 for two ids, not for three
+            tuple("ab" * 20) + ("c",),  # too short at order 3 for any two ids
+            ("a",),
+        ],
+        ids=["flip-chain", "sparse-after-count", "sparse-before-count", "one-symbol"],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, -1, "1", 10**6])
+    def test_the_marginal_is_the_empirical_distribution_at_any_order(self, symbols, order):
+        marginal = EmpiricalSource(Trace(symbols), order).marginal()
+        assert list(marginal.items()) == list(empirical_distribution(symbols).items())
+
+    def test_an_empty_trace_has_no_marginal(self):
+        with pytest.raises(ValueError, match="^cannot take the empirical distribution of an empty trace$"):
+            EmpiricalSource(Trace(())).marginal()
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import cachecap.entropy as entropy_module
+
+        calls = []
+
+        def counted(symbols, m):
+            calls.append(m)
+            return original(symbols, m)
+
+        original = entropy_module._block_counts
+        monkeypatch.setattr(entropy_module, "_block_counts", counted)
+        return calls
+
+    def test_a_source_counts_its_trace_once(self, three_file, counted):
+        src = EmpiricalSource(trace=FLIP_TRACE, order=2)
+        result = entropy_efficiency(three_file, "n", src)
+        assert counted == [3]
+        assert src.marginal() == empirical_distribution(FLIP_TRACE)
+        assert src.entropy({}).value == result.entropy_bits_per_file
+        assert counted == [3]
+        EmpiricalSource(trace=FLIP_TRACE, order=2).marginal()
+        assert counted == [3, 3]
+
+    def test_an_order_too_high_for_any_two_ids_is_rejected_before_its_blocks_are_counted(
+        self, counted
+    ):
+        src = EmpiricalSource(trace=FLIP_TRACE, order=5000)
+        assert src.marginal() == empirical_distribution(FLIP_TRACE)
+        message = "trace of length 20000 is too short for order 5000"
+        with pytest.raises(ValueError, match=f"^{message} "):
+            src.entropy({})
+        with pytest.raises(ValueError, match=f"^{message} "):
+            block_entropy_estimate(FLIP_TRACE, 5000)
+        assert counted == [1]
+
+    @pytest.mark.parametrize("order", [-1, "1", 10**6])
+    def test_an_unknown_class_fails_before_a_bad_order(self, three_file, order):
+        src = EmpiricalSource(trace=Trace(("fast", "ghost") * 50), order=order)
+        with pytest.raises(ScenarioError, match="^source references unknown class 'ghost'$"):
+            entropy_efficiency(three_file, "n", src)
+        with pytest.raises(ValueError, match="^order must be|^trace of length 100 is shorter"):
+            src.entropy({})
 
 
 class TestEntropyEfficiency:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
+    EmpiricalSource,
     IIDSource,
     QuantizedCatalog,
     Trace,
@@ -399,13 +400,14 @@ class TestEmpiricalDistribution:
 
 def read_trace_reference(path: Path) -> tuple[str, ...] | None:
     """The reader as a loop over lines, one strip and one test per line;
-    None for a file the reader rejects, one that starts with a byte order mark."""
+    None for a file the reader rejects, one with a line whose stripped text
+    starts with a byte order mark."""
     text = path.read_text(encoding="utf-8")
-    if text[:1] == "\ufeff":
-        return None
     symbols: list[str] = []
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("\ufeff"):
+            return None
         if not line or line.startswith("#"):
             continue
         symbols.append(line)
@@ -422,6 +424,7 @@ TRACE_LINES = st.one_of(
     _PAD,  # blank
     st.builds(lambda a, body, b: f"{a}#{body}{b}", _PAD, _TEXT, _PAD),  # comment
     st.builds(lambda a, cid, b: f"{a}{cid}{b}", _PAD, _TEXT.filter(bool), _PAD),  # id
+    st.builds(lambda a, rest: f"{a}\ufeff{rest}", _PAD, st.sampled_from([TRACE_HEADER, "a", ""])),
 )
 
 
@@ -440,7 +443,9 @@ class TestTraceFiles:
         path.write_text("# anything\n\na\n b \n#x\nb\n", encoding="utf-8")
         assert read_trace(path).symbols == ("a", "b", "b")
 
-    @pytest.mark.parametrize("bad", ["#a", " b", "b ", "", "a\nb", "a\rb", "a\u2028b", "a\ud800"])
+    @pytest.mark.parametrize(
+        "bad", ["#a", " b", "b ", "", "a\nb", "a\rb", "a\u2028b", "a\ud800", "\ufeffa"]
+    )
     def test_ids_that_would_not_read_back_are_rejected_before_writing(self, tmp_path, bad):
         path = tmp_path / "t.trace"
         with pytest.raises(ValueError, match="cannot be written"):
@@ -489,6 +494,28 @@ class TestTraceFiles:
             read_trace(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, number",
+        [
+            (f"{TRACE_HEADER}\na\n\ufeff{TRACE_HEADER}\nb\n", 3),
+            ("a\n  \ufeffb\n", 2),
+            (" \ufeffa\n", 1),
+        ],
+        ids=["joined-files", "padded-id", "padded-first-line"],
+    )
+    def test_a_later_line_that_starts_with_a_byte_order_mark_is_rejected(self, tmp_path, text, number):
+        # joined files would otherwise read as ('a', '\ufeff#cachecap-trace v1', 'b')
+        path = tmp_path / "t.trace"
+        path.write_text(text, encoding="utf-8")
+        message = f"trace file {path}: line {number} starts with a UTF-8 byte order mark"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+    def test_a_mark_inside_or_after_an_id_reads_back(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(Trace(symbols=("a\ufeff", "b\ufeffc")), path)
+        assert read_trace(path).symbols == ("a\ufeff", "b\ufeffc")
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         trace = sample_iid({"a": 0.5, "b": 0.5}, 1000, seed=11)
         p1, p2 = tmp_path / "1.trace", tmp_path / "2.trace"
@@ -505,12 +532,29 @@ class TestTraceFiles:
         (lambda v: sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), v, 0), "n"),
         (lambda v: block_entropy_estimate(("a", "b") * 100, v), "order"),
         (lambda v: count_series(QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0), v), "t_max"),
+        (lambda v: EmpiricalSource(Trace(("a", "b") * 100), v).entropy({}), "order"),
+        (lambda v: block_entropy_estimate(("a", "b") * 5, 3, force=v), "force"),
+        (lambda v: EmpiricalSource(Trace(("a", "b") * 5), 3, v).entropy({}), "force"),
     ],
-    ids=["sample_iid", "sample_markov", "block_entropy_estimate", "count_series"],
+    ids=[
+        "sample_iid",
+        "sample_markov",
+        "block_entropy_estimate",
+        "count_series",
+        "EmpiricalSource",
+        "block_entropy_estimate-force",
+        "EmpiricalSource-force",
+    ],
 )
 def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, bad):
-    # a bool is an int to Python, but True would be read as 1
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(bad))}$"):
+    # a bool is an int to Python, but True would be read as 1. force takes a
+    # bool and nothing else: any truthy value would force, so a bool's int
+    # twin, 1 or 0, stands in for it there.
+    kind = "an int"
+    if name == "force":
+        kind = "a bool"
+        bad = int(bad) if isinstance(bad, bool) else bad
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(repr(bad))}$"):
         call(bad)
 
 

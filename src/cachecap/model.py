@@ -13,6 +13,7 @@ sums ``count * term`` over classes instead of iterating files.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -187,6 +188,12 @@ def build_network(doc: Mapping) -> Network:
     ``str``, ``int``, ``float``); only a value that fails that test goes
     through the general check, which accepts any ``Mapping`` and any ``str``
     subclass and names what is wrong. Messages are formatted only on failure.
+
+    Each id and each read time is kept once: every later mention of a class or
+    node id binds the object its ``FileClass`` or ``Node`` holds, and links of
+    one time share one float. A network has few distinct ids and times behind
+    many links, so this keeps the network small, and lookups keyed by shared
+    ids match by identity.
     """
     if not isinstance(doc, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
@@ -195,7 +202,7 @@ def build_network(doc: Mapping) -> Network:
             raise ScenarioError(f"'{key}' must be an array")
 
     classes: list[FileClass] = []
-    seen_classes: set[str] = set()
+    seen_classes: dict[str, str] = {}  # each class id to the object its FileClass holds
     for raw in doc.get("classes", []):
         if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
             raise ScenarioError("class entry missing 'id'")
@@ -204,21 +211,20 @@ def build_network(doc: Mapping) -> Network:
             cid = _as_id(cid, "class id")
         if cid in seen_classes:
             raise ScenarioError(f"duplicate class id '{cid}'")
-        seen_classes.add(cid)
+        seen_classes[cid] = cid
         count = raw.get("count", 1)
         if type(count) is not int or count < 1:
             count = _as_count(count, f"class '{cid}'")
         classes.append(FileClass(cid, count))
 
-    nodes: list[Node] = []
-    stores_by_node: dict[str, frozenset[str]] = {}
+    nodes_by_id: dict[str, Node] = {}
     for raw in doc.get("nodes", []):
         if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
             raise ScenarioError("node entry missing 'id'")
         nid = raw["id"]
         if type(nid) is not str:
             nid = _as_id(nid, "node id")
-        if nid in stores_by_node:
+        if nid in nodes_by_id:
             raise ScenarioError(f"duplicate node id '{nid}'")
         stores = raw.get("stores", [])
         if not isinstance(stores, list):
@@ -228,13 +234,13 @@ def build_network(doc: Mapping) -> Network:
                 _as_id(cid, f"node '{nid}': stored class id")
             if cid not in seen_classes:
                 raise ScenarioError(f"node '{nid}' stores unknown class '{cid}'")
-        stored = frozenset(stores)
+        stored = frozenset(map(seen_classes.__getitem__, stores))
         if len(stored) != len(stores):
             raise ScenarioError(f"node '{nid}' stores class '{_first_repeat(stores)}' twice")
-        stores_by_node[nid] = stored
-        nodes.append(Node(nid, stored))
+        nodes_by_id[nid] = Node(nid, stored)
 
     links: list[Link] = []
+    times: dict[float, float] = {}  # each read time to the one float its links share
     for raw in doc.get("links", []):
         if type(raw) is not dict and not isinstance(raw, Mapping):
             raise ScenarioError("link entry must be an object")
@@ -247,33 +253,39 @@ def build_network(doc: Mapping) -> Network:
         provider = raw["provider"]
         if type(provider) is not str:
             provider = _as_id(provider, "link provider")
-        if reader not in stores_by_node:
+        reader_node = nodes_by_id.get(reader)
+        if reader_node is None:
             raise ScenarioError(f"link {reader}->{provider}: unknown reader '{reader}'")
-        if provider not in stores_by_node:
+        provider_node = nodes_by_id.get(provider)
+        if provider_node is None:
             raise ScenarioError(f"link {reader}->{provider}: unknown provider '{provider}'")
         time = raw["time"]
         if type(time) is int and 0 < time <= _MAX_FLOAT_INT:
             time = float(time)
         elif type(time) is not float or not 0.0 < time < math.inf:
             time = _as_time(time, f"link {reader}->{provider}")
+        time = times.setdefault(time, time)
         subset = raw.get("classes")
         if subset is not None:
-            subset = _link_classes(subset, stores_by_node[provider], reader, provider)
-        links.append(Link(reader, provider, time, subset))
+            subset = _link_classes(subset, provider_node.stores, seen_classes, reader, provider)
+        links.append(Link(reader_node.id, provider_node.id, time, subset))
 
-    return Network(classes=tuple(classes), nodes=tuple(nodes), links=tuple(links))
+    return Network(classes=tuple(classes), nodes=tuple(nodes_by_id.values()), links=tuple(links))
 
 
 def _link_classes(
-    listed: object, stored: frozenset[str], reader: str, provider: str
+    listed: object, stored: frozenset[str], ids: Mapping[str, str], reader: str, provider: str
 ) -> frozenset[str]:
-    """A link's ``classes`` array as a set; each id must be one the provider stores."""
+    """A link's ``classes`` array as a set; each id must be one the provider stores.
+
+    Each known id in the set is the object ``ids`` maps it to.
+    """
     if not isinstance(listed, list):
         raise ScenarioError(f"link {reader}->{provider}: 'classes' must be an array")
     for cid in listed:
         if type(cid) is not str:
             _as_id(cid, f"link {reader}->{provider}: class id")
-    subset = frozenset(listed)
+    subset = frozenset(map(ids.get, listed, listed))
     if len(subset) != len(listed):
         cid = _first_repeat(listed)
         raise ScenarioError(f"link {reader}->{provider}: class '{cid}' listed twice")
@@ -311,7 +323,19 @@ def parse_json(text: str, what: str) -> object:
 
 
 def _parse_scenario(data: bytes, path: str | Path) -> Network:
-    return build_network(parse_json(data.decode("utf-8"), str(path)))
+    """Parse and build with the cyclic collector paused, then restore the caller's setting.
+
+    Nothing a parse or a build makes can form a reference cycle, so the
+    collections that tens of thousands of new objects would set off find
+    nothing to free. A collector the caller turned off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build_network(parse_json(data.decode("utf-8"), str(path)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_scenario(path: str | Path) -> Network:

@@ -1,5 +1,8 @@
+import gc
 import hashlib
+import json
 import math
+import random
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +28,7 @@ from cachecap.model import EffectiveCatalog, FileClass, Link, Network, Node
 from cachecap.oracle import OraclePoint, OracleReport, QuantizedCatalog
 from cachecap.traces import Trace
 
-from conftest import link_networks, scenario_path
+from conftest import SCENARIO_DIR, link_networks, scenario_path
 
 
 def doc(classes=(), nodes=(), links=()):
@@ -152,6 +155,139 @@ class TestBuildNetwork:
         net, digest = read_scenario(path)
         assert net == load_scenario(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_each_id_and_time_kept_once(net: Network) -> None:
+    """Every id a node or link names is its ``Node``'s or ``FileClass``'s own
+    object, and links of one read time share one float."""
+    class_ids = {fc.id: fc.id for fc in net.classes}
+    node_ids = {node.id: node.id for node in net.nodes}
+    for node in net.nodes:
+        assert all(cid is class_ids[cid] for cid in node.stores), node.id
+    times: dict[float, float] = {}
+    for link in net.links:
+        assert link.reader is node_ids[link.reader], link
+        assert link.provider is node_ids[link.provider], link
+        assert all(cid is class_ids[cid] for cid in link.classes or ()), link
+        assert link.time is times.setdefault(link.time, link.time), link
+
+
+def seeded_document(seed: int, links: int = 2_500) -> dict:
+    """A scenario with 200 nodes, 40 classes and ``links`` links over 8 read
+    times, some given as ints; about a third of the links list classes. Each
+    mention of an id or a time is a fresh object, as a JSON parser makes it."""
+    rng = random.Random(seed)
+    n_nodes, n_classes = 200, 40
+    stores = [rng.sample(range(n_classes), rng.randint(0, 6)) for _ in range(n_nodes)]
+    out = doc(
+        classes=[{"id": f"class-{j}", "count": rng.randint(1, 10**6)} for j in range(n_classes)],
+        nodes=[{"id": f"node-{i}", "stores": [f"class-{j}" for j in stores[i]]} for i in range(n_nodes)],
+    )
+    for _ in range(links):
+        reader, provider = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        time = rng.choice([1, 2, 3, 20, 0.5, 1.5, 2.5, 7.25])
+        # ``time * 1`` is a new float object each time (an int stays an int).
+        link = {"reader": f"node-{reader}", "provider": f"node-{provider}", "time": time * 1}
+        if stores[provider] and rng.random() < 0.35:
+            listed = rng.sample(stores[provider], rng.randint(1, len(stores[provider])))
+            link["classes"] = [f"class-{j}" for j in listed]
+        out["links"].append(link)
+    return out
+
+
+class TestEachIdAndTimeKeptOnce:
+    @pytest.mark.parametrize(
+        "name", [p.name for p in sorted(SCENARIO_DIR.glob("*.json")) if p.name != "bad-time.json"]
+    )  # bad-time.json is invalid on purpose
+    def test_every_shipped_scenario(self, name):
+        assert_each_id_and_time_kept_once(load_scenario(scenario_path(name)))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_seeded_document_built_in_memory_and_from_a_file(self, seed, tmp_path):
+        document = seeded_document(seed)
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        built, loaded = build_network(document), load_scenario(path)
+        assert built == loaded
+        assert len(loaded.links) >= 2_000
+        assert sum(link.classes is not None for link in loaded.links) > 500
+        for net in (built, loaded):
+            assert_each_id_and_time_kept_once(net)
+            assert len({id(link.time) for link in net.links}) == 8
+
+    def test_a_str_subclass_id_is_bound_to_the_kept_plain_str(self):
+        class Tag(str):
+            pass
+
+        net = build_network(
+            doc(
+                classes=[{"id": "a", "count": 1}],
+                nodes=[{"id": "n", "stores": [Tag("a")]}],
+                links=[{"reader": Tag("n"), "provider": "n", "time": 1, "classes": [Tag("a")]}],
+            )
+        )
+        assert_each_id_and_time_kept_once(net)
+        assert type(net.links[0].reader) is str and type(next(iter(net.nodes[0].stores))) is str
+
+
+class TestCollectorPausedWhileLoading:
+    @pytest.fixture
+    def big_file(self, tmp_path):
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(seeded_document(3)), encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def collections(self):
+        """The generations collected while the test runs, as gc reports them."""
+        seen: list[int] = []
+
+        def note(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.callbacks.append(note)
+        yield seen
+        gc.callbacks.remove(note)
+
+    def test_no_collection_runs_during_a_load(self, big_file, collections):
+        # Each network is dropped at once: one kept would count toward the
+        # young generation and start a collection just after the load.
+        assert gc.isenabled()
+        load_scenario(big_file)
+        read_scenario(big_file)
+        assert collections == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"classes": [], "classes": []}', "duplicate key 'classes'"),
+            (
+                json.dumps(doc(nodes=[{"id": "r"}], links=[{"reader": "r", "provider": "p", "time": 1}])),
+                "unknown provider 'p'",
+            ),
+        ],
+        ids=["duplicate-key", "unknown-provider"],
+    )
+    def test_a_rejected_load_turns_the_collector_back_on(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert gc.isenabled()
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_turned_off_stays_off(self, big_file):
+        gc.disable()
+        try:
+            load_scenario(big_file)
+            assert not gc.isenabled()
+            with pytest.raises(ScenarioError):
+                load_scenario(scenario_path("bad-time.json"))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestRecords:

@@ -24,6 +24,7 @@ node or a failed solve raises again on the next request.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ REL_TOL = 1e-12
 _MAX_ITERATIONS = 200
 _RESIDUAL_BOUND = 1e-9
 _LN2 = math.log(2.0)
+_MAX_FLOAT = sys.float_info.max  # an int time above it has no float
 
 
 class SolverError(RuntimeError):
@@ -80,8 +82,9 @@ def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacit
     """Largest real root x0 of the characteristic equation, with log2(x0) and diagnostics.
 
     ``terms`` is any iterable of ``(count, tau)`` pairs, read once (a node's
-    are one per memory kind): each count must be >= 1 and each tau positive
-    and finite, or a ``ValueError`` names the first bad value.
+    are one per memory kind): each count must be an ``int`` or a finite
+    ``float`` >= 1, and each tau a positive, finite ``int`` or ``float``; a
+    ``bool`` is neither. Otherwise a ``ValueError`` names the first bad value.
 
     Returns x0 = None for an empty equation (nothing reachable: the equation
     has no solution and capacity is zero by convention). Otherwise Newton's
@@ -100,10 +103,14 @@ def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacit
     """
     logs = []
     for count, tau in terms:
+        if type(count) is not int and not (isinstance(count, float) and math.isfinite(count)):
+            raise ValueError(f"term count must be a finite number, got {count!r}")
         if count < 1:
             raise ValueError(f"term count must be >= 1, got {count}")
-        if not (tau > 0 and math.isfinite(tau)):
-            raise ValueError(f"term time must be positive and finite, got {tau}")
+        if type(tau) is not float and (isinstance(tau, bool) or not isinstance(tau, (int, float))):
+            raise ValueError(f"term time must be a number, got {tau!r}")
+        if not 0 < tau <= _MAX_FLOAT:
+            raise ValueError(f"term time must be positive and finite, got {tau!r}")
         logs.append((math.log2(count), tau))
     if not logs:
         return NodeCapacity(x0=None, capacity_bits_per_time=0.0, iterations=0, residual=0.0)

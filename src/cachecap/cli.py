@@ -25,13 +25,9 @@ from .model import Network, ScenarioError, effective_catalog, parse_json, read_s
 __all__ = ["main", "entrypoint"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1 on bad usage, not argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -109,10 +105,7 @@ def _cmd_capacity(args: argparse.Namespace) -> dict:
 
 
 def _render_capacity(report: dict) -> str:
-    lines = [
-        f"scenario digest: {report['scenario']['digest']}",
-        f"{'node':<12} {'x0':>14} {'capacity (bits/time-unit)':>26}",
-    ]
+    lines = [f"{'node':<12} {'x0':>14} {'capacity (bits/time-unit)':>26}"]
     for row in report["nodes"]:
         x0 = f"{row['x0']:.6f}" if row["x0"] is not None else "-"
         lines.append(f"{row['node']:<12} {x0:>14} {row['capacity_bits_per_time']:>26.6f}")
@@ -146,7 +139,6 @@ def _cmd_optimal(args: argparse.Namespace) -> dict:
 
 def _render_optimal(report: dict) -> str:
     lines = [
-        f"scenario digest: {report['scenario']['digest']}",
         f"node: {report['node']}   x0: {report['x0']:.6f}   "
         f"capacity: {report['capacity_bits_per_time']:.6f} bits/time-unit",
         f"{'class':<12} {'files':>10} {'per-file p':>14} {'class mass':>12}",
@@ -161,7 +153,7 @@ def _render_optimal(report: dict) -> str:
 
 def _cmd_efficiency(args: argparse.Namespace) -> dict:
     if args.trace is None and (args.order is not None or args.force):
-        raise _UsageError("--order and --force apply only with --trace")
+        raise ValueError("--order and --force apply only with --trace")
     from .entropy import EmpiricalSource, IIDSource, entropy_efficiency
     from .traces import read_trace
 
@@ -186,7 +178,6 @@ def _render_efficiency(report: dict) -> str:
     util = report["utilization_ratio"]
     return "\n".join(
         [
-            f"scenario digest: {report['scenario']['digest']}",
             f"node: {report['node']}   source: {report['source']['kind']}",
             f"entropy:      {report['entropy_bits_per_file']:.6f} bits/file",
             f"mean read time: {report['mean_read_time']:.6f} time-units/file",
@@ -221,7 +212,6 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
 
 def _render_oracle(report: dict) -> str:
     lines = [
-        f"scenario digest: {report['scenario']['digest']}",
         f"node: {report['node']}   grid: {report['grid']:g}   t_max: {report['t_max']}",
         f"solver capacity: {report['solver_capacity_bits_per_time']:.6f} bits/time-unit",
         f"{'T':>8} {'nu':>24} {'rate':>10}",
@@ -313,10 +303,7 @@ def _cmd_validate(args: argparse.Namespace) -> dict:
 
 
 def _render_validate(report: dict) -> str:
-    return (
-        f"scenario digest: {report['scenario']['digest']}\n"
-        f"valid: {report['classes']} classes, {report['nodes']} nodes, {report['links']} links"
-    )
+    return f"valid: {report['classes']} classes, {report['nodes']} nodes, {report['links']} links"
 
 
 _COMMANDS = {
@@ -357,19 +344,13 @@ def _json_pieces(report: dict) -> Iterable[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    run, render = _COMMANDS[args.command]
-    try:
+        args = _build_parser().parse_args(argv)
+        run, render = _COMMANDS[args.command]
         report = {"command": args.command} | run(args)
         if args.json:
             pieces = _json_pieces(report)
-    except (_UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ArithmeticError, MemoryError) as exc:
@@ -377,7 +358,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if not args.json:
-        pieces = (render(report), "\n")
+        scenario = report.get("scenario")
+        head = f"scenario digest: {scenario['digest']}\n" if scenario else ""
+        pieces = (head, render(report), "\n")
     write = sys.stdout.write  # looked up now, so redirect_stdout and capsys see the output
     for piece in pieces:
         write(piece)

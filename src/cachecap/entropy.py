@@ -168,10 +168,20 @@ class EmpiricalSource(_EmpiricalFields):
         return {cid: c / total for cid, c in sorted(_prefix_counts(counts, symbols, m, 1).items())}
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
-        """``block_entropy_estimate`` of the trace at the source's order and ``force``."""
+        """``block_entropy_estimate`` of the trace at the source's order and
+        ``force``: the one place an estimate is made."""
         symbols = trace_symbols(self.trace, "trace")
-        _check_estimate(symbols, self.order, self.force)
-        return _estimate(self._counts[1], symbols, self.order, self.force)
+        n, force = self.order, self.force
+        _check_estimate(symbols, n, force)
+        blocks = self._counts[1]
+        alphabet = len(_prefix_counts(blocks, symbols, n + 1, 1))
+        if not force:
+            _check_sparse(len(symbols), n, alphabet)
+        raw = _entropy_bits(blocks, len(symbols) - n)
+        if n > 0:
+            raw -= _entropy_bits(_prefix_counts(blocks, symbols, n + 1, n), len(symbols) - n + 1)
+        bound = math.log2(alphabet)  # alphabet >= 1, as the trace holds a block; log2(1) is 0.0
+        return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
 
 
 class EntropyEstimate(NamedTuple):
@@ -345,19 +355,6 @@ def _check_estimate(symbols: tuple[str, ...], n: int, force: bool) -> None:
         _check_sparse(len(symbols), n, len(set(symbols)))
 
 
-def _estimate(counts: Counter, symbols: tuple[str, ...], n: int, force: bool) -> EntropyEstimate:
-    """The order-n plug-in estimate from ``counts``, those of the (n+1)-blocks
-    of ``symbols``, once ``_check_estimate`` has passed."""
-    alphabet = len(_prefix_counts(counts, symbols, n + 1, 1))
-    if not force:
-        _check_sparse(len(symbols), n, alphabet)
-    raw = _entropy_bits(counts, len(symbols) - n)
-    if n > 0:
-        raw -= _entropy_bits(_prefix_counts(counts, symbols, n + 1, n), len(symbols) - n + 1)
-    bound = math.log2(alphabet)  # alphabet >= 1, as the trace holds a block; log2(1) is 0.0
-    return EntropyEstimate(order=n, value=min(max(raw, 0.0), bound))
-
-
 def block_entropy_estimate(
     symbols: Sequence[str] | Trace, n: int, force: bool = False
 ) -> EntropyEstimate:
@@ -375,11 +372,9 @@ def block_entropy_estimate(
     A trace shorter than 10 * alphabet**(n+1) is rejected as too sparse to
     populate the block counts unless ``force`` is True; ``force`` must be a
     bool. ``symbols`` is a Trace, a list or a tuple; a string or a mapping
-    raises ValueError.
+    raises ValueError. This is the ``EmpiricalSource`` estimate of the trace.
     """
-    symbols = trace_symbols(symbols, "symbols")
-    _check_estimate(symbols, n, force)
-    return _estimate(_block_counts(symbols, n + 1), symbols, n, force)
+    return EmpiricalSource(trace_symbols(symbols, "symbols"), n, force).entropy({})
 
 
 def entropy_efficiency(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -117,8 +118,8 @@ def quantize(catalog: EffectiveCatalog, grid: float | None) -> QuantizedCatalog:
 
 
 def _check_grid(grid: float) -> None:
-    if not (grid > 0 and math.isfinite(grid)):
-        raise ValueError(f"grid must be positive and finite, got {grid}")
+    if isinstance(grid, bool) or not isinstance(grid, (int, float)) or not 0 < grid <= sys.float_info.max:
+        raise ValueError(f"grid must be positive and finite, got {grid!r}")
 
 
 def infer_grid(times: Iterable[float]) -> float:
@@ -212,12 +213,17 @@ def convergence_report(
     multiples of the gcd of the quantized times). ``final_gap`` is the distance
     between the last point's rate and the solver capacity; it shrinks like
     1/T as the horizon grows. An ``x0`` of ``None`` (nothing reachable) or
-    ``<= 0`` counts as capacity 0.
+    ``<= 0`` counts as capacity 0; a ``bool``, a NaN or no number raises
+    ``ValueError``.
     """
     _check_grid(q.grid)
     if t_max < q.max_time:
         raise ValueError(f"t_max {t_max} is below the largest quantized time {q.max_time}")
-    solver_capacity = math.log2(solver_x0) if solver_x0 is not None and solver_x0 > 0 else 0.0
+    x0 = solver_x0
+    if x0 is not None and (isinstance(x0, bool) or not isinstance(x0, (int, float)) or x0 != x0):
+        # x0 != x0 holds for NaN alone, which the test x0 > 0 would read as capacity 0
+        raise ValueError(f"solver_x0 must be a number or None, got {x0!r}")
+    solver_capacity = math.log2(x0) if x0 is not None and x0 > 0 else 0.0
     nu = count_series(q, t_max)
     points = tuple(
         OraclePoint(time_steps=t, count=nu[t], rate=_log2_exact(nu[t]) / (t * q.grid))

@@ -197,9 +197,9 @@ def _walk(
     rows: Sequence[tuple[list[int], list[int]]],
     n: int,
     seed: int,
-) -> tuple[str, ...]:
-    """n states: the first picked from ``first``, each later one from the row
-    of the state before it, one SplitMix64 draw each.
+) -> Trace:
+    """The trace of n states: the first picked from ``first``, each later one
+    from the row of the state before it, one SplitMix64 draw each.
 
     ``first`` and ``rows`` are ``_inverse_cdf`` tables. The draws come from
     ``_draws`` a chunk at a time; the loop stays per symbol, because each
@@ -229,7 +229,7 @@ def _walk(
             cum, idx = rows[i]
         symbols[done : done + len(chunk)] = chunk
         done += len(chunk)
-    return tuple(symbols)
+    return Trace(tuple(symbols))
 
 
 def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
@@ -243,8 +243,7 @@ def sample_iid(p: Mapping[str, float], n: int, seed: int) -> Trace:
     check_class_mass(p, "p")
     ids, masses = zip(*sorted(p.items()))
     row = _inverse_cdf(masses)
-    symbols = _walk(ids, row, [row] * len(ids), n, seed)
-    return Trace(symbols=symbols)
+    return _walk(ids, row, [row] * len(ids), n, seed)
 
 
 def sample_markov(
@@ -261,8 +260,7 @@ def sample_markov(
     """
     check_chain(states, transitions, initial)
     rows = [_inverse_cdf(row) for row in transitions]
-    symbols = _walk(states, _inverse_cdf(initial), rows, n, seed)
-    return Trace(symbols=symbols)
+    return _walk(states, _inverse_cdf(initial), rows, n, seed)
 
 
 def trace_symbols(trace: Trace | Sequence[str], label: str) -> tuple[str, ...]:

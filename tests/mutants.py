@@ -1,0 +1,244 @@
+"""A committed mutation gate: named one-line mutants of ``src/`` that the tests must kill.
+
+A mutant replaces one text in one file of ``src/``, a text that occurs there
+exactly once. It is killed when a test file expected to kill it fails on the
+mutated tree. ``tests/test_mutants.py`` checks the table alone in tier-1: each
+old text occurs once, and each named test file exists. This script runs it::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py REL_TOL    # the mutants named
+
+The tree (``src``, ``tests``, ``scenarios``, ``pyproject.toml`` and ``README.md``) is copied
+once into a temporary directory, where the test files named in the table must
+first pass as they are. Each mutant is then written there in turn, its test
+files run under ``pytest -x`` in one child process, and the file put back. The
+children write no bytecode, so no cached module outlives its mutant. The script
+prints one line per mutant and then the mutants not killed, and exits 1 if
+there are any. A change that adds a check adds the mutant that the check kills.
+
+Plain text replacement, in the manner of DeMillo, Lipton and Sayward, "Hints on
+Test Data Selection", IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_TREE = ("src", "tests", "scenarios", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in ``path``
+    new: str
+    killers: tuple[str, ...]  # test files, relative to the root, expected to fail
+
+
+MUTANTS = [
+    Mutant(
+        "kinds-keeps-last-count",
+        "src/cachecap/model.py",
+        "kinds[time] = kinds.get(time, 0) + self.counts[cid]",
+        "kinds[time] = self.counts[cid]",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "REL_TOL",
+        "src/cachecap/capacity.py",
+        "REL_TOL = 1e-12",
+        "REL_TOL = 1e-6",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "read-trace-splits-on-newline",
+        "src/cachecap/traces.py",
+        "lines = map(str.strip, text.splitlines())",
+        'lines = map(str.strip, text.split("\\n"))',
+        ("tests/test_traces.py",),
+    ),
+    Mutant(
+        "iid-entropy-drops-within-class-term",
+        "src/cachecap/entropy.py",
+        "h -= mass * (math.log2(mass) - math.log2(counts[cid]))",
+        "h -= mass * math.log2(mass)",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "oracle-window-off-by-one",
+        "src/cachecap/oracle.py",
+        "value += count * window[-tau]",
+        "value += count * window[-tau + 1]",
+        ("tests/test_oracle.py",),
+    ),
+    # The checks that the solver and the oracle make of their inputs.
+    Mutant(
+        "solver-count-not-finite",
+        "src/cachecap/capacity.py",
+        "isinstance(count, float) and math.isfinite(count)",
+        "isinstance(count, float)",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "solver-count-bool",
+        "src/cachecap/capacity.py",
+        "if type(count) is not int and not",
+        "if type(count) not in (int, bool) and not",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "solver-time-bool",
+        "src/cachecap/capacity.py",
+        "(isinstance(tau, bool) or not isinstance(tau, (int, float)))",
+        "(not isinstance(tau, (int, float)))",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "solver-time-not-finite",
+        "src/cachecap/capacity.py",
+        "if not 0 < tau <= _MAX_FLOAT:",
+        "if not 0 < tau:",
+        ("tests/test_capacity.py",),
+    ),
+    Mutant(
+        "oracle-grid-bool",
+        "src/cachecap/oracle.py",
+        "if isinstance(grid, bool) or not isinstance(grid, (int, float)) or",
+        "if not isinstance(grid, (int, float)) or",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle-grid-not-finite",
+        "src/cachecap/oracle.py",
+        "or not 0 < grid <= sys.float_info.max:",
+        "or not 0 < grid:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle-x0-nan",
+        "src/cachecap/oracle.py",
+        "not isinstance(x0, (int, float)) or x0 != x0)",
+        "not isinstance(x0, (int, float)))",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle-x0-bool",
+        "src/cachecap/oracle.py",
+        "(isinstance(x0, bool) or not",
+        "(not",
+        ("tests/test_oracle.py",),
+    ),
+    # What ``main`` and ``EmpiricalSource.entropy`` each do for every caller.
+    Mutant(
+        "cli-order-without-trace-accepted",
+        "src/cachecap/cli.py",
+        "if args.trace is None and (args.order is not None or args.force):",
+        "if args.trace is None and args.force:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-usage-error-exits-two",
+        "src/cachecap/cli.py",
+        "raise ValueError(message)",
+        "raise SolverError(message)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-input-error-not-caught",
+        "src/cachecap/cli.py",
+        "except (ValueError, OSError) as exc:",
+        "except OSError as exc:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "cli-no-digest-line",
+        "src/cachecap/cli.py",
+        'if scenario else ""',
+        'if not scenario else ""',
+        ("tests/test_cli.py", "tests/test_cli_corpus.py"),
+    ),
+    Mutant(
+        "estimate-skips-sparse-check",
+        "src/cachecap/entropy.py",
+        "            _check_sparse(len(symbols), n, alphabet)\n",
+        "            pass\n",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "estimate-names-its-input-trace",
+        "src/cachecap/entropy.py",
+        'EmpiricalSource(trace_symbols(symbols, "symbols"), n, force)',
+        "EmpiricalSource(symbols, n, force)",
+        ("tests/test_traces.py",),
+    ),
+]
+
+
+def _pytest(files: list[str], root: Path) -> subprocess.CompletedProcess:
+    """``pytest -x`` over ``files`` in the copy at ``root``, with no bytecode written."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+
+
+def _run(mutant: Mutant, root: Path) -> str:
+    """Apply ``mutant`` in the copy at ``root``, run its test files and restore
+    the file: "killed" when a test failed, "SURVIVED" when all passed, and
+    "ERROR" when pytest could not run them (a collection error, say)."""
+    target = root / mutant.path
+    original = target.read_text(encoding="utf-8")
+    if original.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: old text does not occur exactly once in {mutant.path}")
+    target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        result = _pytest(list(mutant.killers), root)
+    finally:
+        target.write_text(original, encoding="utf-8")
+    if result.returncode not in (0, 1):
+        print(result.stdout[-2000:] + result.stderr[-2000:], file=sys.stderr)
+    return {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    not_killed = []
+    with tempfile.TemporaryDirectory(prefix="cachecap-mutants-") as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for entry in _TREE:
+            source = REPO_ROOT / entry
+            if source.is_dir():
+                shutil.copytree(source, root / entry, ignore=ignore)
+            else:
+                shutil.copy2(source, root / entry)
+        # Every test file must pass on the tree as it is, or a failure shows nothing.
+        files = sorted({f for m in chosen for f in m.killers})
+        if _pytest(files, root).returncode != 0:
+            print(f"the unmutated tree fails {' '.join(files)}; no mutant run", file=sys.stderr)
+            return 2
+        for mutant in chosen:
+            start = time.perf_counter()
+            outcome = _run(mutant, root)
+            print(f"{outcome:<8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
+            if outcome != "killed":
+                not_killed.append(mutant.name)
+    print(f"{len(chosen) - len(not_killed)} of {len(chosen)} mutants killed")
+    for name in not_killed:
+        print(f"not killed: {name}")
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -47,7 +47,9 @@ class TestCharEquationChecks:
             solve_characteristic_full(((2, 1.0), (count, 2.0)))
         assert str(exc.value) == f"term count must be >= 1, got {count}"
 
-    @pytest.mark.parametrize("time", [0.0, -2.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "time", [0.0, -2.0, math.inf, math.nan, pytest.param(10**400, id="10**400")]
+    )
     def test_time_not_positive_and_finite_is_rejected(self, time):
         with pytest.raises(ValueError) as exc:
             solve_characteristic_full(((2, 1.0), (1, time)))
@@ -58,8 +60,12 @@ class TestCharEquationChecks:
         [
             (((0, 1.0),), "term count must be >= 1, got 0"),
             (((1, -2.0),), "term time must be positive and finite, got -2.0"),
+            (((math.nan, 1.0),), "term count must be a finite number, got nan"),
+            (((True, 1.0),), "term count must be a finite number, got True"),
+            (((2, True),), "term time must be a number, got True"),
+            ((("5", 1.0),), "term count must be a finite number, got '5'"),
         ],
-        ids=["char-count", "char-time"],
+        ids=["char-count", "char-time", "nan-count", "bool-count", "bool-time", "str-count"],
     )
     def test_rejects_by_position_and_by_keyword(self, terms, message):
         for solve in (
@@ -75,8 +81,10 @@ class TestCharEquationChecks:
         [
             (((2, -1.0),), "term time must be positive and finite, got -1.0"),
             (((3, 0.0),), "term time must be positive and finite, got 0.0"),
+            (((math.inf, 1.0),), "term count must be a finite number, got inf"),
+            (((2, "1"),), "term time must be a number, got '1'"),
         ],
-        ids=["negative-time", "zero-time"],
+        ids=["negative-time", "zero-time", "inf-count", "str-time"],
     )
     def test_no_way_around_the_check(self, terms, message):
         # The check is part of the solve: in whatever container, each pair is

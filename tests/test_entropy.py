@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -301,6 +302,25 @@ class TestBlockEntropyEstimate:
         with pytest.raises(ValueError, match="too short"):
             block_entropy_estimate(trace, 2)
         assert block_entropy_estimate(trace, 2, force=True).value >= 0.0
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda trace, force=False: block_entropy_estimate(trace, 1, force),
+            lambda trace, force=False: EmpiricalSource(trace, 1, force).entropy({}),
+        ],
+        ids=["block_entropy_estimate", "EmpiricalSource"],
+    )
+    def test_short_trace_guard_counts_the_whole_alphabet(self, estimate):
+        # 60 symbols would be enough for order 1 over two ids (40), so only the
+        # check made once the blocks are counted, over all three ids, rejects it.
+        trace = ("a", "b", "c") * 20
+        message = (
+            "trace of length 60 is too short for order 1 (need >= 90 symbols for alphabet size 3"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)};"):
+            estimate(trace)
+        assert estimate(trace, force=True).value >= 0.0
 
     def test_trace_shorter_than_a_block_rejected_even_when_forced(self):
         with pytest.raises(ValueError, match="^trace of length 1 is shorter than a block of 2$"):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+from enum import IntEnum
 from types import MappingProxyType
 
 import pytest
@@ -15,6 +16,7 @@ from cachecap import (
     effective_catalog,
     load_scenario,
     read_scenario,
+    scenario_digest,
 )
 from cachecap.capacity import CapacityResult, NodeCapacity, OptimalDistribution
 from cachecap.entropy import (
@@ -156,6 +158,14 @@ class TestBuildNetwork:
         assert net == load_scenario(path)
         assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    @pytest.mark.parametrize("name", [p.name for p in sorted(SCENARIO_DIR.iterdir())])
+    def test_scenario_digest_is_that_of_read_scenario_and_of_the_bytes(self, name):
+        path = scenario_path(name)
+        digest = scenario_digest(path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        if name != "bad-time.json":  # invalid on purpose: it has a digest, but no network
+            assert digest == read_scenario(path)[1]
+
 
 def assert_each_id_and_time_kept_once(net: Network) -> None:
     """Every id a node or link names is its ``Node``'s or ``FileClass``'s own
@@ -228,6 +238,25 @@ class TestEachIdAndTimeKeptOnce:
         )
         assert_each_id_and_time_kept_once(net)
         assert type(net.links[0].reader) is str and type(next(iter(net.nodes[0].stores))) is str
+
+    def test_a_number_subclass_time_builds_as_the_kept_plain_float(self):
+        # numpy.float64 is a float and an IntEnum an int, but neither is the
+        # exact type JSON gives, so each goes through the general time check.
+        import numpy as np
+
+        class Ticks(IntEnum):
+            TWO = 2
+
+        links = [
+            {"reader": "n", "provider": "n", "time": time}
+            for time in (np.float64(2.5), 2.5, 2.0, Ticks.TWO)
+        ]
+        net = build_network(doc(nodes=[{"id": "n", "stores": []}], links=links))
+        times = [link.time for link in net.links]
+        assert times == [2.5, 2.5, 2.0, 2.0]
+        assert all(type(time) is float for time in times)
+        assert times[0] is times[1] and times[2] is times[3]
+        assert_each_id_and_time_kept_once(net)
 
 
 class TestCollectorPausedWhileLoading:

@@ -252,12 +252,32 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="t_max"):
             convergence_report(PELL, 1, 2.0)
 
-    @pytest.mark.parametrize("grid", [0.0, -1.0, math.inf, math.nan])
-    def test_grid_not_positive_and_finite_rejected(self, grid):
+    @pytest.mark.parametrize(
+        "grid", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400"), True, "1"]
+    )
+    def test_grid_not_positive_and_finite_rejected(self, grid, three_file):
+        # a bool would be read as 1, and a string is no number at all
         q = QuantizedCatalog(int_times=PELL.int_times, grid=grid)
+        for call in (
+            lambda: convergence_report(q, 10, 1 + math.sqrt(2)),
+            lambda: quantize(effective_catalog(three_file, "n"), grid),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"grid must be positive and finite, got {grid!r}"
+
+    @pytest.mark.parametrize("x0", [math.nan, True, False, "2"], ids=repr)
+    def test_solver_x0_bool_nan_or_no_number_rejected(self, x0):
+        # NaN > 0 is False and True > 0 is True, so neither may fall through
         with pytest.raises(ValueError) as exc:
-            convergence_report(q, 10, 1 + math.sqrt(2))
-        assert str(exc.value) == f"grid must be positive and finite, got {grid}"
+            convergence_report(PELL, 10, x0)
+        assert str(exc.value) == f"solver_x0 must be a number or None, got {x0!r}"
+
+    @pytest.mark.parametrize("x0", [None, 0, 0.0, -1.0, -math.inf])
+    def test_solver_x0_none_or_not_positive_is_capacity_zero(self, x0):
+        report = convergence_report(PELL, 10, x0)
+        assert report.solver_capacity == 0.0
+        assert report.final_gap == report.points[-1].rate
 
     def test_nothing_reachable_is_capacity_zero(self):
         net = Network(classes=(), nodes=(Node(id="n", stores=frozenset()),), links=())

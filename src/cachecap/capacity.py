@@ -177,7 +177,9 @@ def analyze_network(net: Network) -> CapacityResult:
     such as ``node_capacity``, reads the kept solution.
     """
     per_node = {n.id: node_solution(net, n.id) for n in net.nodes}
-    total = sum(nc.capacity_bits_per_time for nc in per_node.values())
+    total = 0  # added left to right from the int 0, as sum() did before 3.12 compensated floats
+    for nc in per_node.values():
+        total += nc.capacity_bits_per_time
     return CapacityResult(per_node=per_node, network_capacity=total)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "EntropyEstimate",
     "EfficiencyResult",
     "stationary_distribution",
-    "markov_entropy_rate",
     "block_entropy_estimate",
     "entropy_efficiency",
 ]
@@ -119,7 +118,16 @@ class MarkovSource(_MarkovFields):
         return dict(self._stationary)
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
-        return markov_entropy_rate(self)
+        """Per-file entropy rate: the stationary-weighted conditional entropy
+        of the next class given the current one; equals the i.i.d. entropy
+        when all rows are identical."""
+        pi = self._stationary
+        h = 0.0
+        for state, row in zip(self.states, self.transitions):
+            for p in row:
+                if p > 0.0:
+                    h -= pi[state] * p * math.log2(p)
+        return EntropyEstimate(order=None, value=h + 0.0)
 
     def sample(self, n: int, seed: int) -> Trace:
         initial = self.initial
@@ -265,21 +273,6 @@ def stationary_distribution(src: MarkovSource) -> dict[str, float]:
     return dict(zip(src.states, pi))
 
 
-def markov_entropy_rate(src: MarkovSource) -> EntropyEstimate:
-    """Per-file entropy rate of an irreducible Markov chain.
-
-    The stationary-weighted conditional entropy of the next class given the
-    current one; equals the i.i.d. entropy when all rows are identical.
-    """
-    pi = src._stationary
-    h = 0.0
-    for i, state in enumerate(src.states):
-        for p in src.transitions[i]:
-            if p > 0.0:
-                h -= pi[state] * p * math.log2(p)
-    return EntropyEstimate(order=None, value=h + 0.0)
-
-
 def _block_counts(symbols: tuple[str, ...], m: int) -> Counter:
     """Counts of the overlapping m-blocks of ``symbols``, in one pass.
 
@@ -403,7 +396,10 @@ def entropy_efficiency(
             )
 
     estimate = src.entropy(counts)
-    mean_time = sum(mass * times[cid] for cid, mass in marginal.items() if mass > 0.0)
+    mean_time = 0  # added left to right from the int 0, as sum() did before 3.12 compensated floats
+    for cid, mass in marginal.items():
+        if mass > 0.0:
+            mean_time += mass * times[cid]
     if mean_time <= 0.0:
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 

@@ -297,14 +297,14 @@ def _link_classes(
     return subset
 
 
-def _first_repeat(ids: Iterable[str]) -> str | None:
-    """The first id, in order, that already came before (None if none does)."""
+def _first_repeat(ids: Iterable[str]) -> str:
+    """The first id, in order, that already came before. Each caller calls this
+    only once a length mismatch has shown that some id repeats."""
     seen: set[str] = set()
     for cid in ids:
         if cid in seen:
             return cid
         seen.add(cid)
-    return None
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

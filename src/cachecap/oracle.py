@@ -155,14 +155,19 @@ def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
     within a kind are distinct, so a kind gives ``count`` choices per
     position, and nu(0) = 1 is the empty task.
     """
-    if isinstance(t_max, bool) or not isinstance(t_max, int):
-        raise ValueError(f"t_max must be an int, got {t_max!r}")
+    _check_horizon(t_max)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     nu = [0] * (t_max + 1)  # allocated first: a horizon too large fails before any work
     for t, value in zip(range(t_max + 1), _recurrence(q, 1)):
         nu[t] = value
     return nu
+
+
+def _check_horizon(t_max: int) -> None:
+    """Reject a horizon that is a ``bool`` or no ``int``, before it is compared."""
+    if isinstance(t_max, bool) or not isinstance(t_max, int):
+        raise ValueError(f"t_max must be an int, got {t_max!r}")
 
 
 def _decimal_series(q: QuantizedCatalog, t_max: int) -> list[str]:
@@ -217,7 +222,8 @@ def convergence_report(
     ``ValueError``.
     """
     _check_grid(q.grid)
-    if t_max < q.max_time:
+    _check_horizon(t_max)
+    if t_max < q.max_time:  # before counting: the recurrence keeps a window of max_time values
         raise ValueError(f"t_max {t_max} is below the largest quantized time {q.max_time}")
     x0 = solver_x0
     if x0 is not None and (isinstance(x0, bool) or not isinstance(x0, (int, float)) or x0 != x0):

@@ -259,6 +259,7 @@ def sample_markov(
     The seed must be an integer in ``[0, 2**64)``.
     """
     check_chain(states, transitions, initial)
+    _check_array(initial, "'initial'")  # check_chain reads None as no initial; a walk needs one
     rows = [_inverse_cdf(row) for row in transitions]
     return _walk(states, _inverse_cdf(initial), rows, n, seed)
 

@@ -12,9 +12,12 @@ The tree (``src``, ``tests``, ``scenarios``, ``pyproject.toml`` and ``README.md`
 once into a temporary directory, where the test files named in the table must
 first pass as they are. Each mutant is then written there in turn, its test
 files run under ``pytest -x`` in one child process, and the file put back. The
-children write no bytecode, so no cached module outlives its mutant. The script
-prints one line per mutant and then the mutants not killed, and exits 1 if
-there are any. A change that adds a check adds the mutant that the check kills.
+children write no bytecode, so no cached module outlives its mutant. Each child
+starts a session of its own, and a mutant's run may take ``TIME_LIMIT`` times as
+long as that first, unmutated run: a mutant that makes the code loop forever is
+then stopped, with every process its tests started, and counts as killed. The
+script prints one line per mutant and then the mutants not killed, and exits 1
+if there are any. A change that adds a check adds the mutant that the check kills.
 
 Plain text replacement, in the manner of DeMillo, Lipton and Sayward, "Hints on
 Test Data Selection", IEEE Computer 11(4), 1978.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,7 @@ from typing import NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _TREE = ("src", "tests", "scenarios", "pyproject.toml", "README.md")
+TIME_LIMIT = 10  # a mutant's run, in units of the unmutated run of every test file
 
 
 class Mutant(NamedTuple):
@@ -179,29 +184,81 @@ MUTANTS = [
         "EmpiricalSource(symbols, n, force)",
         ("tests/test_traces.py",),
     ),
+    # Boundaries no test reached, and the checks that make a bad input fail as itself.
+    Mutant(
+        "sparse-check-refuses-the-needed-length",
+        "src/cachecap/entropy.py",
+        "if length < needed:",
+        "if length <= needed:",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "utilization-divides-by-zero-capacity",
+        "src/cachecap/entropy.py",
+        "if capacity > 0 else None",
+        "if capacity >= 0 else None",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "oracle-report-compares-an-unchecked-horizon",
+        "src/cachecap/oracle.py",
+        "    _check_horizon(t_max)\n    if t_max < q.max_time:",
+        "    if t_max < q.max_time:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "sample-markov-takes-no-initial",
+        "src/cachecap/traces.py",
+        """    _check_array(initial, "'initial'")  # check_chain""",
+        "    pass  # check_chain",
+        ("tests/test_traces.py",),
+    ),
 ]
 
 
-def _pytest(files: list[str], root: Path) -> subprocess.CompletedProcess:
-    """``pytest -x`` over ``files`` in the copy at ``root``, with no bytecode written."""
+def run_in_session(
+    command: list[str], limit: float | None, **kwargs
+) -> subprocess.CompletedProcess | None:
+    """Run ``command`` in a session of its own, capturing its output as text;
+    ``None`` when it ran past ``limit`` seconds, after its whole process group
+    has been killed."""
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, **kwargs,
+    ) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=limit)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            return None
+    return subprocess.CompletedProcess(command, child.returncode, stdout, stderr)
+
+
+def _pytest(files: list[str], root: Path, limit: float | None) -> subprocess.CompletedProcess | None:
+    """``pytest -x`` over ``files`` in the copy at ``root``, with no bytecode
+    written; ``None`` when it ran past ``limit`` seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *files]
-    return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    return run_in_session(command, limit, cwd=root, env=env)
 
 
-def _run(mutant: Mutant, root: Path) -> str:
+def _run(mutant: Mutant, root: Path, limit: float) -> str:
     """Apply ``mutant`` in the copy at ``root``, run its test files and restore
-    the file: "killed" when a test failed, "SURVIVED" when all passed, and
-    "ERROR" when pytest could not run them (a collection error, say)."""
+    the file: "killed" when a test failed, "timeout" when the run took longer
+    than ``limit`` seconds, "SURVIVED" when all passed, and "ERROR" when pytest
+    could not run them (a collection error, say)."""
     target = root / mutant.path
     original = target.read_text(encoding="utf-8")
     if original.count(mutant.old) != 1:
         raise SystemExit(f"{mutant.name}: old text does not occur exactly once in {mutant.path}")
     target.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
     try:
-        result = _pytest(list(mutant.killers), root)
+        result = _pytest(list(mutant.killers), root, limit)
     finally:
         target.write_text(original, encoding="utf-8")
+    if result is None:
+        return "timeout"
     if result.returncode not in (0, 1):
         print(result.stdout[-2000:] + result.stderr[-2000:], file=sys.stderr)
     return {0: "SURVIVED", 1: "killed"}.get(result.returncode, "ERROR")
@@ -213,7 +270,7 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
-    not_killed = []
+    not_killed, timeouts = [], 0
     with tempfile.TemporaryDirectory(prefix="cachecap-mutants-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -225,16 +282,21 @@ def main(names: list[str]) -> int:
                 shutil.copy2(source, root / entry)
         # Every test file must pass on the tree as it is, or a failure shows nothing.
         files = sorted({f for m in chosen for f in m.killers})
-        if _pytest(files, root).returncode != 0:
+        start = time.perf_counter()
+        if _pytest(files, root, None).returncode != 0:
             print(f"the unmutated tree fails {' '.join(files)}; no mutant run", file=sys.stderr)
             return 2
+        limit = TIME_LIMIT * (time.perf_counter() - start)
+        print(f"unmutated run {limit / TIME_LIMIT:.1f} s; each mutant's limit {limit:.1f} s", flush=True)
         for mutant in chosen:
             start = time.perf_counter()
-            outcome = _run(mutant, root)
+            outcome = _run(mutant, root, limit)
             print(f"{outcome:<8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
-            if outcome != "killed":
+            if outcome == "timeout":
+                timeouts += 1
+            elif outcome != "killed":
                 not_killed.append(mutant.name)
-    print(f"{len(chosen) - len(not_killed)} of {len(chosen)} mutants killed")
+    print(f"{len(chosen) - len(not_killed)} of {len(chosen)} mutants killed, {timeouts} by timeout")
     for name in not_killed:
         print(f"not killed: {name}")
     return 1 if not_killed else 0

@@ -20,7 +20,6 @@ from cachecap import (
     block_entropy_estimate,
     entropy_efficiency,
     load_scenario,
-    markov_entropy_rate,
     network_capacity,
     node_capacity,
     node_solution,
@@ -166,13 +165,13 @@ def test_criterion_5_time_scaling_law():
 def test_criterion_6_entropy_estimators():
     started = time.perf_counter()
     flip = MarkovSource(states=("a", "b"), transitions=((0.75, 0.25), (0.25, 0.75)))
-    assert markov_entropy_rate(flip).value == pytest.approx(0.811278, abs=1e-6)
+    assert flip.entropy({}).value == pytest.approx(0.811278, abs=1e-6)
 
     trace = sample_iid({"0": 0.5, "1": 0.5}, 10**5, seed=7)
     assert block_entropy_estimate(trace, 0).value == pytest.approx(1.0, abs=0.01)
 
     cycle = MarkovSource(states=("a", "b"), transitions=((0.0, 1.0), (1.0, 0.0)))
-    assert markov_entropy_rate(cycle).value == 0.0
+    assert cycle.entropy({}).value == 0.0
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     verdict(6, "entropy estimators (Markov rate, plug-in h0, deterministic cycle)", started)

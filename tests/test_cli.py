@@ -17,7 +17,6 @@ from cachecap import (
     analyze_network,
     count_series,
     load_scenario,
-    markov_entropy_rate,
     MarkovSource,
     sample_iid,
     write_trace,
@@ -376,7 +375,7 @@ class TestEfficiencyCommand:
                 "--json",
             ).stdout
         )
-        analytic = markov_entropy_rate(chain).value / 1.5  # E[tau] at the stationary marginal
+        analytic = chain.entropy({}).value / 1.5  # E[tau] at the stationary marginal
         assert report["efficiency_bits_per_time"] == pytest.approx(analytic, rel=0.05)
 
 

@@ -11,11 +11,18 @@ A change that moves output on purpose re-pins the runs it moves (and says
 which, and why) by rewriting the map::
 
     python tests/test_cli_corpus.py
+
+The script needs no pytest, so any interpreter the package supports can
+compare its own runs with the map, writing nothing; it prints the runs that
+moved and exits 1 if any did::
+
+    python3.12 tests/test_cli_corpus.py --check
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -28,8 +35,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if __name__ == "__main__":
     sys.path[:0] = [str(REPO_ROOT / "src")]
-
-import pytest  # noqa: E402
 
 import cachecap.cli as cli  # noqa: E402
 
@@ -116,20 +121,29 @@ def run_corpus() -> dict[str, tuple[int, str]]:
         return {shlex.join(args): run(args) for args in corpus()}
 
 
-@pytest.fixture(scope="module")
-def runs() -> dict[str, tuple[int, str]]:
+@functools.cache
+def _runs() -> dict[str, tuple[int, str]]:
+    """``run_corpus()``, run once for the tests of this module."""
     return run_corpus()
 
 
-def test_every_run_prints_the_pinned_bytes(runs):
+def moved_runs(runs: dict[str, tuple[int, str]]) -> list[str]:
+    """The command lines whose digest is not the pinned one, in order, then
+    those pinned but not run."""
     pinned = json.loads(PINS.read_text(encoding="utf-8"))
-    assert sorted(runs) == sorted(pinned), "the corpus no longer matches the pinned command lines"
-    moved = [line for line, (_, digest) in runs.items() if digest != pinned[line]]
+    moved = [line for line, (_, digest) in runs.items() if digest != pinned.get(line)]
+    return moved + [line for line in pinned if line not in runs]
+
+
+def test_every_run_prints_the_pinned_bytes():
+    runs = _runs()
+    moved = moved_runs(runs)
     assert not moved, f"{len(moved)} of {len(runs)} runs moved:\n" + "\n".join(moved)
 
 
-def test_the_corpus_reaches_every_exit_code(runs):
+def test_the_corpus_reaches_every_exit_code():
     """Error runs are pinned too: every exit code occurs, and every verb succeeds somewhere."""
+    runs = _runs()
     codes = {code for code, _ in runs.values()}
     succeeded = {line.split()[0] for line, (code, _) in runs.items() if code == 0}
     assert sorted(codes) == [0, 1, 2]
@@ -137,5 +151,13 @@ def test_the_corpus_reaches_every_exit_code(runs):
 
 
 if __name__ == "__main__":
-    pins = {line: digest for line, (_, digest) in run_corpus().items()}
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    runs = run_corpus()
+    if sys.argv[1:] == ["--check"]:
+        moved = moved_runs(runs)
+        print(f"Python {sys.version.split()[0]}: {len(moved)} of {len(runs)} runs moved")
+        print("\n".join(moved), end="\n" if moved else "")
+        sys.exit(1 if moved else 0)
+    pins = {line: digest for line, (_, digest) in runs.items()}
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,7 +18,6 @@ from cachecap import (
     block_entropy_estimate,
     empirical_distribution,
     entropy_efficiency,
-    markov_entropy_rate,
     node_capacity,
     optimal_distribution,
     sample_iid,
@@ -122,10 +121,10 @@ class TestIidEntropy:
 class TestMarkovEntropyRate:
     def test_deterministic_cycle_has_zero_rate(self):
         cycle = MarkovSource(states=("a", "b"), transitions=((0.0, 1.0), (1.0, 0.0)))
-        assert markov_entropy_rate(cycle).value == 0.0
+        assert cycle.entropy({}).value == 0.0
 
     def test_symmetric_flip(self):
-        assert markov_entropy_rate(FLIP).value == pytest.approx(0.811278, abs=1e-6)
+        assert FLIP.entropy({}).value == pytest.approx(0.811278, abs=1e-6)
 
     def test_identical_rows_reduce_to_iid(self):
         row = {"a": 0.2, "b": 0.3, "c": 0.5}
@@ -133,7 +132,7 @@ class TestMarkovEntropyRate:
             states=("a", "b", "c"),
             transitions=((0.2, 0.3, 0.5),) * 3,
         )
-        assert markov_entropy_rate(chain).value == pytest.approx(
+        assert chain.entropy({}).value == pytest.approx(
             IIDSource(row).entropy(dict.fromkeys(row, 1)).value, rel=1e-12
         )
 
@@ -142,7 +141,7 @@ class TestMarkovEntropyRate:
         for transitions in (((1.0, 0.0), (0.0, 1.0)), ((0.5, 0.5), (0.0, 1.0))):
             chain = MarkovSource(states=("a", "b"), transitions=transitions)
             with pytest.raises(ValueError, match="reducible"):
-                markov_entropy_rate(chain)
+                chain.entropy({})
 
     def test_non_stochastic_rows_rejected(self):
         with pytest.raises(ValueError, match="row"):
@@ -175,12 +174,12 @@ class TestMarkovEntropyRate:
         rows = [[0.9, 0.1], [0.1, 0.9]]
         initial = [1.0, 0.0]
         chain = MarkovSource(["a", "b"], rows, initial)
-        marginal, rate = chain.marginal(), markov_entropy_rate(chain)
+        marginal, rate = chain.marginal(), chain.entropy({})
         rows[0][:] = [0.5, 0.5]
         initial[:] = [0.0, 1.0]
         assert chain == (("a", "b"), ((0.9, 0.1), (0.1, 0.9)), (1.0, 0.0))
         assert chain.marginal() == marginal == pytest.approx({"a": 0.5, "b": 0.5})
-        assert markov_entropy_rate(chain) == rate
+        assert chain.entropy({}) == rate
         assert rate.value == pytest.approx(0.468996, abs=1e-6)
 
     @pytest.mark.parametrize("through", ["replace", "make"])
@@ -322,6 +321,15 @@ class TestBlockEntropyEstimate:
             estimate(trace)
         assert estimate(trace, force=True).value >= 0.0
 
+    @pytest.mark.parametrize("order, needed", [(0, 20), (1, 40)])
+    def test_a_trace_of_exactly_the_needed_length_is_estimated(self, order, needed):
+        # 10 * 2**(order + 1) symbols over two ids is enough, one fewer is not
+        trace = ("a", "b") * (needed // 2)
+        assert block_entropy_estimate(trace, order).value >= 0.0
+        message = f"trace of length {needed - 1} is too short for order {order} (need >= {needed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
+            block_entropy_estimate(trace[:-1], order)
+
     def test_trace_shorter_than_a_block_rejected_even_when_forced(self):
         with pytest.raises(ValueError, match="^trace of length 1 is shorter than a block of 2$"):
             block_entropy_estimate(["a"], 1, force=True)
@@ -456,6 +464,14 @@ class TestEntropyEfficiency:
         assert result.efficiency_bits_per_time == 1.0
         assert result.capacity_bits_per_time == 1.0
         assert result.utilization_ratio == 1.0
+
+    def test_a_one_file_node_has_no_utilization(self):
+        # one file gives x0 = 1, so capacity 0, and there is nothing to divide by
+        net, node = single_node_network([(1, 2.0)])
+        result = entropy_efficiency(net, node, IIDSource(class_mass={"c0": 1.0}))
+        assert result.capacity_bits_per_time == 0.0
+        assert result.utilization_ratio is None
+        assert result == (node, 0.0, 2.0, 0.0, 0.0, None)
 
     def test_fig1_optimal_source_attains_capacity(self, fig1):
         dist = optimal_distribution(fig1, "w2")

@@ -252,6 +252,25 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="t_max"):
             convergence_report(PELL, 1, 2.0)
 
+    @pytest.mark.parametrize("t_max", ["5", None, True, False, 5.0], ids=repr)
+    def test_horizon_not_an_int_rejected_before_it_is_compared(self, t_max):
+        # compared first, "5" and None raised TypeError and True was below the largest time
+        for call in (lambda: convergence_report(PELL, t_max, 2.0), lambda: count_series(PELL, t_max)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"t_max must be an int, got {t_max!r}"
+
+    def test_a_step_beyond_the_horizon_is_refused_before_counting(self, monkeypatch):
+        # counting first would allocate a window of 2,000,000,000 values
+        def no_count(q, t_max):
+            raise AssertionError("count_series ran")
+
+        monkeypatch.setattr(oracle, "count_series", no_count)
+        wide = QuantizedCatalog(int_times=((2, 1), (1, 2_000_000_000)), grid=1e-9)
+        message = "t_max 200 is below the largest quantized time 2000000000"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_report(wide, 200, 2.0)
+
     @pytest.mark.parametrize(
         "grid", [0.0, -1.0, math.inf, math.nan, pytest.param(10**400, id="10**400"), True, "1"]
     )

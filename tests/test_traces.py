@@ -372,8 +372,9 @@ class TestSampleMarkov:
             (("a", "b"), {"a": (1.0,), "b": (1.0,)}, (1.0, 0.0), "'transitions' must be an array"),
             (("a", "b"), ("10", "01"), (1.0, 0.0), "'transitions' row 0 must be an array"),
             (("a", "b"), ((1.0, 0.0), (0.0, 1.0)), "ab", "'initial' must be an array"),
+            (("a", "b"), ((1.0, 0.0), (0.0, 1.0)), None, "'initial' must be an array"),
         ],
-        ids=["states-string", "transitions-mapping", "row-string", "initial-string"],
+        ids=["states-string", "transitions-mapping", "row-string", "initial-string", "initial-none"],
     )
     def test_fields_that_are_not_arrays_rejected(self, states, transitions, initial, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -74,7 +74,7 @@ def _load_scenario(path: str) -> tuple[Network, dict]:
 def _load_source_spec(path: str) -> IIDSource | MarkovSource:
     from .entropy import IIDSource, MarkovSource
 
-    doc = parse_json(Path(path).read_text(encoding="utf-8"), f"source spec {path}")
+    doc = parse_json(Path(path).read_bytes(), f"source spec {path}")
     if not isinstance(doc, Mapping) or "type" not in doc:
         raise ScenarioError(f"source spec {path} must be an object with a 'type' field")
     kind = doc["type"]

@@ -22,7 +22,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .capacity import SolverError, node_capacity
-from .model import Network, ScenarioError, effective_catalog
+from .model import Network, ScenarioError, check_non_negative_int, effective_catalog
 from .traces import (
     Trace,
     check_chain,
@@ -336,10 +336,7 @@ def _check_estimate(symbols: tuple[str, ...], n: int, force: bool) -> None:
     long enough for is checked against the alphabet here, so its blocks,
     which could be as long as the trace, are never counted.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"order must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
+    check_non_negative_int(n, "order")
     if not isinstance(force, bool):
         raise ValueError(f"force must be a bool, got {force!r}")
     if len(symbols) < n + 1:

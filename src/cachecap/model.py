@@ -148,17 +148,30 @@ def _as_id(value: object, what: str) -> str:
     return value
 
 
-def _as_count(value: object, what: str) -> int:
+def _entry_id(raw: object, kind: str, seen: Mapping[str, object]) -> str:
+    if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
+        raise ScenarioError(f"{kind} entry missing 'id'")
+    eid = raw["id"]
+    if type(eid) is not str:
+        eid = _as_id(eid, f"{kind} id")
+    if eid in seen:
+        raise ScenarioError(f"duplicate {kind} id '{eid}'")
+    return eid
+
+
+def _as_count(value: object, cid: str) -> int:
+    if type(value) is int and value >= 1:
+        return value
     if isinstance(value, bool):
-        raise ScenarioError(f"{what}: count must be an integer, got boolean")
+        raise ScenarioError(f"class '{cid}': count must be an integer, got boolean")
     if isinstance(value, float):
         if not value.is_integer():
-            raise ScenarioError(f"{what}: count must be an integer, got {value}")
+            raise ScenarioError(f"class '{cid}': count must be an integer, got {value}")
         value = int(value)
     if not isinstance(value, int):
-        raise ScenarioError(f"{what}: count must be an integer")
+        raise ScenarioError(f"class '{cid}': count must be an integer")
     if value < 1:
-        raise ScenarioError(f"{what}: non-positive count {value}")
+        raise ScenarioError(f"class '{cid}': non-positive count {value}")
     return value
 
 
@@ -174,6 +187,13 @@ def _as_time(value: object, what: str) -> float:
     if t <= 0:
         raise ScenarioError(f"{what}: non-positive time {value}")
     return t
+
+
+def check_non_negative_int(value: object, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def build_network(doc: Mapping) -> Network:
@@ -204,28 +224,13 @@ def build_network(doc: Mapping) -> Network:
     classes: list[FileClass] = []
     seen_classes: dict[str, str] = {}  # each class id to the object its FileClass holds
     for raw in doc.get("classes", []):
-        if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
-            raise ScenarioError("class entry missing 'id'")
-        cid = raw["id"]
-        if type(cid) is not str:
-            cid = _as_id(cid, "class id")
-        if cid in seen_classes:
-            raise ScenarioError(f"duplicate class id '{cid}'")
+        cid = _entry_id(raw, "class", seen_classes)
         seen_classes[cid] = cid
-        count = raw.get("count", 1)
-        if type(count) is not int or count < 1:
-            count = _as_count(count, f"class '{cid}'")
-        classes.append(FileClass(cid, count))
+        classes.append(FileClass(cid, _as_count(raw.get("count", 1), cid)))
 
     nodes_by_id: dict[str, Node] = {}
     for raw in doc.get("nodes", []):
-        if not ((type(raw) is dict or isinstance(raw, Mapping)) and "id" in raw):
-            raise ScenarioError("node entry missing 'id'")
-        nid = raw["id"]
-        if type(nid) is not str:
-            nid = _as_id(nid, "node id")
-        if nid in nodes_by_id:
-            raise ScenarioError(f"duplicate node id '{nid}'")
+        nid = _entry_id(raw, "node", nodes_by_id)
         stores = raw.get("stores", [])
         if not isinstance(stores, list):
             raise ScenarioError(f"node '{nid}': 'stores' must be an array")
@@ -314,11 +319,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def parse_json(text: str, what: str) -> object:
-    """Parse JSON text, rejecting duplicate object keys; errors name ``what``."""
+def parse_json(data: bytes, what: str) -> object:
+    """Parse UTF-8 JSON bytes, rejecting duplicate object keys; errors name ``what``."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError, ScenarioError) as exc:
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, ScenarioError) as exc:
         raise ScenarioError(f"invalid JSON in {what}: {exc}") from exc
 
 
@@ -332,7 +337,7 @@ def _parse_scenario(data: bytes, path: str | Path) -> Network:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return build_network(parse_json(data.decode("utf-8"), str(path)))
+        return build_network(parse_json(data, str(path)))
     finally:
         if enabled:
             gc.enable()

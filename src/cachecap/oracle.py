@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .model import EffectiveCatalog, Network, effective_catalog
+from .model import EffectiveCatalog, Network, check_non_negative_int, effective_catalog
 
 __all__ = [
     "QuantizedCatalog",
@@ -155,19 +155,11 @@ def count_series(q: QuantizedCatalog, t_max: int) -> list[int]:
     within a kind are distinct, so a kind gives ``count`` choices per
     position, and nu(0) = 1 is the empty task.
     """
-    _check_horizon(t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    check_non_negative_int(t_max, "t_max")
     nu = [0] * (t_max + 1)  # allocated first: a horizon too large fails before any work
     for t, value in zip(range(t_max + 1), _recurrence(q, 1)):
         nu[t] = value
     return nu
-
-
-def _check_horizon(t_max: int) -> None:
-    """Reject a horizon that is a ``bool`` or no ``int``, before it is compared."""
-    if isinstance(t_max, bool) or not isinstance(t_max, int):
-        raise ValueError(f"t_max must be an int, got {t_max!r}")
 
 
 def _decimal_series(q: QuantizedCatalog, t_max: int) -> list[str]:
@@ -222,7 +214,7 @@ def convergence_report(
     ``ValueError``.
     """
     _check_grid(q.grid)
-    _check_horizon(t_max)
+    check_non_negative_int(t_max, "t_max")
     if t_max < q.max_time:  # before counting: the recurrence keeps a window of max_time values
         raise ValueError(f"t_max {t_max} is below the largest quantized time {q.max_time}")
     x0 = solver_x0

@@ -29,6 +29,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
+from .model import check_non_negative_int
+
 __all__ = [
     "Trace",
     "sample_iid",
@@ -208,10 +210,7 @@ def _walk(
     list is allocated first, so a length too large to hold raises
     MemoryError, naming ``n``, before any draw.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"n must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_non_negative_int(n, "n")
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     try:
@@ -285,12 +284,15 @@ def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
 
 
 def read_trace(path: str | Path) -> Trace:
-    """The ids in a trace file. A file that starts with a UTF-8 byte order mark
-    raises ValueError, naming the path: the mark would join the first line. So
-    does a later line whose stripped text starts with one, naming the line's
-    number too: a second file's mark, where files were joined, would turn its
-    header into an id."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The ids in a trace file. A file that is not UTF-8, or that starts with a
+    UTF-8 byte order mark, raises ValueError, naming the path: the mark would
+    join the first line. So does a later line whose stripped text starts with
+    one, naming the line's number too: a second file's mark, where files were
+    joined, would turn its header into an id."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"trace file {path} is not UTF-8: {exc}") from exc
     if text.startswith("\ufeff"):
         raise ValueError(f"trace file {path} starts with a UTF-8 byte order mark")
     if "\ufeff" in text:

@@ -202,7 +202,7 @@ MUTANTS = [
     Mutant(
         "oracle-report-compares-an-unchecked-horizon",
         "src/cachecap/oracle.py",
-        "    _check_horizon(t_max)\n    if t_max < q.max_time:",
+        '    check_non_negative_int(t_max, "t_max")\n    if t_max < q.max_time:',
         "    if t_max < q.max_time:",
         ("tests/test_oracle.py",),
     ),
@@ -212,6 +212,28 @@ MUTANTS = [
         """    _check_array(initial, "'initial'")  # check_chain""",
         "    pass  # check_chain",
         ("tests/test_traces.py",),
+    ),
+    # Each input rule said once: the shared entry id check, the one horizon rule, UTF-8 input.
+    Mutant(
+        "entry-id-accepts-a-duplicate",
+        "src/cachecap/model.py",
+        "    if eid in seen:",
+        "    if eid in seen and False:",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "horizon-rule-takes-a-bool",
+        "src/cachecap/model.py",
+        "    if isinstance(value, bool) or not isinstance(value, int):",
+        "    if not isinstance(value, int):",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "parse-json-lets-a-decode-error-through-unnamed",
+        "src/cachecap/model.py",
+        "except (UnicodeDecodeError, json.JSONDecodeError,",
+        "except (json.JSONDecodeError,",
+        ("tests/test_cli.py",),
     ),
 ]
 

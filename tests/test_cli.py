@@ -690,6 +690,35 @@ class TestStrictInputs:
         assert cli.main(["efficiency", fig1, "w2", "--source", spec]) == 1
         assert "duplicate key 'own'" in capsys.readouterr().err
 
+    def test_scenario_not_utf8_is_one_naming_the_file(self, capsys):
+        scenario = str(FIXTURE_DIR / "corpus.utf16-scenario.json")
+        assert cli.main(["validate", scenario]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: invalid JSON in {scenario}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n",
+        )
+
+    def test_source_spec_not_utf8_is_one_naming_the_file(self, capsys):
+        spec = str(FIXTURE_DIR / "corpus.latin1-spec.json")
+        three = str(scenario_path("three-file.json"))
+        assert cli.main(["efficiency", three, "n", "--source", spec]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: invalid JSON in source spec {spec}: 'utf-8' codec can't decode byte 0xff "
+            "in position 42: invalid start byte\n",
+        )
+
+    def test_trace_not_utf8_is_one_naming_the_file(self, capsys):
+        trace = str(FIXTURE_DIR / "corpus.latin1.trace")
+        three = str(scenario_path("three-file.json"))
+        assert cli.main(["efficiency", three, "n", "--trace", trace]) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: trace file {trace} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 21: invalid start byte\n",
+        )
+
     def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys):
         scenario, replacement = tmp_path / "s.json", tmp_path / "next.json"
         parsed = scenario_path("fig1.json").read_bytes()

@@ -78,6 +78,12 @@ def corpus() -> list[list[str]]:
     runs += [
         ["oracle", "scenarios/three-file.json", "n", "--tmax", "5000"],
         ["oracle", "scenarios/three-file.json", "n", "--tmax", str(10**18)],  # too large to allocate
+        ["oracle", "scenarios/three-file.json", "n", "--tmax", "-1"],
+    ]
+    runs += [  # inputs that are not UTF-8
+        ["validate", "tests/fixtures/corpus.utf16-scenario.json"],
+        ["efficiency", "scenarios/three-file.json", "n", "--source", "tests/fixtures/corpus.latin1-spec.json"],
+        ["efficiency", "scenarios/three-file.json", "n", "--trace", "tests/fixtures/corpus.latin1.trace"],
     ]
     runs += [
         ["gen-trace", spec, "--n", "1000", "--seed", "5", "--out", TRACE_OUT] for spec in GEN_SPECS

@@ -252,6 +252,16 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="t_max"):
             convergence_report(PELL, 1, 2.0)
 
+    def test_a_negative_horizon_is_refused_as_negative_before_counting(self, monkeypatch):
+        # compared first, it read "t_max -1 is below the largest quantized time 2"
+        def no_count(q, t_max):
+            raise AssertionError("count_series ran")
+
+        monkeypatch.setattr(oracle, "count_series", no_count)
+        assert PELL.max_time == 2
+        with pytest.raises(ValueError, match="^t_max must be >= 0, got -1$"):
+            convergence_report(PELL, -1, 2.0)
+
     @pytest.mark.parametrize("t_max", ["5", None, True, False, 5.0], ids=repr)
     def test_horizon_not_an_int_rejected_before_it_is_compared(self, t_max):
         # compared first, "5" and None raised TypeError and True was below the largest time

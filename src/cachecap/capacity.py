@@ -209,8 +209,11 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
         raise ScenarioError(
             f"node '{node_id}' has zero capacity; no optimal access distribution exists"
         )
-    file_probability = {cid: x0**-time for cid, time in catalog.entries.items()}
-    class_mass = {cid: catalog.counts[cid] * p for cid, p in file_probability.items()}
+    counts = catalog.counts
+    file_probability, class_mass = {}, {}
+    for cid, time in catalog.entries.items():
+        p = file_probability[cid] = x0**-time
+        class_mass[cid] = counts[cid] * p
     return OptimalDistribution(
         node=node_id, x0=x0, class_mass=class_mass, file_probability=file_probability
     )

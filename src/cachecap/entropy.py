@@ -49,7 +49,9 @@ _STATIONARY_TOL = 1e-12
 class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])])):
     """i.i.d. access: ``class_mass[c]`` is the total probability of class c.
 
-    Within a class the mass is spread uniformly over the class's files.
+    Within a class the mass is spread uniformly over the class's files. The
+    source keeps a plain ``dict`` copy of the masses, taken once they are
+    checked, so changing the caller's mapping later does not change the source.
     """
 
     __slots__ = ()
@@ -57,7 +59,7 @@ class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])]))
 
     def __new__(cls, class_mass: Mapping[str, float]) -> IIDSource:
         check_class_mass(class_mass, "class_mass")
-        return super().__new__(cls, class_mass)
+        return super().__new__(cls, dict(class_mass))
 
     # _replace builds through _make, so a rebuilt source is checked too
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -71,10 +73,11 @@ class IIDSource(NamedTuple("_IIDFields", [("class_mass", Mapping[str, float])]))
         A class of k files with total mass m contributes -m*log2(m/k), i.e.
         the mass is uniform over the class's files; 0*log(0) is 0.
         """
+        log2 = math.log2
         h = 0.0
         for cid, mass in self.class_mass.items():
             if mass > 0.0:
-                h -= mass * (math.log2(mass) - math.log2(counts[cid]))
+                h -= mass * (log2(mass) - log2(counts[cid]))
         return EntropyEstimate(order=0, value=h + 0.0)
 
     def sample(self, n: int, seed: int) -> Trace:
@@ -150,10 +153,19 @@ class EmpiricalSource(_EmpiricalFields):
     stationary distribution; the marginal and the entropy are both read off
     that one count. An order or ``force`` that no estimate can be made with
     fails in ``entropy``, not in ``marginal``: the count then holds the
-    symbols alone.
+    symbols alone. A list is kept as a tuple, so adding to the caller's list
+    later does not change the source.
     """
 
     kind = "trace"
+
+    def __new__(cls, trace, order=0, force=False) -> EmpiricalSource:
+        if isinstance(trace, list):
+            trace = tuple(trace)
+        return super().__new__(cls, trace, order, force)
+
+    # _replace builds through _make, so a rebuilt source keeps no list either
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def _counts(self) -> tuple[int, Counter]:
@@ -367,21 +379,12 @@ def block_entropy_estimate(
     return EmpiricalSource(trace_symbols(symbols, "symbols"), n, force).entropy({})
 
 
-def entropy_efficiency(
-    net: Network, node_id: str, src: IIDSource | MarkovSource | EmpiricalSource
-) -> EfficiencyResult:
-    """Entropy efficiency of one node under an access process.
-
-    The source supplies its per-file entropy (analytic for i.i.d. and
-    Markov, plug-in at the chosen order for traces) and its class marginal;
-    the mean read time weights the node's minimal times by that marginal.
-    For i.i.d. sources the entropy additionally counts the uniform choice
-    among the files inside each class.
-    """
-    catalog = effective_catalog(net, node_id)
-    times = catalog.entries
-    counts = catalog.counts
-    marginal = src.marginal()
+def _raise_unreadable(
+    marginal: Mapping[str, float], counts: Mapping[str, int], times: Mapping[str, float], node_id: str
+) -> None:
+    """Raise ScenarioError for the first class, in id order, that has mass but
+    is unknown to the network or unreachable at the node. Called once a class
+    with mass has failed, so it raises at that class or at one before it."""
     for cid, mass in sorted(marginal.items()):
         if mass <= 0.0:
             continue
@@ -392,11 +395,35 @@ def entropy_efficiency(
                 f"source assigns mass to class '{cid}', unreachable at node '{node_id}'"
             )
 
-    estimate = src.entropy(counts)
+
+def entropy_efficiency(
+    net: Network, node_id: str, src: IIDSource | MarkovSource | EmpiricalSource
+) -> EfficiencyResult:
+    """Entropy efficiency of one node under an access process.
+
+    The source supplies its per-file entropy (analytic for i.i.d. and
+    Markov, plug-in at the chosen order for traces) and its class marginal;
+    the mean read time weights the node's minimal times by that marginal.
+    For i.i.d. sources the entropy additionally counts the uniform choice
+    among the files inside each class. The marginal is read once: each class
+    with mass is checked as its read time is added. Only when one fails is
+    the marginal walked again, in id order, so that the error names the
+    first failing class by id, whatever order the marginal comes in.
+    """
+    catalog = effective_catalog(net, node_id)
+    times = catalog.entries
+    counts = catalog.counts
+    marginal = src.marginal()
     mean_time = 0  # added left to right from the int 0, as sum() did before 3.12 compensated floats
     for cid, mass in marginal.items():
-        if mass > 0.0:
+        if mass <= 0.0:
+            continue
+        if cid not in times or cid not in counts:
+            _raise_unreadable(marginal, counts, times, node_id)
+        if mass > 0.0:  # a NaN mass is checked but adds nothing
             mean_time += mass * times[cid]
+
+    estimate = src.entropy(counts)
     if mean_time <= 0.0:
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
 

@@ -58,15 +58,20 @@ class Trace(NamedTuple):
 
 
 def check_distribution(values: Iterable[float], label: str) -> None:
-    """Raise ValueError unless ``values`` are finite, non-negative and sum to 1 (within 1e-9)."""
+    """Raise ValueError unless ``values`` are finite, non-negative and sum to 1 (within 1e-9).
+
+    A value whose type is exactly ``float`` and for which ``v - v`` is 0.0,
+    which is false for an infinity and for NaN, is finite with no further test.
+    """
     total = 0.0
     for v in values:
-        try:
-            finite = not isinstance(v, bool) and math.isfinite(v)
-        except (OverflowError, TypeError):  # an integer beyond the float range, or no number
-            finite = False
-        if not finite:
-            raise ValueError(f"{label}: probability {v!r} is not a finite number")
+        if type(v) is not float or v - v != 0.0:
+            try:
+                finite = not isinstance(v, bool) and math.isfinite(v)
+            except (OverflowError, TypeError):  # an integer beyond the float range, or no number
+                finite = False
+            if not finite:
+                raise ValueError(f"{label}: probability {v!r} is not a finite number")
         if v < 0:
             raise ValueError(f"{label}: negative probability {v}")
         total += v
@@ -77,7 +82,7 @@ def check_distribution(values: Iterable[float], label: str) -> None:
 def check_ids(ids: Iterable[str], label: str) -> None:
     """Raise ValueError, naming the id, unless every id in ``ids`` is a string."""
     for cid in ids:
-        if not isinstance(cid, str):
+        if type(cid) is not str and not isinstance(cid, str):
             raise ValueError(f"{label} must be strings, got {cid!r}")
 
 

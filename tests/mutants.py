@@ -73,8 +73,8 @@ MUTANTS = [
     Mutant(
         "iid-entropy-drops-within-class-term",
         "src/cachecap/entropy.py",
-        "h -= mass * (math.log2(mass) - math.log2(counts[cid]))",
-        "h -= mass * math.log2(mass)",
+        "h -= mass * (log2(mass) - log2(counts[cid]))",
+        "h -= mass * log2(mass)",
         ("tests/test_entropy.py",),
     ),
     Mutant(
@@ -234,6 +234,35 @@ MUTANTS = [
         "except (UnicodeDecodeError, json.JSONDecodeError,",
         "except (json.JSONDecodeError,",
         ("tests/test_cli.py",),
+    ),
+    # The one-pass query: the exact-float short path, the error order, the kept copies.
+    Mutant(
+        "distribution-float-path-takes-nan-and-inf",
+        "src/cachecap/traces.py",
+        "if type(v) is not float or v - v != 0.0:",
+        "if type(v) is not float:",
+        ("tests/test_traces.py",),
+    ),
+    Mutant(
+        "efficiency-names-the-first-failing-class-in-marginal-order",
+        "src/cachecap/entropy.py",
+        "for cid, mass in sorted(marginal.items()):",
+        "for cid, mass in marginal.items():",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "iid-source-shares-the-callers-mapping",
+        "src/cachecap/entropy.py",
+        "return super().__new__(cls, dict(class_mass))",
+        "return super().__new__(cls, class_mass)",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "empirical-source-keeps-the-callers-list",
+        "src/cachecap/entropy.py",
+        "            trace = tuple(trace)\n",
+        "            pass\n",
+        ("tests/test_entropy.py",),
     ),
 ]
 

@@ -408,6 +408,24 @@ class TestOneCountEstimate:
         marginal = EmpiricalSource(Trace(symbols), order).marginal()
         assert list(marginal.items()) == list(empirical_distribution(symbols).items())
 
+    def test_a_list_is_kept_as_a_tuple(self):
+        symbols = ["a", "b"] * 20
+        src = EmpiricalSource(trace=symbols)
+        assert src.marginal() == {"a": 0.5, "b": 0.5}
+        symbols.extend(["c"] * 40)
+        assert src.trace == ("a", "b") * 20
+        assert src.marginal() == {"a": 0.5, "b": 0.5}
+        assert src.entropy({}).value == 1.0
+        assert src._replace(order=1).trace == src.trace
+
+    def test_a_trace_or_a_tuple_is_kept_as_given_and_other_values_fail_as_before(self):
+        for trace in (FLIP_TRACE, FLIP_TRACE.symbols):
+            assert EmpiricalSource(trace).trace is trace
+        src = EmpiricalSource("ab" * 20)
+        assert src.trace == "ab" * 20
+        with pytest.raises(ValueError, match="^'trace' must be a Trace, a list or a tuple, got str$"):
+            src.marginal()
+
     def test_an_empty_trace_has_no_marginal(self):
         with pytest.raises(ValueError, match="^cannot take the empirical distribution of an empty trace$"):
             EmpiricalSource(Trace(())).marginal()
@@ -503,6 +521,32 @@ class TestEntropyEfficiency:
         src = IIDSource(class_mass={"own": 1.0, "ghost": 0.0})
         result = entropy_efficiency(fig1, "w2", src)
         assert result == entropy_efficiency(fig1, "w2", IIDSource(class_mass={"own": 1.0}))
+
+    def test_a_source_keeps_its_own_copy_of_the_masses(self, fig1):
+        masses = {"own": 0.5, "lib": 0.5}
+        src = IIDSource(class_mass=masses)
+        expected = entropy_efficiency(fig1, "w2", src)
+        masses["own"] = 7.0
+        assert type(src.class_mass) is dict and src.class_mass == {"own": 0.5, "lib": 0.5}
+        assert entropy_efficiency(fig1, "w2", src) == expected
+        assert expected.mean_read_time == 5.5
+
+    @pytest.mark.parametrize(
+        "node, masses, message",
+        [
+            ("w2", {"zeta": 0.5, "alpha": 0.5}, "source references unknown class 'alpha'"),
+            (
+                "w1",
+                {"zzz": 0.5, "own": 0.5},
+                "source assigns mass to class 'own', unreachable at node 'w1'",
+            ),
+        ],
+        ids=["two-unknown", "unreachable-before-unknown"],
+    )
+    def test_of_two_failing_classes_the_first_by_id_is_named(self, fig1, node, masses, message):
+        # the marginal lists the failing classes out of id order
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            entropy_efficiency(fig1, node, IIDSource(class_mass=masses))
 
     def test_markov_source_uses_stationary_marginal(self, three_file):
         chain = MarkovSource(

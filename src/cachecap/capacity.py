@@ -213,7 +213,10 @@ def optimal_distribution(net: Network, node_id: str) -> OptimalDistribution:
     file_probability, class_mass = {}, {}
     for cid, time in catalog.entries.items():
         p = file_probability[cid] = x0**-time
-        class_mass[cid] = counts[cid] * p
+        try:
+            class_mass[cid] = counts[cid] * p
+        except OverflowError:  # a count beyond the float range: take the product in logs
+            class_mass[cid] = 2.0 ** (math.log2(counts[cid]) - time * math.log2(x0))
     return OptimalDistribution(
         node=node_id, x0=x0, class_mass=class_mass, file_probability=file_probability
     )

@@ -140,7 +140,7 @@ class MarkovSource(_MarkovFields):
 
 
 class _EmpiricalFields(NamedTuple):
-    trace: Trace
+    trace: tuple[str, ...]
     order: int = 0
     force: bool = False
 
@@ -148,39 +148,36 @@ class _EmpiricalFields(NamedTuple):
 class EmpiricalSource(_EmpiricalFields):
     """Access statistics taken from a recorded trace, estimated at block order k.
 
-    The trace's (k+1)-blocks are counted once per source, on first use, and
-    kept in the instance ``__dict__``, as ``MarkovSource`` keeps its
-    stationary distribution; the marginal and the entropy are both read off
-    that one count. An order or ``force`` that no estimate can be made with
-    fails in ``entropy``, not in ``marginal``: the count then holds the
-    symbols alone. A list is kept as a tuple, so adding to the caller's list
-    later does not change the source.
+    The symbols are taken once, as a tuple, when the source is built
+    (``trace_symbols``), so a string or a mapping fails there and a caller's
+    list changed later does not change the source. The (k+1)-blocks are
+    counted once, on first use, and kept in the instance ``__dict__``, as
+    ``MarkovSource`` keeps its stationary distribution; the marginal and the
+    entropy are both read off that one count. An order or ``force`` that no
+    estimate can be made with fails in ``entropy``, not in ``marginal``.
     """
 
     kind = "trace"
 
     def __new__(cls, trace, order=0, force=False) -> EmpiricalSource:
-        if isinstance(trace, list):
-            trace = tuple(trace)
-        return super().__new__(cls, trace, order, force)
+        return super().__new__(cls, trace_symbols(trace, "trace"), order, force)
 
-    # _replace builds through _make, so a rebuilt source keeps no list either
+    # _replace builds through _make, so a rebuilt source takes its symbols the same way
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
     def _counts(self) -> tuple[int, Counter]:
         """The block length m and the counts of the trace's m-blocks."""
-        symbols = trace_symbols(self.trace, "trace")
         try:
-            _check_estimate(symbols, self.order, self.force)
+            _check_estimate(self.trace, self.order, self.force)
             m = self.order + 1
         except ValueError:
             m = 1
-        return m, _block_counts(symbols, m)
+        return m, _block_counts(self.trace, m)
 
     def marginal(self) -> dict[str, float]:
         """Normalized symbol frequencies, by id: ``empirical_distribution`` of the trace."""
-        symbols = trace_symbols(self.trace, "trace")
+        symbols = self.trace
         if not symbols:
             raise ValueError("cannot take the empirical distribution of an empty trace")
         m, counts = self._counts
@@ -190,7 +187,7 @@ class EmpiricalSource(_EmpiricalFields):
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
         """``block_entropy_estimate`` of the trace at the source's order and
         ``force``: the one place an estimate is made."""
-        symbols = trace_symbols(self.trace, "trace")
+        symbols = self.trace
         n, force = self.order, self.force
         _check_estimate(symbols, n, force)
         blocks = self._counts[1]
@@ -379,23 +376,6 @@ def block_entropy_estimate(
     return EmpiricalSource(trace_symbols(symbols, "symbols"), n, force).entropy({})
 
 
-def _raise_unreadable(
-    marginal: Mapping[str, float], counts: Mapping[str, int], times: Mapping[str, float], node_id: str
-) -> None:
-    """Raise ScenarioError for the first class, in id order, that has mass but
-    is unknown to the network or unreachable at the node. Called once a class
-    with mass has failed, so it raises at that class or at one before it."""
-    for cid, mass in sorted(marginal.items()):
-        if mass <= 0.0:
-            continue
-        if cid not in counts:
-            raise ScenarioError(f"source references unknown class '{cid}'")
-        if cid not in times:
-            raise ScenarioError(
-                f"source assigns mass to class '{cid}', unreachable at node '{node_id}'"
-            )
-
-
 def entropy_efficiency(
     net: Network, node_id: str, src: IIDSource | MarkovSource | EmpiricalSource
 ) -> EfficiencyResult:
@@ -406,9 +386,9 @@ def entropy_efficiency(
     the mean read time weights the node's minimal times by that marginal.
     For i.i.d. sources the entropy additionally counts the uniform choice
     among the files inside each class. The marginal is read once: each class
-    with mass is checked as its read time is added. Only when one fails is
-    the marginal walked again, in id order, so that the error names the
-    first failing class by id, whatever order the marginal comes in.
+    with mass is checked as its read time is added. Only when one fails are
+    the classes with mass that the node cannot read gathered, so that the
+    error names the first by id, whatever order the marginal comes in.
     """
     catalog = effective_catalog(net, node_id)
     times = catalog.entries
@@ -419,7 +399,11 @@ def entropy_efficiency(
         if mass <= 0.0:
             continue
         if cid not in times or cid not in counts:
-            _raise_unreadable(marginal, counts, times, node_id)
+            readable = times.keys() & counts.keys()
+            cid = min({c for c, m in marginal.items() if not m <= 0.0} - readable)
+            if cid not in counts:
+                raise ScenarioError(f"source references unknown class '{cid}'")
+            raise ScenarioError(f"source assigns mass to class '{cid}', unreachable at node '{node_id}'")
         if mass > 0.0:  # a NaN mass is checked but adds nothing
             mean_time += mass * times[cid]
 

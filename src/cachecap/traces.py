@@ -269,11 +269,11 @@ def sample_markov(
 
 
 def trace_symbols(trace: Trace | Sequence[str], label: str) -> tuple[str, ...]:
-    """The symbols of a Trace, a list or a tuple. A string or a mapping, which
-    iteration would split into characters or keys, raises ValueError naming
-    ``label``."""
+    """The symbols of a Trace, a list or a tuple, as a tuple. A string or a
+    mapping, which iteration would split into characters or keys, raises
+    ValueError naming ``label``, whether a Trace holds it or not."""
     if isinstance(trace, Trace):
-        return trace.symbols
+        trace = trace.symbols
     if not isinstance(trace, (list, tuple)):
         raise ValueError(f"'{label}' must be a Trace, a list or a tuple, got {type(trace).__name__}")
     return tuple(trace)

@@ -246,8 +246,8 @@ MUTANTS = [
     Mutant(
         "efficiency-names-the-first-failing-class-in-marginal-order",
         "src/cachecap/entropy.py",
-        "for cid, mass in sorted(marginal.items()):",
-        "for cid, mass in marginal.items():",
+        "cid = min({c for c, m in marginal.items()",
+        "cid = cid or min({c for c, m in marginal.items()",
         ("tests/test_entropy.py",),
     ),
     Mutant(
@@ -260,9 +260,32 @@ MUTANTS = [
     Mutant(
         "empirical-source-keeps-the-callers-list",
         "src/cachecap/entropy.py",
-        "            trace = tuple(trace)\n",
-        "            pass\n",
+        "super().__new__(cls, trace_symbols(trace, \"trace\"), order, force)",
+        "super().__new__(cls, trace if isinstance(trace, list) else "
+        "trace_symbols(trace, \"trace\"), order, force)",
         ("tests/test_entropy.py",),
+    ),
+    # Symbols taken once, the failing class named with one min, the optimum of a huge count.
+    Mutant(
+        "efficiency-names-a-massless-class",
+        "src/cachecap/entropy.py",
+        "{c for c, m in marginal.items() if not m <= 0.0} - readable",
+        "set(marginal) - readable",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "trace-contents-pass-unchecked",
+        "src/cachecap/traces.py",
+        "        trace = trace.symbols\n",
+        "        return trace.symbols\n",
+        ("tests/test_traces.py",),
+    ),
+    Mutant(
+        "optimal-mass-overflows-on-a-huge-count",
+        "src/cachecap/capacity.py",
+        "except OverflowError:  # a count beyond the float range",
+        "except ():  # a count beyond the float range",
+        ("tests/test_capacity.py",),
     ),
 ]
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachecap import (
+    IIDSource,
     ScenarioError,
     SolverError,
     analyze_network,
     effective_catalog,
+    entropy_efficiency,
     network_capacity,
     node_capacity,
     node_solution,
@@ -314,6 +316,14 @@ class TestOptimalDistribution:
             except ScenarioError:
                 continue  # one-file catalogs have no optimum
             assert abs(sum(dist.class_mass.values()) - 1.0) <= 1e-9
+
+    def test_a_count_beyond_the_float_range_has_an_optimum(self):
+        # x0**-2 underflows to 0.0 here, and 10**400 * 0.0 has no float
+        net, node = single_node_network([(3, 1.0), (10**400, 2.0)])
+        dist = optimal_distribution(net, node)
+        assert abs(sum(dist.class_mass.values()) - 1.0) <= 1e-9
+        result = entropy_efficiency(net, node, IIDSource(class_mass=dist.class_mass))
+        assert result.utilization_ratio == 1.0
 
     def test_masses_are_the_capacity_sensitivities(self):
         """Differentiating sum(N_k * x0**-t_k) = 1 gives dC/dt_k = -C * m_k / T

@@ -85,6 +85,10 @@ def corpus() -> list[list[str]]:
         ["efficiency", "scenarios/three-file.json", "n", "--source", "tests/fixtures/corpus.latin1-spec.json"],
         ["efficiency", "scenarios/three-file.json", "n", "--trace", "tests/fixtures/corpus.latin1.trace"],
     ]
+    runs += [  # a class with more files than a float can hold
+        ["optimal", "tests/fixtures/corpus.huge-count.json", "n"],
+        ["efficiency", "tests/fixtures/corpus.huge-count.json", "n", "--optimal"],
+    ]
     runs += [
         ["gen-trace", spec, "--n", "1000", "--seed", "5", "--out", TRACE_OUT] for spec in GEN_SPECS
     ]

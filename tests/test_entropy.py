@@ -418,13 +418,25 @@ class TestOneCountEstimate:
         assert src.entropy({}).value == 1.0
         assert src._replace(order=1).trace == src.trace
 
+    def test_a_trace_of_a_list_is_kept_as_a_tuple(self):
+        symbols = ["a", "b"] * 20
+        src = EmpiricalSource(trace=Trace(symbols))
+        assert src.marginal() == {"a": 0.5, "b": 0.5}
+        symbols.extend(["c"] * 40)
+        assert src.trace == ("a", "b") * 20
+        assert src.marginal() == {"a": 0.5, "b": 0.5}
+        assert src.entropy({}).value == 1.0
+
     def test_a_trace_or_a_tuple_is_kept_as_given_and_other_values_fail_as_before(self):
+        # a tuple is kept as the same object, a Trace as its symbols; a string
+        # or a mapping fails when the source is built, with the same message
         for trace in (FLIP_TRACE, FLIP_TRACE.symbols):
-            assert EmpiricalSource(trace).trace is trace
-        src = EmpiricalSource("ab" * 20)
-        assert src.trace == "ab" * 20
-        with pytest.raises(ValueError, match="^'trace' must be a Trace, a list or a tuple, got str$"):
-            src.marginal()
+            assert EmpiricalSource(trace).trace is FLIP_TRACE.symbols
+        for bad, kind in (("ab" * 20, "str"), ({"a": 1, "b": 2}, "dict")):
+            with pytest.raises(
+                ValueError, match=f"^'trace' must be a Trace, a list or a tuple, got {kind}$"
+            ):
+                EmpiricalSource(bad)
 
     def test_an_empty_trace_has_no_marginal(self):
         with pytest.raises(ValueError, match="^cannot take the empirical distribution of an empty trace$"):
@@ -540,8 +552,9 @@ class TestEntropyEfficiency:
                 {"zzz": 0.5, "own": 0.5},
                 "source assigns mass to class 'own', unreachable at node 'w1'",
             ),
+            ("w2", {"aaa": 0.0, "zeta": 0.5, "own": 0.5}, "source references unknown class 'zeta'"),
         ],
-        ids=["two-unknown", "unreachable-before-unknown"],
+        ids=["two-unknown", "unreachable-before-unknown", "massless-first-by-id-is-skipped"],
     )
     def test_of_two_failing_classes_the_first_by_id_is_named(self, fig1, node, masses, message):
         # the marginal lists the failing classes out of id order

@@ -559,16 +559,22 @@ def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, ba
         call(bad)
 
 
-@pytest.mark.parametrize("symbols", ["aab", {"a": 1, "b": 2}, {"a", "b"}], ids=["str", "dict", "set"])
+@pytest.mark.parametrize(
+    "symbols",
+    ["aab", {"a": 1, "b": 2}, {"a", "b"}, Trace("aab"), Trace({"a": 1, "b": 2})],
+    ids=["str", "dict", "set", "Trace-of-str", "Trace-of-dict"],
+)
 @pytest.mark.parametrize(
     "call, name",
     [
         (empirical_distribution, "trace"),
         (lambda v: block_entropy_estimate(v, 0, force=True), "symbols"),
+        (lambda v: EmpiricalSource(v, 0, force=True), "trace"),
     ],
-    ids=["empirical_distribution", "block_entropy_estimate"],
+    ids=["empirical_distribution", "block_entropy_estimate", "EmpiricalSource"],
 )
 def test_symbols_that_are_not_a_trace_list_or_tuple_are_rejected(call, name, symbols):
-    # iterating a string or a mapping would count its characters or keys
+    # iterating a string or a mapping would count its characters or keys,
+    # whether a Trace holds it or not
     with pytest.raises(ValueError, match=f"^'{name}' must be a Trace, a list or a tuple, got "):
         call(symbols)

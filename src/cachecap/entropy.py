@@ -27,6 +27,7 @@ from .traces import (
     Trace,
     check_chain,
     check_class_mass,
+    check_ids,
     sample_iid,
     sample_markov,
     trace_symbols,
@@ -38,7 +39,6 @@ __all__ = [
     "EmpiricalSource",
     "EntropyEstimate",
     "EfficiencyResult",
-    "stationary_distribution",
     "block_entropy_estimate",
     "entropy_efficiency",
 ]
@@ -115,7 +115,47 @@ class MarkovSource(_MarkovFields):
 
     @cached_property
     def _stationary(self) -> dict[str, float]:
-        return stationary_distribution(self)
+        """Unique stationary distribution of an irreducible chain (to 1e-12).
+
+        Grassmann-Taksar-Heyman state reduction: censor the states out from the
+        last one down, then rebuild pi forward from the first. No step
+        subtracts, so every entry keeps full relative precision and pi is
+        non-negative by construction.
+        """
+        p = self.transitions
+        if not _strongly_connected(p):
+            raise ValueError("Markov chain is not irreducible: some state cannot reach another")
+        k = len(p)
+        a = [list(row) for row in p]
+        exits = [0.0] * k
+        for n in range(k - 1, 0, -1):
+            s = exits[n] = math.fsum(a[n][:n])
+            if s == 0.0:  # underflowed; the forward pass restarts at n
+                continue
+            scaled = [x / s for x in a[n][:n]]  # each <= 1; row[n] / s could overflow
+            for row in a[:n]:
+                f = row[n]
+                for j in range(n):
+                    row[j] += f * scaled[j]
+        pi = [1.0]
+        for n in range(1, k):
+            inflow = math.fsum(pi[i] * a[i][n] for i in range(n))
+            x = inflow / exits[n] if exits[n] else math.inf
+            if x == math.inf:  # every earlier mass is negligible beside state n's
+                pi = [0.0] * n + [1.0]
+                continue
+            pi.append(x)
+            if x > 1.0:  # exact power-of-two rescale keeps max(pi) <= 1, so no later step overflows
+                shift = -math.frexp(x)[1]
+                pi = [math.ldexp(v, shift) for v in pi]
+        total = math.fsum(pi)
+        pi = [v / total for v in pi]
+        residual = max(
+            abs(math.fsum([*(pi[i] * p[i][j] for i in range(k)), -pi[j]])) for j in range(k)
+        )
+        if residual > _STATIONARY_TOL:
+            raise SolverError("stationary distribution solve did not reach tolerance")
+        return dict(zip(self.states, pi))
 
     def marginal(self) -> dict[str, float]:
         return dict(self._stationary)
@@ -152,9 +192,10 @@ class EmpiricalSource(_EmpiricalFields):
     (``trace_symbols``), so a string or a mapping fails there and a caller's
     list changed later does not change the source. The (k+1)-blocks are
     counted once, on first use, and kept in the instance ``__dict__``, as
-    ``MarkovSource`` keeps its stationary distribution; the marginal and the
-    entropy are both read off that one count. An order or ``force`` that no
-    estimate can be made with fails in ``entropy``, not in ``marginal``.
+    ``MarkovSource`` keeps its stationary distribution. The symbol counts are
+    summed from them once, and their keys checked to be strings; the marginal
+    and the entropy are both read off these counts. An order or ``force`` that
+    no estimate can be made with fails in ``entropy``, not in ``marginal``.
     """
 
     kind = "trace"
@@ -166,23 +207,25 @@ class EmpiricalSource(_EmpiricalFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @cached_property
-    def _counts(self) -> tuple[int, Counter]:
-        """The block length m and the counts of the trace's m-blocks."""
+    def _counts(self) -> tuple[Counter, dict]:
+        """The trace's m-block and symbol counts; m is order + 1, or 1 if no estimate may be made."""
         try:
             _check_estimate(self.trace, self.order, self.force)
             m = self.order + 1
         except ValueError:
             m = 1
-        return m, _block_counts(self.trace, m)
+        blocks = _block_counts(self.trace, m)
+        symbol_counts = _prefix_counts(blocks, self.trace, m, 1)
+        check_ids(symbol_counts, "trace symbols")
+        return blocks, symbol_counts
 
     def marginal(self) -> dict[str, float]:
         """Normalized symbol frequencies, by id: ``empirical_distribution`` of the trace."""
         symbols = self.trace
         if not symbols:
             raise ValueError("cannot take the empirical distribution of an empty trace")
-        m, counts = self._counts
         total = len(symbols)
-        return {cid: c / total for cid, c in sorted(_prefix_counts(counts, symbols, m, 1).items())}
+        return {cid: c / total for cid, c in sorted(self._counts[1].items())}
 
     def entropy(self, counts: Mapping[str, int]) -> EntropyEstimate:
         """``block_entropy_estimate`` of the trace at the source's order and
@@ -190,8 +233,8 @@ class EmpiricalSource(_EmpiricalFields):
         symbols = self.trace
         n, force = self.order, self.force
         _check_estimate(symbols, n, force)
-        blocks = self._counts[1]
-        alphabet = len(_prefix_counts(blocks, symbols, n + 1, 1))
+        blocks, symbol_counts = self._counts
+        alphabet = len(symbol_counts)
         if not force:
             _check_sparse(len(symbols), n, alphabet)
         raw = _entropy_bits(blocks, len(symbols) - n)
@@ -236,50 +279,6 @@ def _strongly_connected(transitions: Sequence[Sequence[float]]) -> bool:
         return len(seen) == k
 
     return reaches_all(adj) and reaches_all(radj)
-
-
-def stationary_distribution(src: MarkovSource) -> dict[str, float]:
-    """Unique stationary distribution of an irreducible chain (to 1e-12).
-
-    Grassmann-Taksar-Heyman state reduction: censor the states out from the
-    last one down, then rebuild pi forward from the first. No step
-    subtracts, so every entry keeps full relative precision and pi is
-    non-negative by construction.
-    """
-    p = src.transitions
-    if not _strongly_connected(p):
-        raise ValueError("Markov chain is not irreducible: some state cannot reach another")
-    k = len(p)
-    a = [list(row) for row in p]
-    exits = [0.0] * k
-    for n in range(k - 1, 0, -1):
-        s = exits[n] = math.fsum(a[n][:n])
-        if s == 0.0:  # underflowed; the forward pass restarts at n
-            continue
-        scaled = [x / s for x in a[n][:n]]  # each <= 1; row[n] / s could overflow
-        for row in a[:n]:
-            f = row[n]
-            for j in range(n):
-                row[j] += f * scaled[j]
-    pi = [1.0]
-    for n in range(1, k):
-        inflow = math.fsum(pi[i] * a[i][n] for i in range(n))
-        x = inflow / exits[n] if exits[n] else math.inf
-        if x == math.inf:  # every earlier mass is negligible beside state n's
-            pi = [0.0] * n + [1.0]
-            continue
-        pi.append(x)
-        if x > 1.0:  # exact power-of-two rescale keeps max(pi) <= 1, so no later step overflows
-            shift = -math.frexp(x)[1]
-            pi = [math.ldexp(v, shift) for v in pi]
-    total = math.fsum(pi)
-    pi = [v / total for v in pi]
-    residual = max(
-        abs(math.fsum([*(pi[i] * p[i][j] for i in range(k)), -pi[j]])) for j in range(k)
-    )
-    if residual > _STATIONARY_TOL:
-        raise SolverError("stationary distribution solve did not reach tolerance")
-    return dict(zip(src.states, pi))
 
 
 def _block_counts(symbols: tuple[str, ...], m: int) -> Counter:

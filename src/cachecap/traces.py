@@ -280,12 +280,15 @@ def trace_symbols(trace: Trace | Sequence[str], label: str) -> tuple[str, ...]:
 
 
 def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
-    """Normalized symbol frequencies, by id; each is a correctly rounded count / length."""
+    """Normalized symbol frequencies, by id; each is a correctly rounded count / length.
+    A symbol that is not a string raises ValueError."""
     symbols = trace_symbols(trace, "trace")
     if not symbols:
         raise ValueError("cannot take the empirical distribution of an empty trace")
+    counts = Counter(symbols)
+    check_ids(counts, "trace symbols")
     total = len(symbols)
-    return {cid: c / total for cid, c in sorted(Counter(symbols).items())}
+    return {cid: c / total for cid, c in sorted(counts.items())}
 
 
 def read_trace(path: str | Path) -> Trace:

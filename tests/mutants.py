@@ -287,6 +287,28 @@ MUTANTS = [
         "except ():  # a count beyond the float range",
         ("tests/test_capacity.py",),
     ),
+    # A source's statistics computed once: the symbol counts, and the check of their ids.
+    Mutant(
+        "estimate-alphabet-counts-blocks",
+        "src/cachecap/entropy.py",
+        "alphabet = len(symbol_counts)",
+        "alphabet = len(blocks)",
+        ("tests/test_entropy.py",),
+    ),
+    Mutant(
+        "empirical-source-takes-any-symbol",
+        "src/cachecap/entropy.py",
+        'check_ids(symbol_counts, "trace symbols")',
+        "pass",
+        ("tests/test_traces.py",),
+    ),
+    Mutant(
+        "empirical-distribution-takes-any-symbol",
+        "src/cachecap/traces.py",
+        'check_ids(counts, "trace symbols")',
+        "pass",
+        ("tests/test_traces.py",),
+    ),
 ]
 
 

@@ -21,7 +21,6 @@ from cachecap import (
     node_capacity,
     optimal_distribution,
     sample_iid,
-    stationary_distribution,
 )
 
 from conftest import random_terms, single_node_network
@@ -211,7 +210,7 @@ class TestMarkovEntropyRate:
             states=("a", "b", "c"),
             transitions=((0.1, 0.6, 0.3), (0.4, 0.4, 0.2), (0.5, 0.25, 0.25)),
         )
-        pi = stationary_distribution(chain)
+        pi = chain.marginal()
         vec = np.array([pi["a"], pi["b"], pi["c"]])
         p = np.array(chain.transitions)
         assert np.abs(vec @ p - vec).max() <= 1e-12
@@ -225,7 +224,7 @@ class TestMarkovEntropyRate:
             rng = random.Random(seed)
             rows = dyadic_chain(rng, rng.randint(2, 6), coupled)
             chain = MarkovSource(states=tuple("abcdef"[: len(rows)]), transitions=rows)
-            got = stationary_distribution(chain)
+            got = chain.marginal()
             for state, exact in zip(chain.states, exact_stationary(rows)):
                 assert abs(Fraction(got[state]) - exact) <= 1e-14 * exact, (seed, state)
 
@@ -235,7 +234,7 @@ class TestMarkovEntropyRate:
             states=("a", "b", "c"),
             transitions=((0.5, 0.25, 0.25), (0.0, 1 - 1e-200, 1e-200), (1e-200, 1 - 1e-200, 0.0)),
         )
-        pi = stationary_distribution(chain)
+        pi = chain.marginal()
         assert pi["b"] == pytest.approx(1.0)
         assert pi["c"] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
 
@@ -243,7 +242,7 @@ class TestMarkovEntropyRate:
         # pi is about (1e-310, 1e-10, 1): unscaled, the forward pass would
         # reach pi_a = 1, pi_b = 1e300, pi_c = 1e310 = inf
         rows = ((0.0, 1.0, 0.0), (1e-300, 0.5, 0.5), (0.0, 5e-11, 1 - 5e-11))
-        pi = stationary_distribution(MarkovSource(states=("a", "b", "c"), transitions=rows))
+        pi = MarkovSource(states=("a", "b", "c"), transitions=rows).marginal()
         exact = exact_stationary(rows)
         assert pi["b"] == pytest.approx(float(exact[1]), rel=1e-14, abs=0.0)
         assert pi["c"] == pytest.approx(float(exact[2]), rel=1e-14)
@@ -329,6 +328,13 @@ class TestBlockEntropyEstimate:
         message = f"trace of length {needed - 1} is too short for order {order} (need >= {needed}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)} "):
             block_entropy_estimate(trace[:-1], order)
+
+    def test_the_alphabet_counts_symbols_not_blocks(self):
+        # all four 2-blocks over two ids occur, and 40 symbols are still
+        # enough for order 1: the alphabet is the two ids
+        trace = ("a", "a", "b", "b") * 10
+        for estimate in (block_entropy_estimate(trace, 1), EmpiricalSource(trace, 1).entropy({})):
+            assert estimate.value == reference_block_estimate(trace, 1)
 
     def test_trace_shorter_than_a_block_rejected_even_when_forced(self):
         with pytest.raises(ValueError, match="^trace of length 1 is shorter than a block of 2$"):
@@ -573,12 +579,13 @@ class TestEntropyEfficiency:
         import cachecap.entropy as entropy_module
 
         calls = []
+        strongly_connected = entropy_module._strongly_connected
 
-        def counted(src):
-            calls.append(src)
-            return stationary_distribution(src)
+        def counted(transitions):  # called once per solve
+            calls.append(transitions)
+            return strongly_connected(transitions)
 
-        monkeypatch.setattr(entropy_module, "stationary_distribution", counted)
+        monkeypatch.setattr(entropy_module, "_strongly_connected", counted)
         chain = MarkovSource(states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75)))
         entropy_efficiency(three_file, "n", chain)
         assert len(calls) == 1

@@ -14,6 +14,7 @@ from cachecap import (
     block_entropy_estimate,
     count_series,
     empirical_distribution,
+    entropy_efficiency,
     read_trace,
     sample_iid,
     sample_markov,
@@ -578,3 +579,20 @@ def test_symbols_that_are_not_a_trace_list_or_tuple_are_rejected(call, name, sym
     # whether a Trace holds it or not
     with pytest.raises(ValueError, match=f"^'{name}' must be a Trace, a list or a tuple, got "):
         call(symbols)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: empirical_distribution([1, "a"]),
+        lambda net: block_entropy_estimate([1, "a"] * 20, 0),
+        lambda net: entropy_efficiency(net, "n", EmpiricalSource((1, 2) * 20)),
+        lambda net: EmpiricalSource((1, "a") * 20).marginal(),
+    ],
+    ids=["empirical_distribution", "block_entropy_estimate", "entropy_efficiency", "marginal"],
+)
+def test_a_trace_symbol_that_is_not_a_string_is_rejected(call, three_file):
+    # unchecked, sorting the ids fails on mixed types, an estimate counts 1
+    # as an id, and an efficiency names '1' as an unknown class
+    with pytest.raises(ValueError, match="^trace symbols must be strings, got 1$"):
+        call(three_file)

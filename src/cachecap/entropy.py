@@ -409,6 +409,8 @@ def entropy_efficiency(
     estimate = src.entropy(counts)
     if mean_time <= 0.0:
         raise ScenarioError(f"mean read time at node '{node_id}' is not positive")
+    if mean_time == math.inf:
+        raise ScenarioError(f"mean read time at node '{node_id}' is beyond the float range")
 
     efficiency = estimate.value / mean_time
     capacity = node_capacity(net, node_id)

@@ -154,6 +154,11 @@ def _entry_id(raw: object, kind: str, seen: Mapping[str, object]) -> str:
     eid = raw["id"]
     if type(eid) is not str:
         eid = _as_id(eid, f"{kind} id")
+    if not eid.isascii():
+        try:
+            eid.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which JSON's \u escapes can spell
+            raise ScenarioError(f"{kind} id {eid!r} is not valid Unicode text") from None
     if eid in seen:
         raise ScenarioError(f"duplicate {kind} id '{eid}'")
     return eid
@@ -320,10 +325,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_json(data: bytes, what: str) -> object:
-    """Parse UTF-8 JSON bytes, rejecting duplicate object keys; errors name ``what``."""
+    """Parse UTF-8 JSON bytes, rejecting duplicate object keys; errors name ``what``,
+    an integer literal past ``int``'s 4,300-digit limit on text included."""
     try:
         return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, ScenarioError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ScenarioError(f"invalid JSON in {what}: {exc}") from exc
 
 

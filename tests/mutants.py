@@ -231,8 +231,8 @@ MUTANTS = [
     Mutant(
         "parse-json-lets-a-decode-error-through-unnamed",
         "src/cachecap/model.py",
-        "except (UnicodeDecodeError, json.JSONDecodeError,",
-        "except (json.JSONDecodeError,",
+        "except (ValueError, RecursionError) as exc:",
+        "except (json.JSONDecodeError, RecursionError) as exc:",
         ("tests/test_cli.py",),
     ),
     # The one-pass query: the exact-float short path, the error order, the kept copies.
@@ -308,6 +308,21 @@ MUTANTS = [
         'check_ids(counts, "trace symbols")',
         "pass",
         ("tests/test_traces.py",),
+    ),
+    # Input the report could not print: an id that is not text, a mean past the float range.
+    Mutant(
+        "entry-id-takes-any-text",
+        "src/cachecap/model.py",
+        "    if not eid.isascii():",
+        "    if False:",
+        ("tests/test_model.py",),
+    ),
+    Mutant(
+        "efficiency-reports-an-infinite-mean",
+        "src/cachecap/entropy.py",
+        "    if mean_time == math.inf:",
+        "    if False:",
+        ("tests/test_cli.py",),
     ),
 ]
 

@@ -76,6 +76,8 @@ def corpus() -> list[list[str]]:
                 ["oracle", path, node, "--grid", "0.5"],
             ]
     runs += [
+        # The ``cli-verbs`` benchmark's oracle job: its ``--json`` run pins that
+        # job's stdout (about 5 MB) byte for byte.
         ["oracle", "scenarios/three-file.json", "n", "--tmax", "5000"],
         ["oracle", "scenarios/three-file.json", "n", "--tmax", str(10**18)],  # too large to allocate
         ["oracle", "scenarios/three-file.json", "n", "--tmax", "-1"],
@@ -85,6 +87,7 @@ def corpus() -> list[list[str]]:
         ["efficiency", "scenarios/three-file.json", "n", "--source", "tests/fixtures/corpus.latin1-spec.json"],
         ["efficiency", "scenarios/three-file.json", "n", "--trace", "tests/fixtures/corpus.latin1.trace"],
     ]
+    runs += [["capacity", "tests/fixtures/corpus.surrogate-id.json"]]  # a node id that is not text
     runs += [  # a class with more files than a float can hold
         ["optimal", "tests/fixtures/corpus.huge-count.json", "n"],
         ["efficiency", "tests/fixtures/corpus.huge-count.json", "n", "--optimal"],
@@ -96,14 +99,18 @@ def corpus() -> list[list[str]]:
 
 
 def run(args: list[str]) -> tuple[int, str]:
-    """One run's exit code, and the SHA-256 of that code, stdout, stderr and written trace."""
-    out, err = io.StringIO(), io.StringIO()
+    """One run's exit code, and the SHA-256 of that code, stdout, stderr and written trace.
+
+    stdout is strict UTF-8, as a real one is, so text it cannot encode raises.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline=""), io.StringIO()
     trace = Path(TRACE_OUT)
     trace.unlink(missing_ok=True)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
+    out.flush()
     h = hashlib.sha256()
-    for part in (str(code), out.getvalue(), err.getvalue()):
+    for part in (str(code), out.buffer.getvalue().decode("utf-8"), err.getvalue()):
         h.update(part.encode("utf-8"))
         h.update(b"\0")
     if trace.exists():

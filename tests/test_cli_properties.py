@@ -23,11 +23,13 @@ from conftest import link_networks, scenario_path
 
 
 def run_main(*args: str) -> tuple[int, str]:
-    """``cli.main(args)``: its exit code and stdout; stderr is dropped."""
-    out = io.StringIO()
+    """``cli.main(args)``: its exit code and stdout; stderr is dropped. stdout
+    is strict UTF-8, as a real one is, so text it cannot encode raises."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(args))
-    return code, out.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8")
 
 
 # --- the --json writer --------------------------------------------------------
@@ -91,7 +93,7 @@ def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch, c
 
 # --- exit codes of every verb -------------------------------------------------
 
-JUNK = [math.nan, math.inf, -math.inf, True, 10**400, -(10**400), None, "1", [], {}, "ghost"]
+JUNK = [math.nan, math.inf, -math.inf, True, 10**400, -(10**400), None, "1", [], {}, "ghost", "\ud800"]
 
 
 def network_document(net: Network) -> dict:
@@ -188,6 +190,9 @@ def check_report(args: list[str], report: dict) -> None:
 
 @settings(max_examples=50, deadline=None)
 @given(mutated_documents())
+@example(  # a node id that is not text, which the capacity report would print
+    ({"classes": [{"id": "a", "count": 1}], "nodes": [{"id": "\ud800", "stores": ["a"]}], "links": []}, ["\ud800"])
+)
 def test_every_verb_exits_0_1_or_2_and_raises_nothing(drawn):
     doc, node_ids = drawn
     with tempfile.TemporaryDirectory() as tmp:

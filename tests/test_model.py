@@ -609,6 +609,7 @@ REJECTIONS = [
     ("class-missing-id", _with(("classes", 0, "id"), ...), "class entry missing 'id'"),
     ("class-not-object", _with(("classes", 0), "a"), "class entry missing 'id'"),
     ("class-id-not-string", _with(("classes", 0, "id"), 1), "class id must be a string, got 1"),
+    ("class-id-not-text", _with(("classes", 0, "id"), "a\ud800"), "class id 'a\\ud800' is not valid Unicode text"),
     ("duplicate-class", _with(("classes", 1, "id"), "a"), "duplicate class id 'a'"),
     ("count-bool", _with(("classes", 1, "count"), True), "class 'b': count must be an integer, got boolean"),
     ("count-float", _with(("classes", 1, "count"), 2.5), "class 'b': count must be an integer, got 2.5"),
@@ -619,6 +620,7 @@ REJECTIONS = [
     ("node-missing-id", _with(("nodes", 1, "id"), ...), "node entry missing 'id'"),
     ("node-not-object", _with(("nodes", 1), ["r"]), "node entry missing 'id'"),
     ("node-id-not-string", _with(("nodes", 1, "id"), 7), "node id must be a string, got 7"),
+    ("node-id-not-text", _with(("nodes", 1, "id"), "r\udc80"), "node id 'r\\udc80' is not valid Unicode text"),
     ("duplicate-node", _with(("nodes", 1, "id"), "p"), "duplicate node id 'p'"),
     ("stores-not-array", _with(("nodes", 0, "stores"), "a"), "node 'p': 'stores' must be an array"),
     ("stored-id-not-string", _with(("nodes", 0, "stores"), ["a", None]), "node 'p': stored class id must be a string, got None"),

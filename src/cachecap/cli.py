@@ -272,6 +272,10 @@ def _render_compare(report: dict) -> str:
 def _cmd_gen_trace(args: argparse.Namespace) -> dict:
     from .traces import write_trace
 
+    try:  # the report prints the path, so it must be text: a byte that is not UTF-8 is a surrogate
+        args.out.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"--out path {args.out!r} is not valid Unicode text") from None
     src = _load_source_spec(args.source)
     trace = src.sample(args.n, args.seed)
     write_trace(trace, args.out)

@@ -324,6 +324,13 @@ MUTANTS = [
         "    if False:",
         ("tests/test_cli.py",),
     ),
+    Mutant(
+        "gen-trace-writes-a-path-that-is-not-text",
+        "src/cachecap/cli.py",
+        'args.out.encode("utf-8")',
+        "pass",
+        ("tests/test_cli.py",),
+    ),
 ]
 
 

@@ -30,83 +30,42 @@ from conftest import (
     scenario_path,
     text_fixture,
 )
-
-DIGEST_RE = re.compile(r'"digest": "[0-9a-f]{64}"')
-
-
-def run_cli(*args: str, cwd=REPO_ROOT) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "cachecap", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+from test_cli_corpus import run_main
 
 
-def mask_digests(text: str) -> str:
-    return DIGEST_RE.sub('"digest": "<digest>"', text)
+# Each JSON fixture's text twin, byte for byte, digest included. The JSON
+# fixtures themselves are compared, digests masked, by
+# ``test_acceptance.py::test_criterion_7_cli_fixtures`` in a real process.
+TEXT_FIXTURES = [text_fixture(fixture, args) for fixture, args in CLI_FIXTURES]
 
 
-@pytest.mark.parametrize("fixture,args", CLI_FIXTURES, ids=[f for f, _ in CLI_FIXTURES])
-def test_json_reports_match_shipped_fixtures(fixture, args):
-    expected = (FIXTURE_DIR / fixture).read_text(encoding="utf-8")
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stderr
-    assert mask_digests(proc.stdout) == mask_digests(expected)
-
-    text_name, text_args = text_fixture(fixture, args)
-    proc = run_cli(*text_args)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (FIXTURE_DIR / text_name).read_text(encoding="utf-8")
+@pytest.mark.parametrize("name, args", TEXT_FIXTURES, ids=[name for name, _ in TEXT_FIXTURES])
+def test_text_reports_match_shipped_fixtures(name, args, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    assert run_main(args) == (0, (FIXTURE_DIR / name).read_text(encoding="utf-8"), "")
 
 
-class TestCapacityCommand:
-    def test_fig1_values(self):
-        proc = run_cli("capacity", "scenarios/fig1.json", "--json")
-        report = json.loads(proc.stdout)
-        by_node = {row["node"]: row for row in report["nodes"]}
-        assert by_node["w2"]["capacity_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
-        assert by_node["w1"]["capacity_bits_per_time"] == 0.0
-        assert report["network_capacity_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
-
-    def test_fig2_values(self):
-        report = json.loads(run_cli("capacity", "scenarios/fig2.json", "--json").stdout)
-        by_node = {row["node"]: row for row in report["nodes"]}
-        assert by_node["w2"]["capacity_bits_per_time"] == pytest.approx(3.449, abs=2e-3)
-        assert by_node["w3"]["capacity_bits_per_time"] == pytest.approx(3.449, abs=2e-3)
-        assert report["network_capacity_bits_per_time"] == pytest.approx(6.898, abs=2e-3)
-
-    def test_empty_network(self):
-        report = json.loads(run_cli("capacity", "scenarios/empty.json", "--json").stdout)
-        assert report["network_capacity_bits_per_time"] == 0.0
-        assert report["nodes"] == []
-
-    def test_json_round_trips_to_in_memory_results(self):
-        report = json.loads(run_cli("capacity", "scenarios/fig2.json", "--json").stdout)
-        result = analyze_network(load_scenario(scenario_path("fig2.json")))
-        assert report["network_capacity_bits_per_time"] == result.network_capacity
-        for row in report["nodes"]:
-            assert row["x0"] == result.per_node[row["node"]].x0
-            assert row["capacity_bits_per_time"] == result.per_node[row["node"]].capacity_bits_per_time
-
-    def test_human_output_mentions_every_node(self):
-        out = run_cli("capacity", "scenarios/fig2.json").stdout
-        for token in ("w1", "w2", "w3", "network capacity", "scenario digest"):
-            assert token in out
+def test_json_round_trips_to_in_memory_results():
+    fig2 = scenario_path("fig2.json")
+    code, out, err = run_main(["capacity", str(fig2), "--json"])
+    assert code == 0, err
+    report = json.loads(out)
+    result = analyze_network(load_scenario(fig2))
+    assert report["network_capacity_bits_per_time"] == result.network_capacity
+    for row in report["nodes"]:
+        assert row["x0"] == result.per_node[row["node"]].x0
+        assert row["capacity_bits_per_time"] == result.per_node[row["node"]].capacity_bits_per_time
 
 
 class TestExitCodes:
-    def test_success_is_zero(self):
-        assert run_cli("validate", "scenarios/fig1.json").returncode == 0
-
     def test_usage_error_is_one(self):
-        assert run_cli("capacity").returncode == 1
-        assert run_cli("frobnicate", "x").returncode == 1
+        for args in (["capacity"], ["frobnicate", "x"]):
+            code, out, err = run_main(args)
+            assert (code, out) == (1, "") and err.startswith("error: "), args
 
-    def test_solver_tolerance_is_not_an_option(self, capsys):
-        assert cli.main(["capacity", str(scenario_path("fig1.json")), "--tol", "1e-6"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+    def test_solver_tolerance_is_not_an_option(self):
+        code, out, err = run_main(["capacity", str(scenario_path("fig1.json")), "--tol", "1e-6"])
+        assert (code, out) == (1, "") and "unrecognized arguments: --tol" in err
 
     def test_closed_stdout_is_one_without_a_traceback(self):
         # About 5 MB of JSON: far more than a pipe holds, so the writer meets
@@ -124,86 +83,44 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert stderr == b""
 
-    def test_solver_failure_is_two(self, monkeypatch, capsys):
-        import cachecap.cli as cli
+    def test_solver_failure_is_two(self, monkeypatch):
         from cachecap import SolverError
 
         def boom(args):
             raise SolverError("bracketing failed")
 
         monkeypatch.setitem(cli._COMMANDS, "capacity", (boom, lambda r: ""))
-        code = cli.main(["capacity", str(scenario_path("fig1.json"))])
+        code, _, err = run_main(["capacity", str(scenario_path("fig1.json"))])
         assert code == 2
-        assert "computation failed" in capsys.readouterr().err
+        assert "computation failed" in err
 
 
-class TestCompareCommand:
-    def test_distinct_vs_shared_content(self):
-        report = json.loads(
-            run_cli(
-                "compare", "scenarios/fig2.json", "scenarios/fig2-shared.json", "--json"
-            ).stdout
-        )
-        deltas = {row["node"]: row["delta"] for row in report["nodes"]}
-        assert deltas["w1"] == 0.0
-        assert deltas["w2"] == pytest.approx(-0.125578, abs=1e-4)
-        assert deltas["w3"] == pytest.approx(-0.125578, abs=1e-4)
-        assert report["network"]["capacity_a"] == pytest.approx(6.898, abs=2e-3)
-        assert report["network"]["capacity_b"] == pytest.approx(6.647, abs=2e-3)
-
-    def test_identical_scenarios_have_zero_deltas(self):
-        report = json.loads(
-            run_cli("compare", "scenarios/fig1.json", "scenarios/fig1.json", "--json").stdout
-        )
-        assert all(row["delta"] == 0.0 for row in report["nodes"])
-        assert report["network"]["delta"] == 0.0
-
-    def test_halved_times_double_every_capacity(self, tmp_path):
-        doc = json.loads(scenario_path("fig1.json").read_text(encoding="utf-8"))
-        for link in doc["links"]:
-            link["time"] = link["time"] / 2
-        halved = tmp_path / "fig1-halved.json"
-        halved.write_text(json.dumps(doc), encoding="utf-8")
-        report = json.loads(
-            run_cli("compare", str(scenario_path("fig1.json")), str(halved), "--json").stdout
-        )
-        for row in report["nodes"]:
-            assert row["capacity_b"] == pytest.approx(2 * row["capacity_a"], rel=1e-9, abs=1e-12)
+def test_halved_times_double_every_capacity(tmp_path):
+    doc = json.loads(scenario_path("fig1.json").read_text(encoding="utf-8"))
+    for link in doc["links"]:
+        link["time"] = link["time"] / 2
+    halved = tmp_path / "fig1-halved.json"
+    halved.write_text(json.dumps(doc), encoding="utf-8")
+    _, out, _ = run_main(["compare", str(scenario_path("fig1.json")), str(halved), "--json"])
+    for row in json.loads(out)["nodes"]:
+        assert row["capacity_b"] == pytest.approx(2 * row["capacity_a"], rel=1e-9, abs=1e-12)
 
 
 class TestGenTrace:
-    def make_spec(self, tmp_path, body: dict):
-        path = tmp_path / "src.json"
-        path.write_text(json.dumps(body), encoding="utf-8")
-        return path
+    def gen_trace(self, tmp_path, body: dict, n: int, seed: str) -> Path:
+        """The trace ``gen-trace`` writes from a spec of ``body``."""
+        spec, out = tmp_path / "src.json", tmp_path / "t.trace"
+        spec.write_text(json.dumps(body), encoding="utf-8")
+        args = ["gen-trace", str(spec), "--n", str(n), "--seed", seed, "--out", str(out)]
+        assert run_main(args)[0] == 0
+        return out
 
     def test_degenerate_source_writes_identical_lines(self, tmp_path):
-        spec = self.make_spec(tmp_path, {"type": "iid", "class_mass": {"only": 1.0}})
-        out = tmp_path / "t.trace"
-        proc = run_cli("gen-trace", str(spec), "--n", "3", "--seed", "5", "--out", str(out))
-        assert proc.returncode == 0
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[1:] == ["only", "only", "only"]
-
-    def test_fixed_seed_reruns_are_byte_identical(self, tmp_path):
-        spec = self.make_spec(
-            tmp_path,
-            {
-                "type": "markov",
-                "states": ["a", "b"],
-                "transitions": [[0.9, 0.1], [0.2, 0.8]],
-                "initial": [1.0, 0.0],
-            },
-        )
-        out1, out2 = tmp_path / "a.trace", tmp_path / "b.trace"
-        run_cli("gen-trace", str(spec), "--n", "2000", "--seed", "9", "--out", str(out1))
-        run_cli("gen-trace", str(spec), "--n", "2000", "--seed", "9", "--out", str(out2))
-        assert out1.read_bytes() == out2.read_bytes()
+        out = self.gen_trace(tmp_path, {"type": "iid", "class_mass": {"only": 1.0}}, 3, "5")
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == ["only", "only", "only"]
 
     def test_uniform_binary_frequencies(self, tmp_path):
-        spec = self.make_spec(tmp_path, {"type": "iid", "class_mass": {"0": 0.5, "1": 0.5}})
-        out = tmp_path / "t.trace"
-        run_cli("gen-trace", str(spec), "--n", "100000", "--seed", "7", "--out", str(out))
+        out = self.gen_trace(tmp_path, {"type": "iid", "class_mass": {"0": 0.5, "1": 0.5}}, 100000, "7")
         symbols = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
         freq = symbols.count("0") / len(symbols)
         assert abs(freq - 0.5) < 0.01
@@ -229,27 +146,25 @@ class TestGenTrace:
     }
 
     @pytest.mark.parametrize("name", PINNED)
-    def test_trace_bytes_are_pinned(self, tmp_path, capsys, name):
+    def test_trace_bytes_are_pinned(self, tmp_path, name):
         body, seed, digest = self.PINNED[name]
-        spec, out = self.make_spec(tmp_path, body), tmp_path / "t.trace"
-        assert cli.main(["gen-trace", str(spec), "--n", "10000", "--seed", seed, "--out", str(out)]) == 0
+        out = self.gen_trace(tmp_path, body, 10000, seed)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEfficiencyCommand:
-    def test_trace_report_echoes_order_zero_by_default(self, capsys, tmp_path):
+    THREE = str(scenario_path("three-file.json"))
+
+    def efficiency(self, *args: str) -> dict:
+        """The ``--json`` report of ``efficiency`` on three-file's node ``n``."""
+        code, out, err = run_main(["efficiency", self.THREE, "n", *args, "--json"])
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_trace_report_echoes_order_zero_by_default(self, tmp_path):
         trace = tmp_path / "t.trace"
         write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
-        three = str(scenario_path("three-file.json"))
-        assert cli.main(["efficiency", three, "n", "--trace", str(trace), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["source"]["order"] == 0
-
-    def test_optimal_source_reports_full_utilization(self):
-        report = json.loads(
-            run_cli("efficiency", "scenarios/fig1.json", "w2", "--optimal", "--json").stdout
-        )
-        assert report["efficiency_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
-        assert report["utilization_ratio"] == pytest.approx(1.0, rel=1e-9)
+        assert self.efficiency("--trace", str(trace))["source"]["order"] == 0
 
     def test_uniform_source_on_three_files(self, tmp_path):
         spec = tmp_path / "uniform.json"
@@ -257,11 +172,7 @@ class TestEfficiencyCommand:
             json.dumps({"type": "iid", "class_mass": {"fast": 2 / 3, "slow": 1 / 3}}),
             encoding="utf-8",
         )
-        report = json.loads(
-            run_cli(
-                "efficiency", "scenarios/three-file.json", "n", "--source", str(spec), "--json"
-            ).stdout
-        )
+        report = self.efficiency("--source", str(spec))
         assert report["efficiency_bits_per_time"] == pytest.approx(1.18872, abs=1e-5)
         assert report["utilization_ratio"] == pytest.approx(0.935, abs=1e-3)
 
@@ -281,62 +192,25 @@ class TestEfficiencyCommand:
             encoding="utf-8",
         )
         trace_path = tmp_path / "chain.trace"
-        run_cli("gen-trace", str(spec), "--n", "50000", "--seed", "42", "--out", str(trace_path))
-        report = json.loads(
-            run_cli(
-                "efficiency",
-                "scenarios/three-file.json",
-                "n",
-                "--trace",
-                str(trace_path),
-                "--order",
-                "1",
-                "--json",
-            ).stdout
-        )
+        gen = ["gen-trace", str(spec), "--n", "50000", "--seed", "42", "--out", str(trace_path)]
+        assert run_main(gen)[0] == 0
+        report = self.efficiency("--trace", str(trace_path), "--order", "1")
         analytic = chain.entropy({}).value / 1.5  # E[tau] at the stationary marginal
         assert report["efficiency_bits_per_time"] == pytest.approx(analytic, rel=0.05)
 
 
 class TestReports:
-    def test_every_command_supports_json_with_a_digest(self, tmp_path):
-        spec = tmp_path / "src.json"
-        spec.write_text(json.dumps({"type": "iid", "class_mass": {"own": 1.0}}), encoding="utf-8")
-        commands = [
-            ["capacity", "scenarios/fig1.json"],
-            ["optimal", "scenarios/fig1.json", "w2"],
-            ["efficiency", "scenarios/fig1.json", "w2", "--optimal"],
-            ["oracle", "scenarios/three-file.json", "n", "--tmax", "20"],
-            ["compare", "scenarios/fig1.json", "scenarios/fig2.json"],
-            ["validate", "scenarios/fig1.json"],
-            ["gen-trace", str(spec), "--n", "100", "--seed", "1", "--out", str(tmp_path / "t.trace")],
-        ]
-        for args in commands:
-            proc = run_cli(*args, "--json")
-            assert proc.returncode == 0, (args, proc.stderr)
-            report = json.loads(proc.stdout)
-            assert next(iter(report)) == "command"
-            assert report["command"] == args[0]
-            if args[0] != "gen-trace":  # the one verb without a scenario
-                assert '"digest"' in json.dumps(report)
-
-    def test_oracle_series_uses_decimal_strings(self):
-        report = json.loads(
-            run_cli("oracle", "scenarios/three-file.json", "n", "--tmax", "30", "--json").stdout
-        )
-        assert all(isinstance(row["nu"], str) for row in report["series"])
-        assert report["final_gap"] < 0.05
-
-    def test_oracle_prints_counts_beyond_the_int_to_str_digit_limit(self, three_file):
-        proc = run_cli("oracle", "scenarios/three-file.json", "n", "--tmax", "12000", "--json")
-        assert proc.returncode == 0, proc.stderr
-        last = json.loads(proc.stdout)["series"][-1]
+    def test_oracle_prints_counts_beyond_the_int_to_str_digit_limit(self, three_file, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)  # the report echoes the scenario path
+        code, out, err = run_main(["oracle", "scenarios/three-file.json", "n", "--tmax", "12000", "--json"])
+        assert code == 0, err
+        last = json.loads(out)["series"][-1]
         assert last["T"] == 12000
         assert len(last["nu"]) > 4300
         exact = count_series(cachecap.quantize_node(three_file, "n"), 12000)[12000]
         assert Decimal(last["nu"]) == Decimal(exact)  # Decimal(int) has no digit limit
         # The whole stdout, layout included, as ``json.dumps(report, indent=2)`` printed it.
-        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "7ea6c3adb79cc99c42817f300119886aa5708d12bb1cb0d5b97c92ee6cefb96e"
 
     # One node whose four classes share two read times (a:3, b:5 at 1; c:7, d:2
@@ -356,22 +230,23 @@ class TestReports:
     SHARED_TEXT_SHA = "e70f9cf2781e4dc425945772281c8dc169a603b5085048e79fff0391cc87446b"
     SHARED_SERIES_SHA = "f65e091ecbb1d67b1270907fbca4ec1bd00e691892a713027662ce47d3b0c076"
 
-    def test_shared_time_oracle_output_is_pinned(self, tmp_path, capsys):
+    def test_shared_time_oracle_output_is_pinned(self, tmp_path):
         path = tmp_path / "shared.json"
         path.write_text(self.SHARED_TIMES, encoding="utf-8")
         args = ["oracle", str(path), "n", "--tmax", "3000"]
-        assert cli.main(args) == 0
-        text = capsys.readouterr().out
+        code, text, _ = run_main(args)
+        assert code == 0
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.SHARED_TEXT_SHA
-        assert cli.main([*args, "--json"]) == 0
-        series = json.dumps(json.loads(capsys.readouterr().out)["series"])
+        code, out, _ = run_main([*args, "--json"])
+        assert code == 0
+        series = json.dumps(json.loads(out)["series"])
         assert hashlib.sha256(series.encode("utf-8")).hexdigest() == self.SHARED_SERIES_SHA
 
 
 class TestStrictInputs:
     """The digest describes the bytes that were parsed; malformed input is in ``FAILED_RUNS``."""
 
-    def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch, capsys):
+    def test_digest_is_of_the_bytes_parsed(self, tmp_path, monkeypatch):
         scenario, replacement = tmp_path / "s.json", tmp_path / "next.json"
         parsed = scenario_path("fig1.json").read_bytes()
         scenario.write_bytes(parsed)
@@ -385,8 +260,9 @@ class TestStrictInputs:
             return handle
 
         monkeypatch.setattr(Path, "open", open_then_replace)
-        assert cli.main(["validate", str(scenario), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        code, out, _ = run_main(["validate", str(scenario), "--json"])
+        assert code == 0
+        report = json.loads(out)
         assert report["nodes"] == 2
         assert report["scenario"]["digest"] == hashlib.sha256(parsed).hexdigest()
 
@@ -423,8 +299,8 @@ def one_node(*links: dict, stores=("a", "b"), counts=None, node="n") -> str:
 
 # One row per failed run: id, input files (name -> text), the ``cli.main``
 # words, the exit code and the whole stderr without its newline. ``{name}``
-# is the path of input ``name``; ``{out}`` is a path no run may write. A
-# stderr ending in ``...`` pins only the package's prefix of a one-line
+# is the path of input ``name``, and ``{out}`` a path beside them; no run may
+# write a file there. A stderr ending in ``...`` pins only the package's prefix of a one-line
 # message whose rest is Python's own text.
 FAILED_RUNS = [
     ("invalid-scenario", {}, "capacity scenarios/bad-time.json", 1, "error: link w2->w2: non-positive time 0"),
@@ -617,6 +493,13 @@ FAILED_RUNS = [
         "error: trace file tests/fixtures/corpus.latin1.trace is not UTF-8: "
         "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte",
     ),
+    # A byte of a command-line path that is not UTF-8 reaches ``main`` as a lone
+    # surrogate (``surrogateescape``), which the report could not print.
+    *(
+        (f"out-path-not-text-{kind}", {"spec": HALVES}, f"gen-trace {{spec}} --n 3 --out {{out}}\udcff{fmt}", 1,
+         "error: --out path '{out}\\udcff' is not valid Unicode text")
+        for kind, fmt in (("text-report", ""), ("json-report", " --json"))
+    ),
 ]
 
 
@@ -624,7 +507,7 @@ FAILED_RUNS = [
     "files, words, code, stderr", [r[1:] for r in FAILED_RUNS], ids=[r[0] for r in FAILED_RUNS]
 )
 def test_a_failed_run_prints_its_error_and_nothing_else(
-    files, words, code, stderr, tmp_path, monkeypatch, capsys
+    files, words, code, stderr, tmp_path, monkeypatch
 ):
     paths = {name: str(tmp_path / name) for name in [*files, "out"]}
     for name, text in files.items():
@@ -636,15 +519,14 @@ def test_a_failed_run_prints_its_error_and_nothing_else(
         return text
 
     monkeypatch.chdir(REPO_ROOT)
-    assert cli.main([fill(word) for word in words.split()]) == code
-    out, err = capsys.readouterr()
-    assert out == ""
+    exit_code, out, err = run_main([fill(word) for word in words.split()])
+    assert (exit_code, out) == (code, "")
     expected = fill(stderr)
     if expected.endswith("..."):
         assert err.startswith(expected[:-3]) and err.index("\n") == len(err) - 1, err
     else:
         assert err == expected + "\n"
-    assert not Path(paths["out"]).exists()
+    assert sorted(os.listdir(tmp_path)) == sorted(files)  # no ``--out`` file, nor any other
 
 
 @pytest.fixture
@@ -676,30 +558,29 @@ class TestWorkPerCall:
     FIG1 = str(scenario_path("fig1.json"))
     THREE = str(scenario_path("three-file.json"))
 
-    def run(self, work, capsys, *args: str) -> tuple[int, int]:
+    def run(self, work, *args: str) -> tuple[int, int]:
         work.update(catalogs=0, solves=0)
-        assert cli.main([*args, "--json"]) == 0
-        capsys.readouterr()
+        assert run_main([*args, "--json"])[0] == 0
         return work["catalogs"], work["solves"]
 
-    def test_optimal(self, work, capsys):
-        assert self.run(work, capsys, "optimal", self.FIG1, "w2") == (1, 1)
+    def test_optimal(self, work):
+        assert self.run(work, "optimal", self.FIG1, "w2") == (1, 1)
 
-    def test_efficiency_source_and_trace(self, work, capsys, tmp_path):
+    def test_efficiency_source_and_trace(self, work, tmp_path):
         spec = tmp_path / "src.json"
         spec.write_text(json.dumps({"type": "iid", "class_mass": {"own": 0.9, "lib": 0.1}}))
         args = ("efficiency", self.FIG1, "w2", "--source", str(spec))
-        assert self.run(work, capsys, *args) == (1, 1)
+        assert self.run(work, *args) == (1, 1)
         trace = tmp_path / "t.trace"
         write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
         args = ("efficiency", self.THREE, "n", "--trace", str(trace))
-        assert self.run(work, capsys, *args) == (1, 1)
+        assert self.run(work, *args) == (1, 1)
 
-    def test_efficiency_optimal(self, work, capsys):
-        assert self.run(work, capsys, "efficiency", self.FIG1, "w2", "--optimal") == (1, 1)
+    def test_efficiency_optimal(self, work):
+        assert self.run(work, "efficiency", self.FIG1, "w2", "--optimal") == (1, 1)
 
-    def test_oracle(self, work, capsys):
-        assert self.run(work, capsys, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)
+    def test_oracle(self, work):
+        assert self.run(work, "oracle", self.THREE, "n", "--tmax", "60") == (1, 1)
 
 
 def test_queries_after_analyze_build_and_solve_nothing(work):
@@ -749,7 +630,7 @@ def test_a_kept_catalog_is_the_same_object(work):
     assert work["catalogs"] == len(net.nodes)
 
 
-def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch, capsys):
+def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch):
     """The decimal rerun belongs to ``series``; ``convergence_report`` never pays for it."""
     calls = []
     real = cachecap.oracle._decimal_series
@@ -767,8 +648,7 @@ def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch
     three = str(scenario_path("three-file.json"))
     for extra in ([], ["--json"]):
         calls.clear()
-        assert cli.main(["oracle", three, "n", "--tmax", "60", *extra]) == 0
-        capsys.readouterr()
+        assert run_main(["oracle", three, "n", "--tmax", "60", *extra])[0] == 0
         assert calls == [60]
 
 
@@ -794,23 +674,22 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     scenario = tmp_path / "hashed.json"
     scenario.write_text(json.dumps(doc), encoding="utf-8")
     runs = [
-        ["capacity", str(scenario)],
-        ["optimal", str(scenario), "n"],
-        ["efficiency", str(scenario), "n", "--optimal"],
-        ["oracle", str(scenario), "n", "--tmax", "60"],
+        ["capacity", str(scenario), "--json"],
+        ["optimal", str(scenario), "n", "--json"],
+        ["efficiency", str(scenario), "n", "--optimal", "--json"],
+        ["oracle", str(scenario), "n", "--tmax", "60", "--json"],
     ]
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    for args in runs:
-        outputs = set()
-        for seed in ("0", "1"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "cachecap", *args, "--json"],
-                env=env | {"PYTHONHASHSEED": seed},
-                capture_output=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.add(proc.stdout)
-        assert len(outputs) == 1, args
+    outputs = []
+    for seed in ("0", "1"):  # one interpreter per seed runs every verb
+        proc = subprocess.run(
+            [sys.executable, "-c", verbs_program(runs)],
+            env=env | {"PYTHONHASHSEED": seed},
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.fixture(scope="module")
@@ -853,9 +732,13 @@ def modules_after(code: str, tmp_path: Path) -> set[str]:
     return set(loaded.read_text().split())
 
 
+def verbs_program(runs: list[list[str]]) -> str:
+    """Python code that runs ``cli.main`` on each argument list and fails unless each exits 0."""
+    return f"import cachecap.cli as cli\nfor words in {runs!r}:\n    assert cli.main(words) == 0, words"
+
+
 def modules_after_verbs(runs: list[list[str]], tmp_path: Path) -> set[str]:
-    code = f"import cachecap.cli as cli\nfor words in {runs!r}:\n    assert cli.main(words) == 0, words"
-    return modules_after(code, tmp_path)
+    return modules_after(verbs_program(runs), tmp_path)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Same bytes: one SHA-256 per CLI run, pinned in a committed map.
 
-Each run is ``cli.main(args)`` in process, from a working directory whose
+Each run is ``cli.main(args)`` in process, through ``run_main``, the one
+in-process runner of the test suite, from a working directory whose
 ``scenarios`` and ``tests`` entries point at the repository's, so every path a
 report echoes is the relative one in its command line. The digest covers the
 exit code, stdout, stderr and, for ``gen-trace``, the bytes of the written
@@ -98,19 +99,25 @@ def corpus() -> list[list[str]]:
     return [args + flag for args in runs for flag in ([], ["--json"])]
 
 
-def run(args: list[str]) -> tuple[int, str]:
-    """One run's exit code, and the SHA-256 of that code, stdout, stderr and written trace.
+def run_main(args: list[str]) -> tuple[int, str, str]:
+    """``cli.main(args)`` in process: its exit code, stdout and stderr.
 
     stdout is strict UTF-8, as a real one is, so text it cannot encode raises.
     """
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline=""), io.StringIO()
-    trace = Path(TRACE_OUT)
-    trace.unlink(missing_ok=True)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
     out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
+
+
+def run(args: list[str]) -> tuple[int, str]:
+    """One run's exit code, and the SHA-256 of that code, stdout, stderr and written trace."""
+    trace = Path(TRACE_OUT)
+    trace.unlink(missing_ok=True)
+    code, out, err = run_main(args)
     h = hashlib.sha256()
-    for part in (str(code), out.buffer.getvalue().decode("utf-8"), err.getvalue()):
+    for part in (str(code), out, err):
         h.update(part.encode("utf-8"))
         h.update(b"\0")
     if trace.exists():

@@ -1,10 +1,8 @@
-"""Property tests of the command line, run in process through ``cli.main``:
+"""Property tests of the command line, run in process through ``run_main``:
 the streamed ``--json`` writer against ``json.dumps``, and the exit codes of
 every verb on random documents, and of the source-spec verbs on source
 specs, with at most one junk value."""
 
-import contextlib
-import io
 import json
 import math
 import tempfile
@@ -20,16 +18,7 @@ from cachecap import Network, convergence_report
 from cachecap.oracle import QuantizedCatalog
 
 from conftest import link_networks, scenario_path
-
-
-def run_main(*args: str) -> tuple[int, str]:
-    """``cli.main(args)``: its exit code and stdout; stderr is dropped. stdout
-    is strict UTF-8, as a real one is, so text it cannot encode raises."""
-    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(args))
-    out.flush()
-    return code, out.buffer.getvalue().decode("utf-8")
+from test_cli_corpus import run_main
 
 
 # --- the --json writer --------------------------------------------------------
@@ -70,12 +59,12 @@ def oracle_document(q: QuantizedCatalog, t_max: int, x0: float | None) -> dict:
 def test_json_writer_prints_what_json_dumps_prints(inputs, x0):
     doc = oracle_document(*inputs, x0)
     with mock.patch.dict(cli._COMMANDS, {"oracle": (lambda args: doc, cli._render_oracle)}):
-        code, out = run_main("oracle", "scenarios/n.json", "n", "--json")
+        code, out, _ = run_main(["oracle", "scenarios/n.json", "n", "--json"])
     assert code == 0
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
-def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch, capsys):
+def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch):
     real = oracle.convergence_report
 
     def last_rate_infinite(q, t_max, x0):
@@ -85,10 +74,9 @@ def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch, c
 
     monkeypatch.setattr(oracle, "convergence_report", last_rate_infinite)
     three = str(scenario_path("three-file.json"))
-    assert cli.main(["oracle", three, "n", "--tmax", "60", "--json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "computation failed: oracle rate at T=60 is not finite: inf" in captured.err
+    code, out, err = run_main(["oracle", three, "n", "--tmax", "60", "--json"])
+    assert (code, out) == (2, "")
+    assert "computation failed: oracle rate at T=60 is not finite: inf" in err
 
 
 # --- exit codes of every verb -------------------------------------------------
@@ -161,10 +149,10 @@ def test_source_specs_with_junk_exit_0_1_or_2_and_raise_nothing(data):
     with tempfile.TemporaryDirectory() as tmp:
         spec, trace = str(Path(tmp, "src.json")), Path(tmp, "t.trace")
         Path(spec).write_text(json.dumps(spec_doc), encoding="utf-8")
-        code, _ = run_main("gen-trace", spec, "--n", "50", "--out", str(trace))
+        code, _, _ = run_main(["gen-trace", spec, "--n", "50", "--out", str(trace)])
         assert code in (0, 1, 2), spec_doc
         assert trace.exists() == (code == 0), spec_doc
-        code, _ = run_main("efficiency", fig1, "w2", "--source", spec)
+        code, _, _ = run_main(["efficiency", fig1, "w2", "--source", spec])
         assert code in (0, 1, 2), spec_doc
 
 
@@ -206,7 +194,7 @@ def test_every_verb_exits_0_1_or_2_and_raises_nothing(drawn):
             runs.append(["efficiency", scenario, node, "--optimal"])
         for args in runs:  # grows: an optimal that exits 0 adds the trace verbs
             for fmt in ([], ["--json"]):
-                code, out = run_main(*args, *fmt)
+                code, out, _ = run_main([*args, *fmt])
                 assert code in (0, 1, 2), (args, fmt)
                 if code != 0 or not fmt:
                     continue

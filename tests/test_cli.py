@@ -45,19 +45,53 @@ def test_text_reports_match_shipped_fixtures(name, args, monkeypatch):
     assert run_main(args) == (0, (FIXTURE_DIR / name).read_text(encoding="utf-8"), "")
 
 
-def test_json_round_trips_to_in_memory_results():
-    fig2 = scenario_path("fig2.json")
-    code, out, err = run_main(["capacity", str(fig2), "--json"])
-    assert code == 0, err
-    report = json.loads(out)
-    result = analyze_network(load_scenario(fig2))
-    assert report["network_capacity_bits_per_time"] == result.network_capacity
-    for row in report["nodes"]:
-        assert row["x0"] == result.per_node[row["node"]].x0
-        assert row["capacity_bits_per_time"] == result.per_node[row["node"]].capacity_bits_per_time
+def json_report(*args: str) -> dict:
+    """The ``--json`` report of a run that exits 0; scenario names are under ``scenarios/``."""
+    words = [str(scenario_path(a[len("scenarios/"):])) if a.startswith("scenarios/") else a for a in args]
+    code, out, err = run_main([*words, "--json"])
+    assert code == 0, (args, err)
+    return json.loads(out)
+
+
+class TestCapacityCommand:
+    def test_fig1_values(self):
+        report = json_report("capacity", "scenarios/fig1.json")
+        by_node = {row["node"]: row for row in report["nodes"]}
+        assert by_node["w2"]["capacity_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
+        assert by_node["w1"]["capacity_bits_per_time"] == 0.0
+        assert report["network_capacity_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
+
+    def test_fig2_values(self):
+        report = json_report("capacity", "scenarios/fig2.json")
+        by_node = {row["node"]: row for row in report["nodes"]}
+        assert by_node["w2"]["capacity_bits_per_time"] == pytest.approx(3.449, abs=2e-3)
+        assert by_node["w3"]["capacity_bits_per_time"] == pytest.approx(3.449, abs=2e-3)
+        assert report["network_capacity_bits_per_time"] == pytest.approx(6.898, abs=2e-3)
+
+    def test_empty_network(self):
+        report = json_report("capacity", "scenarios/empty.json")
+        assert report["network_capacity_bits_per_time"] == 0.0
+        assert report["nodes"] == []
+
+    def test_json_round_trips_to_in_memory_results(self):
+        report = json_report("capacity", "scenarios/fig2.json")
+        result = analyze_network(load_scenario(scenario_path("fig2.json")))
+        assert report["network_capacity_bits_per_time"] == result.network_capacity
+        for row in report["nodes"]:
+            assert row["x0"] == result.per_node[row["node"]].x0
+            assert row["capacity_bits_per_time"] == result.per_node[row["node"]].capacity_bits_per_time
+
+    def test_human_output_mentions_every_node(self):
+        code, out, _ = run_main(["capacity", str(scenario_path("fig2.json"))])
+        assert code == 0
+        for token in ("w1", "w2", "w3", "network capacity", "scenario digest"):
+            assert token in out
 
 
 class TestExitCodes:
+    def test_success_is_zero(self):
+        assert run_main(["validate", str(scenario_path("fig1.json"))])[0] == 0
+
     def test_usage_error_is_one(self):
         for args in (["capacity"], ["frobnicate", "x"]):
             code, out, err = run_main(args)
@@ -95,15 +129,29 @@ class TestExitCodes:
         assert "computation failed" in err
 
 
-def test_halved_times_double_every_capacity(tmp_path):
-    doc = json.loads(scenario_path("fig1.json").read_text(encoding="utf-8"))
-    for link in doc["links"]:
-        link["time"] = link["time"] / 2
-    halved = tmp_path / "fig1-halved.json"
-    halved.write_text(json.dumps(doc), encoding="utf-8")
-    _, out, _ = run_main(["compare", str(scenario_path("fig1.json")), str(halved), "--json"])
-    for row in json.loads(out)["nodes"]:
-        assert row["capacity_b"] == pytest.approx(2 * row["capacity_a"], rel=1e-9, abs=1e-12)
+class TestCompareCommand:
+    def test_distinct_vs_shared_content(self):
+        report = json_report("compare", "scenarios/fig2.json", "scenarios/fig2-shared.json")
+        deltas = {row["node"]: row["delta"] for row in report["nodes"]}
+        assert deltas["w1"] == 0.0
+        assert deltas["w2"] == pytest.approx(-0.125578, abs=1e-4)
+        assert deltas["w3"] == pytest.approx(-0.125578, abs=1e-4)
+        assert report["network"]["capacity_a"] == pytest.approx(6.898, abs=2e-3)
+        assert report["network"]["capacity_b"] == pytest.approx(6.647, abs=2e-3)
+
+    def test_identical_scenarios_have_zero_deltas(self):
+        report = json_report("compare", "scenarios/fig1.json", "scenarios/fig1.json")
+        assert all(row["delta"] == 0.0 for row in report["nodes"])
+        assert report["network"]["delta"] == 0.0
+
+    def test_halved_times_double_every_capacity(self, tmp_path):
+        doc = json.loads(scenario_path("fig1.json").read_text(encoding="utf-8"))
+        for link in doc["links"]:
+            link["time"] = link["time"] / 2
+        halved = tmp_path / "fig1-halved.json"
+        halved.write_text(json.dumps(doc), encoding="utf-8")
+        for row in json_report("compare", "scenarios/fig1.json", str(halved))["nodes"]:
+            assert row["capacity_b"] == pytest.approx(2 * row["capacity_a"], rel=1e-9, abs=1e-12)
 
 
 class TestGenTrace:
@@ -118,6 +166,16 @@ class TestGenTrace:
     def test_degenerate_source_writes_identical_lines(self, tmp_path):
         out = self.gen_trace(tmp_path, {"type": "iid", "class_mass": {"only": 1.0}}, 3, "5")
         assert out.read_text(encoding="utf-8").splitlines()[1:] == ["only", "only", "only"]
+
+    def test_fixed_seed_reruns_are_byte_identical(self, tmp_path):
+        body = {
+            "type": "markov",
+            "states": ["a", "b"],
+            "transitions": [[0.9, 0.1], [0.2, 0.8]],
+            "initial": [1.0, 0.0],
+        }
+        first = self.gen_trace(tmp_path, body, 2000, "9").read_bytes()
+        assert self.gen_trace(tmp_path, body, 2000, "9").read_bytes() == first
 
     def test_uniform_binary_frequencies(self, tmp_path):
         out = self.gen_trace(tmp_path, {"type": "iid", "class_mass": {"0": 0.5, "1": 0.5}}, 100000, "7")
@@ -157,14 +215,17 @@ class TestEfficiencyCommand:
 
     def efficiency(self, *args: str) -> dict:
         """The ``--json`` report of ``efficiency`` on three-file's node ``n``."""
-        code, out, err = run_main(["efficiency", self.THREE, "n", *args, "--json"])
-        assert code == 0, err
-        return json.loads(out)
+        return json_report("efficiency", self.THREE, "n", *args)
 
     def test_trace_report_echoes_order_zero_by_default(self, tmp_path):
         trace = tmp_path / "t.trace"
         write_trace(sample_iid({"fast": 0.5, "slow": 0.5}, 100, seed=1), trace)
         assert self.efficiency("--trace", str(trace))["source"]["order"] == 0
+
+    def test_optimal_source_reports_full_utilization(self):
+        report = json_report("efficiency", "scenarios/fig1.json", "w2", "--optimal")
+        assert report["efficiency_bits_per_time"] == pytest.approx(3.324, abs=1e-3)
+        assert report["utilization_ratio"] == pytest.approx(1.0, rel=1e-9)
 
     def test_uniform_source_on_three_files(self, tmp_path):
         spec = tmp_path / "uniform.json"
@@ -200,6 +261,30 @@ class TestEfficiencyCommand:
 
 
 class TestReports:
+    def test_every_command_supports_json_with_a_digest(self, tmp_path):
+        spec = tmp_path / "src.json"
+        spec.write_text(json.dumps({"type": "iid", "class_mass": {"own": 1.0}}), encoding="utf-8")
+        commands = [
+            ["capacity", "scenarios/fig1.json"],
+            ["optimal", "scenarios/fig1.json", "w2"],
+            ["efficiency", "scenarios/fig1.json", "w2", "--optimal"],
+            ["oracle", "scenarios/three-file.json", "n", "--tmax", "20"],
+            ["compare", "scenarios/fig1.json", "scenarios/fig2.json"],
+            ["validate", "scenarios/fig1.json"],
+            ["gen-trace", str(spec), "--n", "100", "--seed", "1", "--out", str(tmp_path / "t.trace")],
+        ]
+        for args in commands:
+            report = json_report(*args)
+            assert next(iter(report)) == "command"
+            assert report["command"] == args[0]
+            if args[0] != "gen-trace":  # the one verb without a scenario
+                assert '"digest"' in json.dumps(report)
+
+    def test_oracle_series_uses_decimal_strings(self):
+        report = json_report("oracle", "scenarios/three-file.json", "n", "--tmax", "30")
+        assert all(isinstance(row["nu"], str) for row in report["series"])
+        assert report["final_gap"] < 0.05
+
     def test_oracle_prints_counts_beyond_the_int_to_str_digit_limit(self, three_file, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)  # the report echoes the scenario path
         code, out, err = run_main(["oracle", "scenarios/three-file.json", "n", "--tmax", "12000", "--json"])

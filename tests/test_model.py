@@ -47,15 +47,97 @@ class TestBuildNetwork:
         net = build_network(doc())
         assert net.nodes == ()
 
+    def test_zero_link_time_rejected(self):
+        bad = doc(
+            classes=[{"id": "a", "count": 1}],
+            nodes=[{"id": "n", "stores": ["a"]}],
+            links=[{"reader": "n", "provider": "n", "time": 0}],
+        )
+        with pytest.raises(ScenarioError, match="non-positive time"):
+            build_network(bad)
+
+    @pytest.mark.parametrize("time", [-1, float("inf"), float("nan"), "fast", None])
+    def test_bad_link_times_rejected(self, time):
+        bad = doc(
+            classes=[{"id": "a", "count": 1}],
+            nodes=[{"id": "n", "stores": ["a"]}],
+            links=[{"reader": "n", "provider": "n", "time": time}],
+        )
+        with pytest.raises(ScenarioError):
+            build_network(bad)
+
+    def test_duplicate_class_id_rejected(self):
+        with pytest.raises(ScenarioError, match="duplicate class id 'a'"):
+            build_network(doc(classes=[{"id": "a", "count": 1}, {"id": "a", "count": 2}]))
+
+    def test_duplicate_node_id_rejected(self):
+        with pytest.raises(ScenarioError, match="duplicate node id 'n'"):
+            build_network(doc(nodes=[{"id": "n"}, {"id": "n"}]))
+
+    def test_unknown_stored_class_rejected(self):
+        with pytest.raises(ScenarioError, match="node 'n' stores unknown class 'ghost'"):
+            build_network(doc(nodes=[{"id": "n", "stores": ["ghost"]}]))
+
+    def test_dangling_link_endpoints_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown reader"):
+            build_network(doc(links=[{"reader": "x", "provider": "y", "time": 1}]))
+        with pytest.raises(ScenarioError, match="unknown provider 'y'"):
+            build_network(
+                doc(nodes=[{"id": "x"}], links=[{"reader": "x", "provider": "y", "time": 1}])
+            )
+
+    def test_zero_count_class_rejected(self):
+        with pytest.raises(ScenarioError, match="non-positive count"):
+            build_network(doc(classes=[{"id": "a", "count": 0}]))
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(ScenarioError, match="count must be an integer"):
+            build_network(doc(classes=[{"id": "a", "count": 2.5}]))
+
     def test_integral_float_count_accepted(self):
         net = build_network(doc(classes=[{"id": "a", "count": 1e7}]))
         assert net.classes[0].count == 10**7
+
+    def test_link_classes_must_be_stored_by_provider(self):
+        bad = doc(
+            classes=[{"id": "a", "count": 1}, {"id": "b", "count": 1}],
+            nodes=[{"id": "p", "stores": ["a"]}, {"id": "r"}],
+            links=[{"reader": "r", "provider": "p", "time": 1, "classes": ["b"]}],
+        )
+        with pytest.raises(ScenarioError, match="class 'b' is not stored by provider 'p'"):
+            build_network(bad)
 
     def test_invalid_json_file_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(path)
+
+    # Every id-valued field of a document that is valid with string ids.
+    ID_FIELDS = [
+        ("classes", 0, "id"),
+        ("nodes", 0, "id"),
+        ("nodes", 0, "stores", 0),
+        ("links", 0, "reader"),
+        ("links", 0, "provider"),
+        ("links", 0, "classes", 0),
+    ]
+
+    @pytest.mark.parametrize("field", ID_FIELDS, ids=["/".join(map(str, f)) for f in ID_FIELDS])
+    def test_non_string_ids_rejected_not_coerced(self, field):
+        good = doc(
+            classes=[{"id": "1", "count": 1}],
+            nodes=[{"id": "1", "stores": ["1"]}],
+            links=[{"reader": "1", "provider": "1", "time": 1, "classes": ["1"]}],
+        )
+        build_network(good)
+        *path, last = field
+        target = good
+        for key in path:
+            target = target[key]
+        target[last] = 1
+        with pytest.raises(ScenarioError, match="must be a string, got 1"):
+            build_network(good)
 
     @pytest.mark.parametrize(
         "text",

@@ -40,6 +40,7 @@ __all__ = [
     "EntropyEstimate",
     "EfficiencyResult",
     "block_entropy_estimate",
+    "empirical_distribution",
     "entropy_efficiency",
 ]
 
@@ -220,7 +221,7 @@ class EmpiricalSource(_EmpiricalFields):
         return blocks, symbol_counts
 
     def marginal(self) -> dict[str, float]:
-        """Normalized symbol frequencies, by id: ``empirical_distribution`` of the trace."""
+        """Normalized symbol frequencies in id order, each a correctly rounded count / length."""
         symbols = self.trace
         if not symbols:
             raise ValueError("cannot take the empirical distribution of an empty trace")
@@ -373,6 +374,11 @@ def block_entropy_estimate(
     raises ValueError. This is the ``EmpiricalSource`` estimate of the trace.
     """
     return EmpiricalSource(trace_symbols(symbols, "symbols"), n, force).entropy({})
+
+
+def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
+    """The ``EmpiricalSource`` marginal of ``trace``, a Trace, a list or a tuple."""
+    return EmpiricalSource(trace).marginal()
 
 
 def entropy_efficiency(

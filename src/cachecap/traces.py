@@ -1,9 +1,12 @@
-"""Synthetic access traces and empirical distributions.
+"""Access traces: making, reading, writing and checking them.
 
 Traces are sequences of class ids (files within a class are symmetric, so
-class granularity carries all the information any formula here needs). The
-generator is SplitMix64, a counter-based 64-bit PRNG chosen because it is
-four lines long, fast, and bit-for-bit reproducible on any platform; the
+class granularity carries all the information any formula here needs).
+Every statistic of a trace, its class marginal and its entropy estimate,
+is an ``EmpiricalSource`` method in ``entropy``.
+
+The generator is SplitMix64, a counter-based 64-bit PRNG chosen because it
+is four lines long, fast, and bit-for-bit reproducible on any platform; the
 known-answer test pins its output. One draw is consumed per symbol. Draw j
 of a seed depends only on the seed and j (its state is
 ``seed + j * 0x9E3779B97F4A7C15 mod 2**64``), so the draws are made in bulk,
@@ -24,7 +27,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +37,6 @@ __all__ = [
     "Trace",
     "sample_iid",
     "sample_markov",
-    "empirical_distribution",
     "read_trace",
     "write_trace",
 ]
@@ -277,18 +278,6 @@ def trace_symbols(trace: Trace | Sequence[str], label: str) -> tuple[str, ...]:
     if not isinstance(trace, (list, tuple)):
         raise ValueError(f"'{label}' must be a Trace, a list or a tuple, got {type(trace).__name__}")
     return tuple(trace)
-
-
-def empirical_distribution(trace: Trace | Sequence[str]) -> dict[str, float]:
-    """Normalized symbol frequencies, by id; each is a correctly rounded count / length.
-    A symbol that is not a string raises ValueError."""
-    symbols = trace_symbols(trace, "trace")
-    if not symbols:
-        raise ValueError("cannot take the empirical distribution of an empty trace")
-    counts = Counter(symbols)
-    check_ids(counts, "trace symbols")
-    total = len(symbols)
-    return {cid: c / total for cid, c in sorted(counts.items())}
 
 
 def read_trace(path: str | Path) -> Trace:

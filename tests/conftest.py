@@ -119,6 +119,13 @@ def single_node_network(terms: Sequence[tuple[int, float]]) -> tuple[Network, st
     return Network(classes=classes, nodes=(node,), links=links), "n"
 
 
+def enumerate_count(file_times: Sequence[int], total: int) -> int:
+    """Independent oracle: count sequences over individual files by recursion."""
+    if total == 0:
+        return 1
+    return sum(enumerate_count(file_times, total - t) for t in file_times if t <= total)
+
+
 def scale_times(net: Network, s: float) -> Network:
     """Copy of a network with every link time multiplied by s."""
     return Network(

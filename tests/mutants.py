@@ -287,7 +287,7 @@ MUTANTS = [
         "except ():  # a count beyond the float range",
         ("tests/test_capacity.py",),
     ),
-    # A source's statistics computed once: the symbol counts, and the check of their ids.
+    # A source's statistics computed once: the symbol counts, the check of their ids, their order.
     Mutant(
         "estimate-alphabet-counts-blocks",
         "src/cachecap/entropy.py",
@@ -303,11 +303,11 @@ MUTANTS = [
         ("tests/test_traces.py",),
     ),
     Mutant(
-        "empirical-distribution-takes-any-symbol",
-        "src/cachecap/traces.py",
-        'check_ids(counts, "trace symbols")',
-        "pass",
-        ("tests/test_traces.py",),
+        "marginal-in-first-occurrence-order",
+        "src/cachecap/entropy.py",
+        "sorted(self._counts[1].items())",
+        "self._counts[1].items()",
+        ("tests/test_entropy.py",),
     ),
     # Input the report could not print: an id that is not text, a mean past the float range.
     Mutant(

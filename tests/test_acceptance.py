@@ -32,6 +32,7 @@ from conftest import (
     CLI_FIXTURES,
     FIXTURE_DIR,
     REPO_ROOT,
+    enumerate_count,
     scale_times,
     scenario_path,
     single_node_network,
@@ -69,18 +70,12 @@ def test_criterion_2_three_node_golden():
     verdict(2, "three-node golden scenario incl. shared-content variant", started)
 
 
-def _enumerate_count(file_times: list[int], total: int) -> int:
-    if total == 0:
-        return 1
-    return sum(_enumerate_count(file_times, total - t) for t in file_times if t <= total)
-
-
 def test_criterion_3_oracle_consistency():
     started = time.perf_counter()
     q = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
     nu = count_series(q, 200)
     for total in range(0, 9):
-        assert nu[total] == _enumerate_count([1, 1, 2], total)
+        assert nu[total] == enumerate_count([1, 1, 2], total)
     assert nu[2] == 5 and nu[3] == 12
     target = math.log2(1 + math.sqrt(2))
     assert abs(math.log2(nu[60]) / 60 - target) < 0.02

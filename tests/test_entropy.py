@@ -16,7 +16,6 @@ from cachecap import (
     ScenarioError,
     Trace,
     block_entropy_estimate,
-    empirical_distribution,
     entropy_efficiency,
     node_capacity,
     optimal_distribution,
@@ -29,6 +28,16 @@ FLIP = MarkovSource(states=("a", "b"), transitions=((0.75, 0.25), (0.25, 0.75)))
 FLIP_TRACE = MarkovSource(
     states=("fast", "slow"), transitions=((0.75, 0.25), (0.25, 0.75))
 ).sample(20000, seed=3)
+
+
+def reference_marginal(symbols):
+    """Test-only reference for an empirical marginal: a ``Counter`` of the
+    symbols, each count divided by the length, in sorted id order."""
+    counts = Counter(symbols)
+    return {cid: counts[cid] / len(symbols) for cid in sorted(counts)}
+
+
+FLIP_MARGINAL = reference_marginal(FLIP_TRACE.symbols)
 
 
 def reference_block_estimate(symbols, n):
@@ -412,7 +421,15 @@ class TestOneCountEstimate:
     @pytest.mark.parametrize("order", [0, 1, 2, 3, -1, "1", 10**6])
     def test_the_marginal_is_the_empirical_distribution_at_any_order(self, symbols, order):
         marginal = EmpiricalSource(Trace(symbols), order).marginal()
-        assert list(marginal.items()) == list(empirical_distribution(symbols).items())
+        assert list(marginal.items()) == list(reference_marginal(symbols).items())
+
+    def test_the_marginal_is_in_id_order_whatever_order_the_ids_first_occur_in(self):
+        # the mean read time is added in marginal order: in first-occurrence
+        # order, c0 c2 c1, it would be 0.8500000000000001
+        net, node = single_node_network([(1, 0.1), (1, 0.7), (1, 1.3)])
+        src = EmpiricalSource(("c0", "c2", "c2", "c1"), 0, force=True)
+        assert list(src.marginal()) == ["c0", "c1", "c2"]
+        assert entropy_efficiency(net, node, src).mean_read_time == 0.85
 
     def test_a_list_is_kept_as_a_tuple(self):
         symbols = ["a", "b"] * 20
@@ -466,7 +483,7 @@ class TestOneCountEstimate:
         src = EmpiricalSource(trace=FLIP_TRACE, order=2)
         result = entropy_efficiency(three_file, "n", src)
         assert counted == [3]
-        assert src.marginal() == empirical_distribution(FLIP_TRACE)
+        assert src.marginal() == FLIP_MARGINAL
         assert src.entropy({}).value == result.entropy_bits_per_file
         assert counted == [3]
         EmpiricalSource(trace=FLIP_TRACE, order=2).marginal()
@@ -476,7 +493,7 @@ class TestOneCountEstimate:
         self, counted
     ):
         src = EmpiricalSource(trace=FLIP_TRACE, order=5000)
-        assert src.marginal() == empirical_distribution(FLIP_TRACE)
+        assert src.marginal() == FLIP_MARGINAL
         message = "trace of length 20000 is too short for order 5000"
         with pytest.raises(ValueError, match=f"^{message} "):
             src.entropy({})
@@ -632,3 +649,38 @@ class TestOptimalityProperties:
                 src = IIDSource(class_mass={c: w / total for c, w in zip(class_ids, raw)})
                 result = entropy_efficiency(net, node, src)
                 assert result.efficiency_bits_per_time <= cap + 1e-9
+
+    def test_the_efficiency_gap_of_an_iid_source_is_its_divergence_from_the_optimum(
+        self, fig1, three_file, fig2
+    ):
+        """For class masses m on a node, efficiency = C - D(m || m*) / T, where
+        m* is the optimal distribution's class masses, D the Kullback-Leibler
+        divergence in bits and T the mean read time, sum_c m_c t_c, a mean
+        because sum_c m_c = 1.
+
+        With N_c files in class c, the efficiency is H / T, H being
+        -sum_c m_c log2(m_c / N_c). The optimum gives each file x0**-t_c, so
+        log2 m*_c = log2 N_c - t_c C. Expanding D,
+        D = sum_c m_c log2 m_c - sum_c m_c log2 m*_c
+          = sum_c m_c log2(m_c / N_c) + C sum_c m_c t_c = -H + C T,
+        and so H / T = C - D / T. A class of zero mass adds nothing to D.
+        The tolerance is relative to C, since the efficiency is 0 where all
+        the mass is on one file.
+        """
+        rng = random.Random(31)
+        cases = [(*single_node_network(random_terms(rng)), 50) for _ in range(30)]
+        cases += [(fig1, "w2", 300), (three_file, "n", 300), (fig2, "w3", 300)]
+        for net, node, sources in cases:
+            best = optimal_distribution(net, node).class_mass
+            ids = sorted(best)
+            for _ in range(sources):
+                raw = [rng.random() for _ in ids]
+                if len(ids) > 1 and rng.random() < 0.3:
+                    raw[rng.randrange(len(ids))] = 0.0
+                total = sum(raw)
+                mass = {c: w / total for c, w in zip(ids, raw)}
+                result = entropy_efficiency(net, node, IIDSource(class_mass=mass))
+                divergence = math.fsum(m * math.log2(m / best[c]) for c, m in mass.items() if m > 0)
+                assert result.efficiency_bits_per_time + divergence / result.mean_read_time == (
+                    pytest.approx(result.capacity_bits_per_time, rel=1e-12)
+                )

@@ -22,17 +22,10 @@ from cachecap import (
 from cachecap import oracle
 from cachecap.oracle import QuantizedCatalog
 
-from conftest import link_networks, random_terms, single_node_network
+from conftest import enumerate_count, link_networks, random_terms, single_node_network
 
 PELL = QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
 PELL_RATE = math.log2(1 + math.sqrt(2))
-
-
-def enumerate_count(file_times: list[int], total: int) -> int:
-    """Independent oracle: count sequences over individual files by recursion."""
-    if total == 0:
-        return 1
-    return sum(enumerate_count(file_times, total - t) for t in file_times if t <= total)
 
 
 class TestQuantize:

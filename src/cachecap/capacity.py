@@ -126,9 +126,10 @@ def solve_characteristic_full(terms: Iterable[tuple[int, float]]) -> NodeCapacit
         if step * _LN2 <= REL_TOL:
             # A step from below falls short of the root, so a small one does not
             # show that x0 is within REL_TOL: look at x0 * (1 + REL_TOL) itself.
+            # ahead > s: below 1024, ulp(s) <= 2**-43 < log2(1 + REL_TOL), about 1.44e-12.
             ahead = s + math.log2(1.0 + REL_TOL)
             ahead_value, ahead_slope = _lhs(logs, ahead)
-            if ahead_value <= 1.0 or ahead == s:
+            if ahead_value <= 1.0:
                 break
             s, value, slope = ahead, ahead_value, ahead_slope
         if iterations == _MAX_ITERATIONS:

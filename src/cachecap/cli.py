@@ -93,11 +93,9 @@ def _load_source_spec(path: str) -> IIDSource | MarkovSource:
 # --- command implementations -------------------------------------------------
 
 
-def _cmd_capacity(args: argparse.Namespace) -> dict:
-    net, scenario = _load_scenario(args.scenario)
+def _cmd_capacity(args: argparse.Namespace, net: Network) -> dict:
     result = analyze_network(net)
     return {
-        "scenario": scenario,
         "rel_tol": REL_TOL,
         "nodes": [{"node": nid, **nc._asdict()} for nid, nc in sorted(result.per_node.items())],
         "network_capacity_bits_per_time": result.network_capacity,
@@ -115,8 +113,7 @@ def _render_capacity(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_optimal(args: argparse.Namespace) -> dict:
-    net, scenario = _load_scenario(args.scenario)
+def _cmd_optimal(args: argparse.Namespace, net: Network) -> dict:
     dist = optimal_distribution(net, args.node)
     counts = effective_catalog(net, args.node).counts
     classes = [
@@ -129,8 +126,6 @@ def _cmd_optimal(args: argparse.Namespace) -> dict:
         for cid, mass in dist.class_mass.items()
     ]
     return {
-        "scenario": scenario,
-        "node": args.node,
         "x0": dist.x0,
         "capacity_bits_per_time": node_solution(net, args.node).capacity_bits_per_time,
         "classes": classes,
@@ -151,13 +146,10 @@ def _render_optimal(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_efficiency(args: argparse.Namespace) -> dict:
-    if args.trace is None and (args.order is not None or args.force):
-        raise ValueError("--order and --force apply only with --trace")
+def _cmd_efficiency(args: argparse.Namespace, net: Network) -> dict:
     from .entropy import EmpiricalSource, IIDSource, entropy_efficiency
     from .traces import read_trace
 
-    net, scenario = _load_scenario(args.scenario)
     if args.optimal:
         dist = optimal_distribution(net, args.node)
         src = IIDSource(class_mass=dist.class_mass)
@@ -171,7 +163,7 @@ def _cmd_efficiency(args: argparse.Namespace) -> dict:
         echo = {"kind": src.kind, "path": args.trace, "order": order}
 
     result = entropy_efficiency(net, args.node, src)
-    return {"scenario": scenario, "node": args.node, "source": echo} | result._asdict()
+    return {"source": echo} | result._asdict()
 
 
 def _render_efficiency(report: dict) -> str:
@@ -188,10 +180,9 @@ def _render_efficiency(report: dict) -> str:
     )
 
 
-def _cmd_oracle(args: argparse.Namespace) -> dict:
+def _cmd_oracle(args: argparse.Namespace, net: Network) -> dict:
     from .oracle import convergence_report, quantize
 
-    net, scenario = _load_scenario(args.scenario)
     catalog = effective_catalog(net, args.node)
     if not catalog.entries:
         raise ScenarioError(f"node '{args.node}' has no reachable classes; nothing to count")
@@ -199,8 +190,6 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
     x0 = node_solution(net, args.node).x0
     report = convergence_report(q, args.tmax, x0)
     return {
-        "scenario": scenario,
-        "node": args.node,
         "grid": q.grid,
         "t_max": args.tmax,
         "solver_x0": x0,
@@ -228,7 +217,7 @@ def _render_oracle(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_compare(args: argparse.Namespace) -> dict:
+def _cmd_compare(args: argparse.Namespace, net: None) -> dict:
     net_a, scenario_a = _load_scenario(args.scenario_a)
     net_b, scenario_b = _load_scenario(args.scenario_b)
     result_a, result_b = analyze_network(net_a), analyze_network(net_b)
@@ -269,7 +258,7 @@ def _render_compare(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_gen_trace(args: argparse.Namespace) -> dict:
+def _cmd_gen_trace(args: argparse.Namespace, net: None) -> dict:
     from .traces import write_trace
 
     try:  # the report prints the path, so it must be text: a byte that is not UTF-8 is a surrogate
@@ -295,10 +284,8 @@ def _render_gen_trace(report: dict) -> str:
     )
 
 
-def _cmd_validate(args: argparse.Namespace) -> dict:
-    net, scenario = _load_scenario(args.scenario)
+def _cmd_validate(args: argparse.Namespace, net: Network) -> dict:
     return {
-        "scenario": scenario,
         "valid": True,
         "classes": len(net.classes),
         "nodes": len(net.nodes),
@@ -350,8 +337,15 @@ def _json_pieces(report: dict) -> Iterable[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "efficiency" and args.trace is None and (args.order is not None or args.force):
+            raise ValueError("--order and --force apply only with --trace")
         run, render = _COMMANDS[args.command]
-        report = {"command": args.command} | run(args)
+        report, net = {"command": args.command}, None
+        if "scenario" in args:  # every verb but compare and gen-trace names one scenario
+            net, report["scenario"] = _load_scenario(args.scenario)
+            if "node" in args:
+                report["node"] = args.node
+        report |= run(args, net)
         if args.json:
             pieces = _json_pieces(report)
     except (ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -77,6 +78,28 @@ SHORT_STEP_TERMS = (
 # Terms of a catalog whose lower bound on the root is s = log2(x0) of about
 # 39,755, far beyond the 1024 at which 2**s overflows a double.
 FAR_ROOT_TERMS = ((933, 0.00077399), (8_690_949, 0.00057983))
+
+
+def record_calls(monkeypatch, module, name: str, record=lambda *a, **kw: (a, kw)) -> list:
+    """Wrap ``module.<name>``: each call appends ``record(*args, **kwargs)`` to the returned
+    list, then runs the original. The wrapper replaces the original, for the test,
+    in every loaded module that holds the same object, so no import bypasses it."""
+    real = getattr(module, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    for holder in list(sys.modules.values()):
+        if getattr(holder, "__dict__", {}).get(name) is real:
+            monkeypatch.setattr(holder, name, recorded)
+    return calls
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` ``match`` pattern for the whole of ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def text_fixture(fixture: str, args: list[str]) -> tuple[str, list[str]]:

@@ -145,8 +145,8 @@ MUTANTS = [
     Mutant(
         "cli-order-without-trace-accepted",
         "src/cachecap/cli.py",
-        "if args.trace is None and (args.order is not None or args.force):",
-        "if args.trace is None and args.force:",
+        'args.command == "efficiency" and args.trace is None and (args.order is not None or args.force):',
+        'args.command == "efficiency" and args.trace is None and args.force:',
         ("tests/test_cli.py",),
     ),
     Mutant(

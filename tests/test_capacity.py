@@ -25,6 +25,7 @@ from cachecap.model import FileClass, Link, Network, Node
 from conftest import (
     FAR_ROOT_TERMS,
     SHORT_STEP_TERMS,
+    exactly,
     link_networks,
     random_terms,
     scale_times,
@@ -246,7 +247,7 @@ class TestNodeCapacity:
         assert node_capacity(net, node) == pytest.approx(math.log2(SQRT2P1), abs=1e-5)
 
     def test_unknown_node_rejected(self, fig1):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=exactly("unknown node 'nope'")):
             node_capacity(fig1, "nope")
 
 
@@ -304,7 +305,8 @@ class TestOptimalDistribution:
         assert dist.class_mass["lib"] == pytest.approx(0.000999, abs=1e-4)
 
     def test_zero_capacity_node_rejected(self, fig1):
-        with pytest.raises(ScenarioError, match="zero capacity"):
+        message = "node 'w1' has zero capacity; no optimal access distribution exists"
+        with pytest.raises(ScenarioError, match=exactly(message)):
             optimal_distribution(fig1, "w1")
 
     def test_masses_sum_to_one_on_random_catalogs(self):

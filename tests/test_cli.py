@@ -27,6 +27,7 @@ from conftest import (
     FAR_ROOT_TERMS,
     FIXTURE_DIR,
     REPO_ROOT,
+    record_calls,
     scenario_path,
     text_fixture,
 )
@@ -120,7 +121,7 @@ class TestExitCodes:
     def test_solver_failure_is_two(self, monkeypatch):
         from cachecap import SolverError
 
-        def boom(args):
+        def boom(args, net):
             raise SolverError("bracketing failed")
 
         monkeypatch.setitem(cli._COMMANDS, "capacity", (boom, lambda r: ""))
@@ -429,6 +430,11 @@ FAILED_RUNS = [
         for flag, flag_words in (("order", "--order 7"), ("force", "--force"))
         for source, words in (("optimal", f"--optimal {flag_words}"), ("source", f"--source {{spec}} {flag_words}"))
     ),
+    # The usage rule is checked before the scenario is read.
+    (
+        "order-without-a-trace-and-a-missing-scenario", {}, "efficiency scenarios/nope.json w2 --optimal --order 1", 1,
+        "error: --order and --force apply only with --trace",
+    ),
     (
         "trace-with-a-byte-order-mark", {"trace": "\ufeff#cachecap-trace v1\nfast\nslow\n"},
         "efficiency scenarios/three-file.json n --trace {trace}", 1,
@@ -616,25 +622,11 @@ def test_a_failed_run_prints_its_error_and_nothing_else(
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts catalog builds (``EffectiveCatalog`` constructions) and characteristic solves."""
-    counts = {"catalogs": 0, "solves": 0}
-
-    def counting(key, fn):
-        def counted(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    # ``effective_catalog`` builds every catalog, through the class's name in ``model``.
-    catalog_class = cachecap.model.EffectiveCatalog
-    monkeypatch.setattr(cachecap.model, "EffectiveCatalog", counting("catalogs", catalog_class))
-    solve = cachecap.capacity.solve_characteristic_full
-    counted_solve = counting("solves", solve)
-    for module in [cachecap, cachecap.capacity, cachecap.oracle, cachecap.entropy, cli]:
-        if getattr(module, solve.__name__, None) is solve:
-            monkeypatch.setattr(module, solve.__name__, counted_solve)
-    return counts
+    """The calls that build a catalog (``EffectiveCatalog`` constructions) and solve an equation."""
+    return {
+        "catalogs": record_calls(monkeypatch, cachecap.model, "EffectiveCatalog"),
+        "solves": record_calls(monkeypatch, cachecap.capacity, "solve_characteristic_full"),
+    }
 
 
 class TestWorkPerCall:
@@ -644,9 +636,10 @@ class TestWorkPerCall:
     THREE = str(scenario_path("three-file.json"))
 
     def run(self, work, *args: str) -> tuple[int, int]:
-        work.update(catalogs=0, solves=0)
+        for calls in work.values():
+            calls.clear()
         assert run_main([*args, "--json"])[0] == 0
-        return work["catalogs"], work["solves"]
+        return len(work["catalogs"]), len(work["solves"])
 
     def test_optimal(self, work):
         assert self.run(work, "optimal", self.FIG1, "w2") == (1, 1)
@@ -671,7 +664,7 @@ class TestWorkPerCall:
 def test_queries_after_analyze_build_and_solve_nothing(work):
     net = load_scenario(scenario_path("fig2.json"))
     result = analyze_network(net)
-    assert (work["catalogs"], work["solves"]) == (3, 3)
+    assert (len(work["catalogs"]), len(work["solves"])) == (3, 3)
     for node in net.nodes:
         capacity = cachecap.node_capacity(net, node.id)
         assert capacity == result.per_node[node.id].capacity_bits_per_time
@@ -686,7 +679,7 @@ def test_queries_after_analyze_build_and_solve_nothing(work):
         assert cachecap.entropy_efficiency(net, node.id, source).utilization_ratio == pytest.approx(1.0)
         assert cachecap.quantize_node(net, node.id).grid == 1.0
     assert analyze_network(net) == result
-    assert (work["catalogs"], work["solves"]) == (3, 3)
+    assert (len(work["catalogs"]), len(work["solves"])) == (3, 3)
 
 
 def test_failures_are_raised_every_time_and_never_kept(work):
@@ -705,26 +698,19 @@ def test_failures_are_raised_every_time_and_never_kept(work):
             cachecap.node_capacity(net, "ghost")
     # n's catalog is built once and kept; its solve is tried each time, and ghost
     # raises before any catalog is built.
-    assert (work["catalogs"], work["solves"]) == (1, 2)
+    assert (len(work["catalogs"]), len(work["solves"])) == (1, 2)
 
 
 def test_a_kept_catalog_is_the_same_object(work):
     net = load_scenario(scenario_path("fig2.json"))
     for node in net.nodes:
         assert cachecap.effective_catalog(net, node.id) is cachecap.effective_catalog(net, node.id)
-    assert work["catalogs"] == len(net.nodes)
+    assert len(work["catalogs"]) == len(net.nodes)
 
 
 def test_oracle_digits_are_computed_only_when_a_report_is_serialized(monkeypatch):
     """The decimal rerun belongs to ``series``; ``convergence_report`` never pays for it."""
-    calls = []
-    real = cachecap.oracle._decimal_series
-
-    def counted(q, t_max):
-        calls.append(t_max)
-        return real(q, t_max)
-
-    monkeypatch.setattr(cachecap.oracle, "_decimal_series", counted)
+    calls = record_calls(monkeypatch, cachecap.oracle, "_decimal_series", lambda q, t_max: t_max)
     q = cachecap.oracle.QuantizedCatalog(int_times=((2, 1), (1, 2)), grid=1.0)
     report = cachecap.convergence_report(q, 60, 1 + 2**0.5)
     assert calls == []

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cachecap.cli as cli
 import cachecap.oracle as oracle
-from cachecap import Network, convergence_report
+from cachecap import Network, convergence_report, read_scenario
 from cachecap.oracle import QuantizedCatalog
 
 from conftest import link_networks, scenario_path
@@ -35,12 +35,15 @@ def oracle_inputs(draw) -> tuple[QuantizedCatalog, int]:
     return q, draw(st.integers(q.max_time, 150))
 
 
+THREE_FILE = str(scenario_path("three-file.json"))
+
+
 def oracle_document(q: QuantizedCatalog, t_max: int, x0: float | None) -> dict:
-    """A report with the oracle verb's fields, counted from ``q``."""
+    """A report of the oracle verb on three-file's node ``n``, its fields counted from ``q``."""
     report = convergence_report(q, t_max, x0)
     return {
         "command": "oracle",
-        "scenario": {"path": "scenarios/n.json", "digest": "0" * 64},
+        "scenario": {"path": THREE_FILE, "digest": read_scenario(THREE_FILE)[1]},
         "node": "n",
         "grid": q.grid,
         "t_max": t_max,
@@ -58,8 +61,9 @@ def oracle_document(q: QuantizedCatalog, t_max: int, x0: float | None) -> dict:
 @example((QuantizedCatalog(int_times=((3, 1), (5, 1), (7, 3), (2, 3)), grid=1.0), 60), 9.0)
 def test_json_writer_prints_what_json_dumps_prints(inputs, x0):
     doc = oracle_document(*inputs, x0)
-    with mock.patch.dict(cli._COMMANDS, {"oracle": (lambda args: doc, cli._render_oracle)}):
-        code, out, _ = run_main(["oracle", "scenarios/n.json", "n", "--json"])
+    body = dict(list(doc.items())[3:])  # ``main`` writes command, scenario and node
+    with mock.patch.dict(cli._COMMANDS, {"oracle": (lambda args, net: body, cli._render_oracle)}):
+        code, out, _ = run_main(["oracle", THREE_FILE, "n", "--json"])
     assert code == 0
     assert out == json.dumps(doc, indent=2) + "\n"
 
@@ -73,8 +77,7 @@ def test_a_rate_that_is_not_finite_exits_two_with_nothing_printed(monkeypatch):
         return report._replace(points=(*report.points[:-1], last))
 
     monkeypatch.setattr(oracle, "convergence_report", last_rate_infinite)
-    three = str(scenario_path("three-file.json"))
-    code, out, err = run_main(["oracle", three, "n", "--tmax", "60", "--json"])
+    code, out, err = run_main(["oracle", THREE_FILE, "n", "--tmax", "60", "--json"])
     assert (code, out) == (2, "")
     assert "computation failed: oracle rate at T=60 is not finite: inf" in err
 

@@ -8,6 +8,9 @@ public name that nothing reads is dead weight, and goes.
 No module calls the builtin ``sum``: from Python 3.12 it adds floats with
 compensation, so a total it makes prints different digits on 3.12 and later
 than on 3.10 and 3.11.
+
+``cli.main`` reads the scenario a verb names and writes each report's
+``scenario`` and ``node`` keys; no ``cli._cmd_*`` function does either.
 """
 
 import ast
@@ -60,6 +63,45 @@ def test_the_sum_check_sees_a_call(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("x = sum(v for v in y)\ndef f():\n    return sum([1.0])\nz = math.fsum(y)\n")
     assert builtin_sum_calls(path) == [1, 3]
+
+
+def report_keys(expr: ast.expr) -> list[ast.expr]:
+    """The keys of the dict literals a returned report is made of: ``{...}`` and ``{...} | x``."""
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.BitOr):
+        return report_keys(expr.left) + report_keys(expr.right)
+    return list(expr.keys) if isinstance(expr, ast.Dict) else []
+
+
+def verb_frame_writes(path) -> list[str]:
+    """Where a ``_cmd_*`` function in ``path`` reads ``args.scenario`` or puts a
+    ``"scenario"`` or ``"node"`` key in the report it returns, as ``name:line``."""
+    found = []
+    for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(fn):
+            keys = report_keys(node.value) if isinstance(node, ast.Return) and node.value else []
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                keys = [node.slice]
+            reads = isinstance(node, ast.Attribute) and ast.unparse(node) == "args.scenario"
+            if reads or any(isinstance(k, ast.Constant) and k.value in ("scenario", "node") for k in keys):
+                found.append((node.lineno, fn.name))
+    return [f"{name}:{line}" for line, name in sorted(found)]
+
+
+def test_main_alone_reads_the_scenario_and_writes_the_report_frame():
+    assert verb_frame_writes(REPO_ROOT / "src" / "cachecap" / "cli.py") == []
+
+
+def test_the_frame_check_sees_a_verb_that_writes_its_own(tmp_path):
+    path = tmp_path / "cli.py"
+    path.write_text(
+        "def _cmd_a(args, net):\n    net = load(args.scenario)\n    return {'scenario': 1, 'rows': [{'node': 2}]}\n"
+        "def _cmd_b(args, net):\n    report = {}\n    report['node'] = 3\n    return {'x': 4} | report\n"
+        "def _cmd_c(args, net):\n    return {'y': 5} | {'node': args.node}\n"
+        "def main(args):\n    return {'scenario': args.scenario}\n"
+    )
+    assert verb_frame_writes(path) == ["_cmd_a:2", "_cmd_a:3", "_cmd_b:6", "_cmd_c:9"]
 
 
 def public_names(path) -> list[str]:

@@ -22,6 +22,8 @@ from cachecap import (
 )
 from cachecap.traces import _CHUNK, TRACE_HEADER, _draws
 
+from conftest import exactly
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -203,9 +205,9 @@ class TestSampleIid:
         assert trace.symbols == ("a", "a", "a", "a", "b", "a", "b", "a")
 
     def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("p: probabilities sum to 0.8, not 1")):
             sample_iid({"a": 0.4, "b": 0.4}, 10, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exactly("p: probabilities sum to 0.0, not 1")):
             sample_iid({}, 10, seed=1)
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             sample_iid({"a": 1.0}, -1, 0)
@@ -224,23 +226,25 @@ class TestSampleIid:
         ],
     )
     def test_non_finite_or_boolean_mass_rejected(self, bad):
-        with pytest.raises(ValueError, match="not a finite number"):
+        with pytest.raises(ValueError, match=exactly(f"p: probability {bad!r} is not a finite number")):
             sample_iid({"a": bad, "b": 0.0}, 10, seed=1)
-        with pytest.raises(ValueError, match="not a finite number"):
+        message = f"transition row 1: probability {bad!r} is not a finite number"
+        with pytest.raises(ValueError, match=exactly(message)):
             sample_markov(("a", "b"), ((1.0, 0.0), (bad, 0.0)), (1.0, 0.0), 5, seed=1)
 
     @pytest.mark.parametrize("mass", [{1: 0.5, "a": 0.5}, {1: 1.0}], ids=["mixed", "int-only"])
     def test_class_ids_must_be_strings(self, mass):
-        with pytest.raises(ValueError, match="class ids must be strings, got 1"):
+        with pytest.raises(ValueError, match=exactly("class ids must be strings, got 1")):
             sample_iid(mass, 5, seed=1)
-        with pytest.raises(ValueError, match="class ids must be strings, got 1"):
+        with pytest.raises(ValueError, match=exactly("class ids must be strings, got 1")):
             IIDSource(mass)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999, True, 1.0, "3"])
     def test_seed_outside_64_bits_or_not_an_int_rejected(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        message = f"seed must be an integer in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValueError, match=exactly(message)):
             sample_iid({"a": 0.5, "b": 0.5}, 5, seed=seed)
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match=exactly(message)):
             sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), 0, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -254,9 +258,9 @@ class TestSampleIid:
         # check fails before any memory is taken, and past the index range
         # (10**20) the length cannot even be a list size.
         message = f"trace length {n} is too large to hold"
-        with pytest.raises(MemoryError, match=message):
+        with pytest.raises(MemoryError, match=exactly(message)):
             sample_iid({"a": 0.5, "b": 0.5}, n, seed=0)
-        with pytest.raises(MemoryError, match=message):
+        with pytest.raises(MemoryError, match=exactly(message)):
             sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0, 0.0), n, seed=0)
 
     def test_a_draw_in_the_top_slack_picks_the_last_positive_mass(self):
@@ -347,18 +351,20 @@ class TestSampleMarkov:
         assert t1.symbols == t2.symbols
 
     def test_shape_and_stochasticity_validated(self):
-        with pytest.raises(ValueError, match="shape"):
+        message = "transition matrix shape does not match the state list"
+        with pytest.raises(ValueError, match=exactly(message)):
             sample_markov(("a", "b"), ((1.0,),), (1.0, 0.0), 5, seed=1)
-        with pytest.raises(ValueError, match="row"):
+        with pytest.raises(ValueError, match=exactly("transition row 0: probabilities sum to 1.1, not 1")):
             sample_markov(("a", "b"), ((0.5, 0.6), (0.5, 0.5)), (1.0, 0.0), 5, seed=1)
-        with pytest.raises(ValueError, match="initial"):
+        message = "initial distribution length does not match the state list"
+        with pytest.raises(ValueError, match=exactly(message)):
             sample_markov(("a", "b"), ((0.5, 0.5), (0.5, 0.5)), (1.0,), 5, seed=1)
 
     def test_states_must_be_unique_strings(self):
         rows = ((0.5, 0.5), (0.5, 0.5))
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match=exactly("Markov states must be unique")):
             sample_markov(("a", "a"), rows, (1.0, 0.0), 5, seed=1)
-        with pytest.raises(ValueError, match="'states' must be strings, got 1"):
+        with pytest.raises(ValueError, match=exactly("Markov 'states' must be strings, got 1")):
             sample_markov((1, 2), rows, (1.0, 0.0), 5, seed=1)
 
     def test_negative_length_rejected(self):
@@ -390,7 +396,8 @@ class TestEmpiricalDistribution:
         assert empirical_distribution(("a",)) == {"a": 1.0}
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
+        message = "cannot take the empirical distribution of an empty trace"
+        with pytest.raises(ValueError, match=exactly(message)):
             empirical_distribution(())
 
     @pytest.mark.parametrize("n,tol", [(10**3, 0.05), (10**4, 0.02), (10**5, 0.01)])
@@ -400,16 +407,17 @@ class TestEmpiricalDistribution:
         assert all(abs(emp[k] - p[k]) < tol for k in p)
 
 
-def read_trace_reference(path: Path) -> tuple[str, ...] | None:
-    """The reader as a loop over lines, one strip and one test per line;
-    None for a file the reader rejects, one with a line whose stripped text
-    starts with a byte order mark."""
+def read_trace_reference(path: Path) -> tuple[str, ...] | str:
+    """The reader as a loop over lines, one strip and one test per line: the
+    symbols, or the reader's message for a file it rejects, one with a line
+    whose stripped text starts with a byte order mark."""
     text = path.read_text(encoding="utf-8")
     symbols: list[str] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if line.startswith("\ufeff"):
-            return None
+            where = "" if text.startswith("\ufeff") else f": line {number}"
+            return f"trace file {path}{where} starts with a UTF-8 byte order mark"
         if not line or line.startswith("#"):
             continue
         symbols.append(line)
@@ -450,7 +458,11 @@ class TestTraceFiles:
     )
     def test_ids_that_would_not_read_back_are_rejected_before_writing(self, tmp_path, bad):
         path = tmp_path / "t.trace"
-        with pytest.raises(ValueError, match="cannot be written"):
+        message = (
+            f"trace id {bad!r} cannot be written: ids must be one non-empty line of UTF-8 text "
+            "without surrounding whitespace, not starting with '#' or U+FEFF"
+        )
+        with pytest.raises(ValueError, match=exactly(message)):
             write_trace(Trace(symbols=("ok", bad, "ok")), path)
         assert not path.exists()
 
@@ -481,8 +493,8 @@ class TestTraceFiles:
             path = Path(tmp) / "t.trace"
             path.write_text(text, encoding="utf-8", newline="")
             expected = read_trace_reference(path)
-            if expected is None:
-                with pytest.raises(ValueError, match="byte order mark"):
+            if isinstance(expected, str):
+                with pytest.raises(ValueError, match=exactly(expected)):
                     read_trace(path)
             else:
                 assert read_trace(path).symbols == expected
@@ -492,9 +504,9 @@ class TestTraceFiles:
         # read as text, the mark would join the header or the first id
         path = tmp_path / "t.trace"
         path.write_text("\ufeff" + text, encoding="utf-8")
-        with pytest.raises(ValueError, match="byte order mark") as info:
+        message = f"trace file {path} starts with a UTF-8 byte order mark"
+        with pytest.raises(ValueError, match=exactly(message)):
             read_trace(path)
-        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize(
         "text, number",
@@ -561,8 +573,9 @@ def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, ba
 
 
 @pytest.mark.parametrize(
-    "symbols",
-    ["aab", {"a": 1, "b": 2}, {"a", "b"}, Trace("aab"), Trace({"a": 1, "b": 2})],
+    "symbols, kind",
+    [("aab", "str"), ({"a": 1, "b": 2}, "dict"), ({"a", "b"}, "set"), (Trace("aab"), "str"),
+     (Trace({"a": 1, "b": 2}), "dict")],
     ids=["str", "dict", "set", "Trace-of-str", "Trace-of-dict"],
 )
 @pytest.mark.parametrize(
@@ -574,10 +587,10 @@ def test_a_length_order_or_horizon_that_is_not_an_int_is_rejected(call, name, ba
     ],
     ids=["empirical_distribution", "block_entropy_estimate", "EmpiricalSource"],
 )
-def test_symbols_that_are_not_a_trace_list_or_tuple_are_rejected(call, name, symbols):
+def test_symbols_that_are_not_a_trace_list_or_tuple_are_rejected(call, name, symbols, kind):
     # iterating a string or a mapping would count its characters or keys,
     # whether a Trace holds it or not
-    with pytest.raises(ValueError, match=f"^'{name}' must be a Trace, a list or a tuple, got "):
+    with pytest.raises(ValueError, match=exactly(f"'{name}' must be a Trace, a list or a tuple, got {kind}")):
         call(symbols)
 
 
